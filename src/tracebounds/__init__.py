@@ -21,7 +21,6 @@ from .errors import (
     AllReplicatesFailed,
     DegenerateP,
     DegenerateShare,
-    EmptyArm,
     EmptyCell,
     EmptyInput,
     EmptyReactiveStratum,

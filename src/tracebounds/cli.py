@@ -13,9 +13,9 @@ import argparse
 import configparser
 import json
 import math
-import os
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,25 +27,24 @@ from .bounds import (
     type3_dim_bounds,
 )
 from .chart import render_chart
-from .data import Dataset, load_csv
+from .data import Dataset, atomic_open, load_csv
 from .errors import DegenerateP, InvariantViolation, TraceBoundsError
 from .estimators import (
     TEMethod,
     conditional_mean,
     estimate_p_m1,
-    estimate_te_ols,
-    estimate_te_dim,
     strata_shares_monotone,
+    te_estimate,
     te_point,
 )
-from .inference import BootstrapConfig, ResampleUnit, bootstrap_replicates
+from .inference import BootstrapConfig, ResampleUnit, bootstrap_replicates, percentile_band
 from .oracle import DGPConfig, OutcomeMeans, StrataProbs, simulate
 from .sensitivity import (
     AssumptionKind,
     AssumptionSpec,
     SensitivityCurve,
-    build_curve,
     combined_region,
+    curve_from_replicates,
     preset_interval,
     threshold_trace0,
     trace0_from_trace,
@@ -60,6 +59,8 @@ _PRESET_NAMES = {
 }
 
 _DEFAULT_GRID_ROWS = 21
+
+_ends = operator.attrgetter("lo", "hi")
 
 
 # -- deterministic serialization ---------------------------------------------
@@ -99,11 +100,14 @@ def _json_dumps(obj, indent: int = 0) -> str:
     raise InvariantViolation(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = str(path) + ".tmp~"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+def _write_report(report: dict, path: str | None) -> None:
+    """JSON report written atomically to ``path``, or to stdout without one."""
+    text = _json_dumps(report) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, str(path))
 
 
 def _curve_csv(curve: SensitivityCurve) -> str:
@@ -171,24 +175,22 @@ def _cfg_get(cp: configparser.ConfigParser | None, section: str, key: str) -> st
     return cp.get(section, key)
 
 
-def _parse_float_opt(text: str | None, what: str) -> float | None:
+def _parse_number(text: str | None, what: str, kind: type = float):
+    """Config text as a ``kind`` (float, or int for exact counts and
+    seeds), None when absent; malformed text is a validation error."""
     if text is None:
         return None
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise InvariantViolation(f"{what} must be a number, got {text!r}") from None
+        raise InvariantViolation(f"{what} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
 
 
 def _parse_grid_text(text: str) -> AssumptionSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise InvariantViolation(f"grid must look like LO:HI:STEP, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise InvariantViolation(f"grid must be numeric LO:HI:STEP, got {text!r}") from None
-    return AssumptionSpec.grid(lo, hi, step)
+    return AssumptionSpec.grid(*(_parse_number(p, f"grid {text!r}") for p in parts))
 
 
 def _schema_from(args, cp) -> dict:
@@ -229,23 +231,22 @@ def _assumption_from(args, cp) -> AssumptionSpec | None:
         if key == "grid":
             return _parse_grid_text(text)
         if key == "point":
-            v = _parse_float_opt(text, "assumption point")
-            return AssumptionSpec.point(v)
+            return AssumptionSpec.point(_parse_number(text, "assumption point"))
         parts = text.split(":")
         if len(parts) != 2:
             raise InvariantViolation(f"interval must look like LO:HI, got {text!r}")
-        return AssumptionSpec.interval(float(parts[0]), float(parts[1]))
+        return AssumptionSpec.interval(*(_parse_number(p, f"interval {text!r}") for p in parts))
     return None
 
 
 def _bootstrap_from(args, cp) -> BootstrapConfig:
     replicates = getattr(args, "replicates", None)
     if replicates is None:
-        replicates = _parse_float_opt(_cfg_get(cp, "bootstrap", "replicates"), "replicates")
+        replicates = _parse_number(_cfg_get(cp, "bootstrap", "replicates"), "replicates", int)
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = _parse_float_opt(_cfg_get(cp, "bootstrap", "seed"), "seed")
-    level = _parse_float_opt(_cfg_get(cp, "bootstrap", "level"), "level")
+        seed = _parse_number(_cfg_get(cp, "bootstrap", "seed"), "seed", int)
+    level = _parse_number(_cfg_get(cp, "bootstrap", "level"), "level")
     unit_text = _cfg_get(cp, "bootstrap", "resample_unit")
     unit = ResampleUnit.ROW
     if unit_text is not None:
@@ -256,8 +257,8 @@ def _bootstrap_from(args, cp) -> BootstrapConfig:
                 f"resample_unit must be 'row' or 'block', got {unit_text!r}"
             ) from None
     return BootstrapConfig(
-        replicates=int(replicates) if replicates is not None else 2000,
-        seed=int(seed) if seed is not None else 0,
+        replicates=replicates if replicates is not None else 2000,
+        seed=seed if seed is not None else 0,
         level=level if level is not None else 0.95,
         resample_unit=unit,
     )
@@ -279,34 +280,33 @@ def _dgp_from(cp: configparser.ConfigParser, seed_override: int | None) -> DGPCo
     if cp is None or not cp.has_section("dgp"):
         raise InvariantViolation("simulate needs a config file with a [dgp] section")
 
-    def need(section: str, key: str) -> str:
-        v = _cfg_get(cp, section, key)
+    def need(section: str, key: str, default: str | None = None) -> str:
+        v = _cfg_get(cp, section, key) or default
         if v is None:
             raise InvariantViolation(f"config is missing {key!r} in [{section}]")
         return v
 
-    n = int(need("dgp", "n"))
-    noise_sd = float(_cfg_get(cp, "dgp", "noise_sd") or 0.0)
+    def number(section: str, key: str, default: str | None = None) -> float:
+        return _parse_number(need(section, key, default), f"[{section}] {key}")
+
+    n = _parse_number(need("dgp", "n"), "[dgp] n", int)
+    noise_sd = number("dgp", "noise_sd", "0")
     type3 = (_cfg_get(cp, "dgp", "type3") or "false").strip().lower() in ("1", "true", "yes")
-    seed = seed_override if seed_override is not None else int(_cfg_get(cp, "dgp", "seed") or 0)
+    seed = seed_override if seed_override is not None else _parse_number(need("dgp", "seed", "0"), "[dgp] seed", int)
 
     strata = StrataProbs(
-        at=float(need("dgp.strata", "at")),
-        c=float(need("dgp.strata", "c")),
-        nt=float(need("dgp.strata", "nt")),
-        defier=float(_cfg_get(cp, "dgp.strata", "def") or 0.0),
+        at=number("dgp.strata", "at"),
+        c=number("dgp.strata", "c"),
+        nt=number("dgp.strata", "nt"),
+        defier=number("dgp.strata", "def", "0"),
     )
 
     def pair(key: str, default: str | None = None) -> tuple[float, float]:
-        text = _cfg_get(cp, "dgp.means", key)
-        if text is None:
-            if default is None:
-                raise InvariantViolation(f"config is missing {key!r} in [dgp.means]")
-            text = default
+        text = need("dgp.means", key, default)
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 2:
             raise InvariantViolation(f"[dgp.means] {key} must be 'control, treated', got {text!r}")
-        return (float(parts[0]), float(parts[1]))
+        return tuple(_parse_number(p, f"[dgp.means] {key}") for p in parts)
 
     means = OutcomeMeans(
         at=pair("at"),
@@ -320,40 +320,37 @@ def _dgp_from(cp: configparser.ConfigParser, seed_override: int | None) -> DGPCo
 # -- command implementations --------------------------------------------------
 
 
-def _quantile_pair(values: np.ndarray, level: float) -> tuple[float, float]:
-    good = values[np.isfinite(values)]
-    tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(good, [tail, 1.0 - tail], method="linear")
-    return float(lo), float(hi)
+def _mt_or_error(ds: Dataset) -> Interval | TraceBoundsError:
+    try:
+        return mt_bounds(ds)
+    except TraceBoundsError as exc:
+        return exc
 
 
-def _bound_ci(ds: Dataset, interval: Interval, bound_fn, boot: BootstrapConfig) -> tuple[Interval, int]:
-    """Percentile band around both endpoints of a bound estimator."""
-    values, n_failed = bootstrap_replicates(
-        lambda d: (lambda iv: (iv.lo, iv.hi))(bound_fn(d)), ds, boot
-    )
-    lo_col = values[:, 0]
-    hi_col = values[:, 1]
-    good = np.isfinite(lo_col)
+def _replicate_row(components, d: Dataset) -> list[float]:
+    """Concatenated value pairs of ``components`` on one resample; a
+    failure or a non-finite value blanks that component's pair only."""
+    row = []
+    for fn in components:
+        try:
+            a, b = fn(d)
+        except TraceBoundsError:
+            a = b = math.nan
+        row += (a, b) if math.isfinite(a) and math.isfinite(b) else (math.nan, math.nan)
+    return row
+
+
+def _with_band(iv: Interval, lo_r: np.ndarray, hi_r: np.ndarray, level: float) -> Interval:
+    """Percentile band around both endpoints from their replicate columns."""
+    good = np.isfinite(lo_r)
     if not good.any():
-        return interval, n_failed
-    tail = (1.0 - boot.level) / 2.0
-    ci_lo = float(np.quantile(lo_col[good], tail, method="linear"))
-    ci_hi = float(np.quantile(hi_col[good], 1.0 - tail, method="linear"))
-    return interval.with_ci(ci_lo, ci_hi), n_failed
+        return iv
+    return iv.with_ci(*percentile_band(lo_r[good], hi_r[good], level))
 
 
-def _preset_ci(
-    preset: Interval,
-    spec: AssumptionSpec,
-    te_r: np.ndarray,
-    p_r: np.ndarray,
-    level: float,
-) -> Interval:
+def _preset_ci(preset: Interval, spec: AssumptionSpec, te_r: np.ndarray, p_r: np.ndarray, level: float) -> Interval:
     """Band for a preset interval from joint (te, p) replicates."""
     good = np.isfinite(te_r) & np.isfinite(p_r) & (p_r > 0)
-    if not good.any():
-        return preset
     los = []
     his = []
     for te, p in zip(te_r[good], p_r[good]):
@@ -365,21 +362,14 @@ def _preset_ci(
         his.append(iv.hi)
     if not los:
         return preset
-    tail = (1.0 - level) / 2.0
-    lo_arr = np.asarray(los)
-    hi_arr = np.asarray(his)
-    # half-lines keep their infinite end; quantiles act on the finite one
-    ci_lo = -math.inf if np.isinf(lo_arr).any() else float(np.quantile(lo_arr, tail, method="linear"))
-    ci_hi = math.inf if np.isinf(hi_arr).any() else float(np.quantile(hi_arr, 1.0 - tail, method="linear"))
-    return preset.with_ci(ci_lo, ci_hi)
+    return preset.with_ci(*percentile_band(los, his, level))
 
 
-def _default_grid(te_hat: float, p_hat: float, ds: Dataset) -> AssumptionSpec:
+def _default_grid(te_hat: float, p_hat: float, trim: Interval) -> AssumptionSpec:
     """Grid spanning the non-reactive effects consistent with the trimming
     bounds; a single point at zero when everyone reacts."""
     if p_hat >= 1.0:
         return AssumptionSpec.grid(0.0, 0.0, 1.0)
-    trim = no_assumption_bounds(ds)
     lo = trace0_from_trace(te_hat, p_hat, trim.hi)
     hi = trace0_from_trace(te_hat, p_hat, trim.lo)
     if hi <= lo:
@@ -388,45 +378,66 @@ def _default_grid(te_hat: float, p_hat: float, ds: Dataset) -> AssumptionSpec:
     return AssumptionSpec.grid(lo, hi, step)
 
 
+def _mt_json(ds: Dataset, p_hat: float, mt: Interval | TraceBoundsError) -> dict:
+    if isinstance(mt, TraceBoundsError):
+        return {"skipped": f"{type(mt).__name__}: {mt}"}
+    shares = strata_shares_monotone(ds)
+    pool = shares.c + shares.nt
+    entry = _interval_json(mt)
+    entry["alpha_hat"] = shares.at / p_hat
+    entry["pi_hat"] = shares.c / pool if pool > 0 else 0.0
+    return entry
+
+
+def _dataset_report(input_path: str, ds: Dataset, estimates: dict, trim: Interval, mt_entry: dict, derived: dict) -> dict:
+    """Report body shared by ``analyze`` and ``bounds``; its key order is
+    part of the byte-stable output."""
+    return {
+        "input": str(input_path),
+        "n_units": ds.n,
+        "n_treated": ds.n_treated,
+        "n_control": ds.n_control,
+        "m_observed_in_control": ds.m_observed_in_control,
+        **estimates,
+        "no_assumption_bounds": _interval_json(trim),
+        "mt_bounds": mt_entry,
+        **derived,
+        "naive": {
+            **asdict(naive_estimates(ds)),
+            "note": "as_treated and per_protocol condition on the post-treatment reaction and are not causal estimands",
+        },
+    }
+
+
 def cmd_analyze(cfg: AnalysisConfig) -> dict:
-    """Full pipeline: estimates, bounds, preset, combined region, curve.
+    """Full pipeline: estimates, bounds, preset, combined region, curve,
+    every band from one bootstrap pass.
 
     Returns the report dictionary after writing all requested outputs.
     """
     ds = load_csv(cfg.input_path, cfg.schema)
-    te_est = (
-        estimate_te_dim(ds)
-        if cfg.te_method is TEMethod.DIFF_IN_MEANS
-        else estimate_te_ols(ds, use_covariates=bool(ds.x.shape[1]), use_block_fe=ds.block is not None)
-    )
+    te_est = te_estimate(ds, cfg.te_method)
     te_hat = te_est.te_hat
     p_hat = estimate_p_m1(ds)
     boot = cfg.bootstrap
 
     trim = no_assumption_bounds(ds)
-    trim, trim_failed = _bound_ci(ds, trim, no_assumption_bounds, boot)
+    mt = _mt_or_error(ds)
+    with_mt = isinstance(mt, Interval)
 
-    mt_entry: dict
-    mt_iv: Interval | None = None
-    mt_failed = 0
-    try:
-        mt_iv = mt_bounds(ds)
-    except TraceBoundsError as exc:
-        mt_entry = {"skipped": f"{type(exc).__name__}: {exc}"}
-    if mt_iv is not None:
-        mt_iv, mt_failed = _bound_ci(ds, mt_iv, mt_bounds, boot)
-        shares = strata_shares_monotone(ds)
-        mt_entry = _interval_json(mt_iv)
-        mt_entry["alpha_hat"] = shares.at / p_hat if p_hat > 0 else None
-        pool = shares.c + shares.nt
-        mt_entry["pi_hat"] = shares.c / pool if pool > 0 else 0.0
+    components = [
+        lambda d: _ends(no_assumption_bounds(d)),
+        lambda d: (te_point(d, cfg.te_method), estimate_p_m1(d)),
+    ]
+    if with_mt:
+        components.append(lambda d: _ends(mt_bounds(d)))
+    values, _ = bootstrap_replicates(lambda d: _replicate_row(components, d), ds, boot)
+    te_r, p_r = values[:, 2], values[:, 3]
+    failed = np.isnan(values[:, ::2]).sum(axis=0)  # trim, core, mt
 
-    # joint replicates shared by the preset band
-    rep_values, core_failed = bootstrap_replicates(
-        lambda d: (te_point(d, cfg.te_method), estimate_p_m1(d)), ds, boot
-    )
-    te_r = rep_values[:, 0]
-    p_r = rep_values[:, 1]
+    trim = _with_band(trim, values[:, 0], values[:, 1], boot.level)
+    if with_mt:
+        mt = _with_band(mt, values[:, 4], values[:, 5], boot.level)
 
     preset = preset_interval(te_hat, p_hat, cfg.assumption)
     preset = _preset_ci(preset, cfg.assumption, te_r, p_r, boot.level)
@@ -436,10 +447,8 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
     if cfg.assumption.kind is AssumptionKind.GRID:
         grid_spec = cfg.assumption
     else:
-        grid_spec = _default_grid(te_hat, p_hat, ds)
-    curve = build_curve(ds, grid_spec, te_method=cfg.te_method, boot=boot)
-
-    naive = naive_estimates(ds)
+        grid_spec = _default_grid(te_hat, p_hat, trim)
+    curve = curve_from_replicates(grid_spec, te_hat, p_hat, trim, te_r, p_r, boot.level)
 
     try:
         threshold = threshold_trace0(te_hat, p_hat, 0.0)
@@ -448,56 +457,51 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
         threshold = None
         threshold_note = "everyone reacts under treatment; the non-reactive group is empty"
 
-    report = {
-        "input": str(cfg.input_path),
-        "n_units": ds.n,
-        "n_treated": ds.n_treated,
-        "n_control": ds.n_control,
-        "m_observed_in_control": ds.m_observed_in_control,
-        "te_method": cfg.te_method.name,
-        "te_hat": te_hat,
-        "te_se": te_est.se,
-        "p_hat": p_hat,
-        "assumption": _assumption_json(cfg.assumption),
-        "no_assumption_bounds": _interval_json(trim),
-        "mt_bounds": mt_entry,
-        "preset_interval": _interval_json(preset),
-        "combined": "INFEASIBLE" if combined is None else _interval_json(combined),
-        "naive": {
-            "itt": naive.itt,
-            "as_treated": naive.as_treated,
-            "per_protocol": naive.per_protocol,
-            "dim_m1": naive.dim_m1,
-            "wald_late": naive.wald_late,
-            "note": "as_treated and per_protocol condition on the post-treatment reaction and are not causal estimands",
+    report = _dataset_report(
+        cfg.input_path,
+        ds,
+        {
+            "te_method": cfg.te_method.name,
+            "te_hat": te_hat,
+            "te_se": te_est.se,
+            "p_hat": p_hat,
+            "assumption": _assumption_json(cfg.assumption),
         },
-        "threshold_trace0": {
-            "target_trace": 0.0,
-            "value": threshold,
-            "note": threshold_note,
+        trim,
+        _mt_json(ds, p_hat, mt),
+        {
+            "preset_interval": _interval_json(preset),
+            "combined": "INFEASIBLE" if combined is None else _interval_json(combined),
         },
-        "curve": {
-            "grid": _assumption_json(grid_spec),
-            "rows": len(curve.rows),
-            "table": str(cfg.out_table),
-        },
-        "bootstrap": {
-            "seed": boot.seed,
-            "replicates": boot.replicates,
-            "level": boot.level,
-            "resample_unit": boot.resample_unit.name,
-            "failed_replicates": {
-                "core": core_failed,
-                "no_assumption_bounds": trim_failed,
-                "mt_bounds": mt_failed if mt_iv is not None else None,
-            },
+    )
+    report["threshold_trace0"] = {
+        "target_trace": 0.0,
+        "value": threshold,
+        "note": threshold_note,
+    }
+    report["curve"] = {
+        "grid": _assumption_json(grid_spec),
+        "rows": len(curve.rows),
+        "table": str(cfg.out_table),
+    }
+    report["bootstrap"] = {
+        "seed": boot.seed,
+        "replicates": boot.replicates,
+        "level": boot.level,
+        "resample_unit": boot.resample_unit.name,
+        "failed_replicates": {
+            "core": int(failed[1]),
+            "no_assumption_bounds": int(failed[0]),
+            "mt_bounds": int(failed[2]) if with_mt else None,
         },
     }
 
-    _write_atomic(cfg.out_table, _curve_csv(curve))
-    _write_atomic(cfg.out_report, _json_dumps(report) + "\n")
+    with atomic_open(cfg.out_table) as fh:
+        fh.write(_curve_csv(curve))
+    _write_report(report, cfg.out_report)
     if cfg.out_chart:
-        _write_atomic(cfg.out_chart, render_chart(curve, combined))
+        with atomic_open(cfg.out_chart) as fh:
+            fh.write(render_chart(curve, combined))
     return report
 
 
@@ -523,44 +527,16 @@ def cmd_bounds(
         if not input_path:
             raise InvariantViolation("bounds needs --input or --from-moments")
         ds = load_csv(input_path, schema)
-        report = {
-            "input": str(input_path),
-            "n_units": ds.n,
-            "n_treated": ds.n_treated,
-            "n_control": ds.n_control,
-            "m_observed_in_control": ds.m_observed_in_control,
-            "p_hat": estimate_p_m1(ds),
-            "no_assumption_bounds": _interval_json(no_assumption_bounds(ds)),
-        }
-        try:
-            mt = mt_bounds(ds)
-            shares = strata_shares_monotone(ds)
-            p1 = estimate_p_m1(ds)
-            entry = _interval_json(mt)
-            entry["alpha_hat"] = shares.at / p1
-            pool = shares.c + shares.nt
-            entry["pi_hat"] = shares.c / pool if pool > 0 else 0.0
-            report["mt_bounds"] = entry
-        except TraceBoundsError as exc:
-            report["mt_bounds"] = {"skipped": f"{type(exc).__name__}: {exc}"}
+        p_hat = estimate_p_m1(ds)
+        trim = no_assumption_bounds(ds)
+        mt_entry = _mt_json(ds, p_hat, _mt_or_error(ds))
+        derived = {}
         if type3:
             t3 = type3_dim_bounds(conditional_mean(ds, 1, 1), conditional_mean(ds, 0, 1))
-            report["type3_bounds"] = _interval_json(t3)
-        naive = naive_estimates(ds)
-        report["naive"] = {
-            "itt": naive.itt,
-            "as_treated": naive.as_treated,
-            "per_protocol": naive.per_protocol,
-            "dim_m1": naive.dim_m1,
-            "wald_late": naive.wald_late,
-            "note": "as_treated and per_protocol condition on the post-treatment reaction and are not causal estimands",
-        }
+            derived["type3_bounds"] = _interval_json(t3)
+        report = _dataset_report(input_path, ds, {"p_hat": p_hat}, trim, mt_entry, derived)
 
-    text = _json_dumps(report) + "\n"
-    if out_report:
-        _write_atomic(out_report, text)
-    else:
-        sys.stdout.write(text)
+    _write_report(report, out_report)
     return report
 
 
@@ -593,7 +569,7 @@ def cmd_simulate(dgp: DGPConfig, out_table: str, out_report: str) -> dict:
         },
         "data": str(out_table),
     }
-    _write_atomic(out_report, _json_dumps(report) + "\n")
+    _write_report(report, out_report)
     return report
 
 
@@ -612,11 +588,7 @@ def cmd_threshold(input_path: str, schema: dict, target: float, te_method: TEMet
         "target_trace": target,
         "required_trace0": value,
     }
-    text = _json_dumps(report) + "\n"
-    if out_report:
-        _write_atomic(out_report, text)
-    else:
-        sys.stdout.write(text)
+    _write_report(report, out_report)
     return report
 
 

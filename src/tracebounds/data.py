@@ -10,12 +10,14 @@ this package is weight-aware.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import math
 import os
+import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -435,6 +437,27 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
     )
 
 
+@contextlib.contextmanager
+def atomic_open(path) -> Iterator[TextIO]:
+    """Text handle whose contents replace ``path`` when the block completes.
+
+    Each call writes its own temporary file beside the target, removed on
+    failure, so writers to one path never share it; the result gets the
+    mode a plain ``open`` gives (0666 less the umask).
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _fmt(v: float) -> str:
     """Real to text at 17 significant digits, integers kept short."""
     if v == int(v) and abs(v) < 1e16:
@@ -452,7 +475,6 @@ def write_csv(ds: Dataset, path) -> None:
     atomic (temp file then rename).
     """
     header = ["y", "d", "m"]
-    k = ds.x.shape[1]
     header += list(ds.covariate_names)
     has_block = ds.block is not None
     if has_block:
@@ -461,8 +483,7 @@ def write_csv(ds: Dataset, path) -> None:
     if has_weight:
         header.append("weight")
 
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(ds.n):
@@ -476,7 +497,6 @@ def write_csv(ds: Dataset, path) -> None:
             if has_weight:
                 row.append(_fmt(float(ds.weight[i])))
             writer.writerow(row)
-    os.replace(tmp, path)
 
 
 def schema_for(ds: Dataset) -> dict:

@@ -34,10 +34,6 @@ class RequirementUnmet(TraceBoundsError):
     """The dataset lacks something a requested analysis needs."""
 
 
-class EmptyArm(TraceBoundsError):
-    """An estimator needs units in both arms and one arm is empty."""
-
-
 class EmptyCell(TraceBoundsError):
     """A conditional mean was requested over an empty (d, m) cell."""
 

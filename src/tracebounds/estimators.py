@@ -15,7 +15,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
-    EmptyArm,
     EmptyCell,
     InvariantViolation,
     MissingM,
@@ -75,8 +74,6 @@ def estimate_te_dim(ds: Dataset) -> TEEstimate:
     w = ds.weight
     wt = w[t]
     wc = w[~t]
-    if wt.size == 0 or wc.size == 0:
-        raise EmptyArm("both arms are required")
     te = float(ds.y[t] @ wt / wt.sum() - ds.y[~t] @ wc / wc.sum())
     return TEEstimate(te_hat=te, se=None, method=TEMethod.DIFF_IN_MEANS)
 
@@ -174,9 +171,6 @@ def estimate_te_ols(ds: Dataset, use_covariates: bool = True, use_block_fe: bool
     With no covariates and no block dummies the coefficient on d equals
     the weighted difference in means up to numerical error.
     """
-    t = ds.d == 1
-    if not t.any() or t.all():
-        raise EmptyArm("both arms are required")
     X, _names = _design(ds, use_covariates, use_block_fe)
     sw = np.sqrt(ds.weight)
     Xs = X * sw[:, None]
@@ -201,15 +195,17 @@ def estimate_te_ols(ds: Dataset, use_covariates: bool = True, use_block_fe: bool
     return TEEstimate(te_hat=float(beta[1]), se=se, method=TEMethod.OLS_ADJUSTED)
 
 
+def te_estimate(ds: Dataset, method: TEMethod) -> TEEstimate:
+    """Average effect under the chosen route; the adjusted regression uses
+    every covariate and, when units carry them, block fixed effects."""
+    if method is TEMethod.DIFF_IN_MEANS:
+        return estimate_te_dim(ds)
+    return estimate_te_ols(ds, use_covariates=bool(ds.x.shape[1]), use_block_fe=ds.block is not None)
+
+
 def te_point(ds: Dataset, method: TEMethod) -> float:
     """Point value of the average effect under the chosen route."""
-    if method is TEMethod.DIFF_IN_MEANS:
-        return estimate_te_dim(ds).te_hat
-    return estimate_te_ols(
-        ds,
-        use_covariates=bool(ds.x.shape[1]),
-        use_block_fe=ds.block is not None,
-    ).te_hat
+    return te_estimate(ds, method).te_hat
 
 
 # -- published-moment back-out -----------------------------------------------

@@ -87,11 +87,12 @@ def bootstrap_replicates(
     ``statistic`` may return a scalar or a fixed-length vector; it must
     evaluate cleanly on the original dataset (that run determines the
     output width and its failure propagates). Per replicate, rows are
-    drawn with replacement (or whole blocks when the config says so)
-    and any exception or non-finite result marks the replicate failed.
+    drawn with replacement (or whole blocks when the config says so).
+    An exception or a result of the wrong width fails the replicate (a
+    NaN row); a non-finite entry of a good result becomes NaN on its own.
 
     Returns ``(values, n_failed)`` where ``values`` has shape
-    (replicates, width) with NaN rows for failures.
+    (replicates, width) and ``n_failed`` counts the NaNs in column 0.
     """
     base = np.atleast_1d(np.asarray(statistic(ds), dtype=np.float64))
     width = base.shape[0]
@@ -111,9 +112,9 @@ def bootstrap_replicates(
             out = np.atleast_1d(np.asarray(statistic(ds.take(idx)), dtype=np.float64))
         except Exception:
             return np.full(width, np.nan)
-        if out.shape != (width,) or not np.isfinite(out).all():
+        if out.shape != (width,):
             return np.full(width, np.nan)
-        return out
+        return np.where(np.isfinite(out), out, np.nan)
 
     if threads <= 1:
         rows = [run_one(r) for r in range(cfg.replicates)]
@@ -143,6 +144,15 @@ def percentile_ci(
     good = flat[np.isfinite(flat)]
     if good.size == 0:
         raise AllReplicatesFailed("no bootstrap replicate produced a value")
-    tail = (1.0 - cfg.level) / 2.0
-    lo, hi = np.quantile(good, [tail, 1.0 - tail], method="linear")
-    return BootstrapResult(lo=float(lo), hi=float(hi), values=flat, n_failed=n_failed)
+    lo, hi = percentile_band(good, good, cfg.level)
+    return BootstrapResult(lo=lo, hi=hi, values=flat, n_failed=n_failed)
+
+
+def percentile_band(lo_values, hi_values, level: float) -> tuple[float, float]:
+    """Lower ``(1 - level) / 2`` quantile of ``lo_values`` and upper one of
+    ``hi_values``, interpolating linearly between order statistics. An end
+    whose values include an infinity (a half-line) keeps that infinity."""
+    tail = (1.0 - level) / 2.0
+    ci_lo = -np.inf if np.isinf(lo_values).any() else float(np.quantile(lo_values, tail, method="linear"))
+    ci_hi = np.inf if np.isinf(hi_values).any() else float(np.quantile(hi_values, 1.0 - tail, method="linear"))
+    return ci_lo, ci_hi

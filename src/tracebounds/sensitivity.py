@@ -31,7 +31,7 @@ from .errors import (
     SignUndefined,
 )
 from .estimators import StrataShares, TEMethod, estimate_p_m1, te_point
-from .inference import BootstrapConfig, bootstrap_replicates
+from .inference import BootstrapConfig, bootstrap_replicates, percentile_band
 
 
 class AssumptionKind(enum.Enum):
@@ -326,26 +326,32 @@ def build_curve(
         return te_point(d, te_method), estimate_p_m1(d)
 
     values, _failed = bootstrap_replicates(stat, ds, boot, threads=threads)
-    te_r = values[:, 0]
-    p_r = values[:, 1]
+    return curve_from_replicates(spec, te_hat, p_hat, trim, values[:, 0], values[:, 1], boot.level)
+
+
+def curve_from_replicates(
+    spec: AssumptionSpec, te_hat: float, p_hat: float, trim: Interval, te_r: np.ndarray, p_r: np.ndarray, level: float
+) -> SensitivityCurve:
+    """Curve over a GRID from point estimates and joint (te, p) replicates,
+    NaN where one failed. Only the ends of ``trim`` are read (row flags,
+    chart markers)."""
     good = np.isfinite(te_r) & np.isfinite(p_r) & (p_r > 0)
     if not good.any():
         raise AllReplicatesFailed("no bootstrap replicate produced a usable (te, p) pair")
     te_g = te_r[good]
     p_g = p_r[good]
 
-    tail = (1.0 - boot.level) / 2.0
     rows = []
     for t0 in spec.grid_values():
         point = trace_from_trace0(te_hat, p_hat, t0)
         reps = (te_g - t0 * (1.0 - p_g)) / p_g
-        lo, hi = np.quantile(reps, [tail, 1.0 - tail], method="linear")
+        lo, hi = percentile_band(reps, reps, level)
         rows.append(
             CurveRow(
                 trace0=t0,
                 trace_hat=point,
-                ci_lo=float(lo),
-                ci_hi=float(hi),
+                ci_lo=lo,
+                ci_hi=hi,
                 within_trim_bounds=trim.contains(point),
             )
         )

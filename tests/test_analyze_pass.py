@@ -1,0 +1,178 @@
+"""``analyze`` resamples once for every band; the reference resamples once
+per statistic. Both must give the same bands, curve and failure counts."""
+
+import csv
+import math
+import pathlib
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracebounds import (
+    AssumptionKind,
+    AssumptionSpec,
+    BootstrapConfig,
+    Dataset,
+    ResampleUnit,
+    TEMethod,
+    bootstrap_replicates,
+    build_curve,
+    estimate_p_m1,
+    load_csv,
+    mt_bounds,
+    no_assumption_bounds,
+    preset_interval,
+    schema_for,
+    te_point,
+    trace0_from_trace,
+    write_csv,
+)
+from tracebounds.cli import AnalysisConfig, cmd_analyze
+from tracebounds.errors import TraceBoundsError
+
+_ASSUMPTIONS = [
+    AssumptionSpec.zero(),
+    AssumptionSpec.equal_effects(),
+    AssumptionSpec.same_sign_smaller(),
+    AssumptionSpec.opposite_sign(),
+    AssumptionSpec.grid(-1.0, 1.0, 0.25),
+]
+
+
+def _dataset(kind: str, seed: int) -> Dataset:
+    """Half the units treated; reaction counts fixed so the full sample
+    is monotone. ``weak`` has a first stage of one unit, so resamples
+    often reverse it and the monotone bounds fail on their own; ``rare``
+    has one treated reactor, so resamples often lose it and both bounds
+    fail while (te, p) still evaluates."""
+    rng = np.random.default_rng(seed)
+    half = int(rng.integers(40, 76)) if kind == "weak" else int(rng.integers(15, 40))
+    d = rng.permutation(np.repeat([1, 0], half))
+    k1, k0 = round(0.6 * half), round(0.3 * half)
+    if kind == "weak":
+        k1 = round(0.45 * half)
+        k0 = k1 - 1
+    elif kind == "rare":
+        k1, k0 = 1, 0
+    m = np.zeros(2 * half)
+    m[rng.choice(np.flatnonzero(d == 1), k1, replace=False)] = 1.0
+    m[rng.choice(np.flatnonzero(d == 0), k0, replace=False)] = 1.0
+    y = np.round(rng.normal(0.0, 1.0, 2 * half) + d * m, 2)
+    weight = rng.choice([0.5, 1.0, 1.5, 2.0], 2 * half) if kind in ("weighted", "blocked") else None
+    block = [f"b{j}" for j in rng.integers(0, 6, 2 * half)] if kind == "blocked" else None
+    return Dataset(y=y, d=d, m=m, weight=weight, block=block)
+
+
+def _ends(iv):
+    return iv.lo, iv.hi
+
+
+def _band(iv, values, level):
+    good = np.isfinite(values[:, 0])
+    if not good.any():
+        return iv
+    tail = (1.0 - level) / 2.0
+    return iv.with_ci(
+        float(np.quantile(values[good, 0], tail, method="linear")),
+        float(np.quantile(values[good, 1], 1.0 - tail, method="linear")),
+    )
+
+
+def _interval_entry(iv) -> dict:
+    return {"lo": iv.lo, "hi": iv.hi, "kind": iv.kind.name, "ci_lo": iv.ci_lo, "ci_hi": iv.ci_hi}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["plain", "weighted", "blocked", "weak", "rare"]),
+    data_seed=st.integers(0, 2**32 - 1),
+    boot_seed=st.integers(0, 2**64 - 1),
+    replicates=st.integers(20, 40),
+    level=st.sampled_from([0.8, 0.9, 0.95]),
+    te_method=st.sampled_from(list(TEMethod)),
+    assumption=st.sampled_from(_ASSUMPTIONS),
+    block_draws=st.booleans(),
+)
+def test_single_pass_matches_one_pass_per_statistic(
+    kind, data_seed, boot_seed, replicates, level, te_method, assumption, block_draws
+):
+    unit = ResampleUnit.BLOCK if kind == "blocked" and block_draws else ResampleUnit.ROW
+    boot = BootstrapConfig(replicates=replicates, seed=boot_seed, level=level, resample_unit=unit)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        generated = _dataset(kind, data_seed)
+        write_csv(generated, tmp / "data.csv")
+        schema = schema_for(generated)
+        cfg = AnalysisConfig(
+            input_path=str(tmp / "data.csv"),
+            schema=schema,
+            assumption=assumption,
+            te_method=te_method,
+            bootstrap=boot,
+            out_table=str(tmp / "curve.csv"),
+            out_report=str(tmp / "report.json"),
+        )
+        report = cmd_analyze(cfg)
+        with open(tmp / "curve.csv", newline="") as fh:
+            table = list(csv.reader(fh))[1:]
+        ds = load_csv(tmp / "data.csv", schema)
+
+    # reference: one bootstrap pass per statistic
+    te_hat = te_point(ds, te_method)
+    p_hat = estimate_p_m1(ds)
+    trim_values, trim_failed = bootstrap_replicates(lambda d: _ends(no_assumption_bounds(d)), ds, boot)
+    core, core_failed = bootstrap_replicates(lambda d: (te_point(d, te_method), estimate_p_m1(d)), ds, boot)
+    trim = _band(no_assumption_bounds(ds), trim_values, level)
+    assert report["no_assumption_bounds"] == _interval_entry(trim)
+    try:
+        mt = mt_bounds(ds)
+    except TraceBoundsError:
+        mt = None
+        mt_failed = None
+        assert "skipped" in report["mt_bounds"]
+    if mt is not None:
+        mt_values, mt_failed = bootstrap_replicates(lambda d: _ends(mt_bounds(d)), ds, boot)
+        entry = dict(report["mt_bounds"])
+        del entry["alpha_hat"], entry["pi_hat"]
+        assert entry == _interval_entry(_band(mt, mt_values, level))
+    assert report["bootstrap"]["failed_replicates"] == {
+        "core": core_failed,
+        "no_assumption_bounds": trim_failed,
+        "mt_bounds": mt_failed,
+    }
+    if kind == "weak":
+        assert mt_failed > trim_failed  # mt failed on replicates where trimming held
+    if kind == "rare":
+        assert trim_failed > core_failed
+
+    los, his = [], []
+    for te, p in core:
+        if math.isfinite(te) and math.isfinite(p) and p > 0:
+            try:
+                iv = preset_interval(te, p, assumption)
+            except TraceBoundsError:
+                continue
+            los.append(iv.lo)
+            his.append(iv.hi)
+    preset = preset_interval(te_hat, p_hat, assumption)
+    if los:
+        tail = (1.0 - level) / 2.0
+        preset = preset.with_ci(
+            -math.inf if np.isinf(los).any() else float(np.quantile(los, tail, method="linear")),
+            math.inf if np.isinf(his).any() else float(np.quantile(his, 1.0 - tail, method="linear")),
+        )
+    assert report["preset_interval"] == _interval_entry(preset)
+
+    if assumption.kind is AssumptionKind.GRID:
+        grid = assumption
+    else:
+        lo = trace0_from_trace(te_hat, p_hat, trim.hi)
+        hi = trace0_from_trace(te_hat, p_hat, trim.lo)
+        grid = AssumptionSpec.grid(lo, lo, 1.0) if hi <= lo else AssumptionSpec.grid(lo, hi, (hi - lo) / 20)
+    curve = build_curve(ds, grid, te_method=te_method, boot=boot)
+    assert [[float(v) for v in row[:4]] for row in table] == [
+        [r.trace0, r.trace_hat, r.ci_lo, r.ci_hi] for r in curve.rows
+    ]
+    assert [row[4] == "true" for row in table] == [r.within_trim_bounds for r in curve.rows]

@@ -339,3 +339,60 @@ def test_console_script_runs():
     proc = subprocess.run([exe, "bounds", "--from-moments", "0.2334", "0.1726"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["type3_bounds"]["hi"] == pytest.approx(0.2334)
+
+
+def _analyze_config(tmp_path, toy_path, extra: str) -> str:
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[input]\n"
+        f"path = {toy_path}\n"
+        "[outputs]\n"
+        f"table = {tmp_path / 'c.csv'}\n"
+        f"report = {tmp_path / 'r.json'}\n" + extra
+    )
+    return str(cfg)
+
+
+def test_config_integers_are_exact(capsys, toy_path, tmp_path):
+    # 2**53 + 1 does not survive a round trip through float
+    cfg = _analyze_config(tmp_path, toy_path, "[assumption]\npreset = zero\n[bootstrap]\nreplicates = 20\nseed = 9007199254740993\n")
+    code, _ = run(capsys, "analyze", "--config", cfg)
+    assert code == 0
+    assert _read_json(tmp_path / "r.json")["bootstrap"]["seed"] == 9007199254740993
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "[assumption]\npreset = zero\n[bootstrap]\nreplicates = 20.7\n",
+        "[assumption]\npreset = zero\n[bootstrap]\nseed = 1.9\n",
+        "[assumption]\npreset = zero\n[bootstrap]\nlevel = most\n",
+        "[assumption]\ninterval = a:1\n",
+    ],
+    ids=["replicates", "seed", "level", "interval"],
+)
+def test_config_rejects_inexact_analyze_numbers(capsys, toy_path, tmp_path, extra):
+    code, out = run(capsys, "analyze", "--config", _analyze_config(tmp_path, toy_path, extra))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvariantViolation"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("n = 2000", "n = 1e4"),
+        ("seed = 11", "seed = 11.5"),
+        ("noise_sd = 0.5", "noise_sd = half"),
+        ("at = 0.2", "at = a fifth"),
+        ("c = 0, 2.0", "c = 0, two"),
+    ],
+    ids=["n", "seed", "noise_sd", "strata", "means"],
+)
+def test_config_rejects_malformed_dgp_numbers(capsys, tmp_path, old, new):
+    assert old in DGP_INI
+    cfg = tmp_path / "dgp.ini"
+    cfg.write_text(DGP_INI.replace(old, new, 1))
+    code, out = run(capsys, "simulate", "--config", str(cfg), "--out-table", str(tmp_path / "a.csv"), "--out-report", str(tmp_path / "a.json"))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvariantViolation"

@@ -1,5 +1,10 @@
+import os
+import stat
+
 import numpy as np
 import pytest
+
+import tracebounds.data as data_module
 
 from tracebounds import (
     Analysis,
@@ -76,6 +81,47 @@ def test_write_is_value_exact(tmp_path):
     out = tmp_path / "exact.csv"
     write_csv(ds, out)
     assert load_csv(out).y.tolist() == ds.y.tolist()
+
+
+def test_failed_write_keeps_target_and_leaves_no_temp_file(tmp_path, toy, monkeypatch):
+    out = tmp_path / "copy.csv"
+    out.write_text("old\n")
+
+    def fail(v):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(data_module, "_fmt", fail)
+    with pytest.raises(RuntimeError):
+        write_csv(toy, out)
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["copy.csv"]
+
+
+def test_writers_to_one_path_do_not_share_a_temp_file(tmp_path, toy, monkeypatch):
+    out = tmp_path / "copy.csv"
+    other = Dataset(y=[7.0, 8.0], d=[1, 0], m=[1, 0])
+    fmt = data_module._fmt
+    started = []
+
+    def fmt_after_a_second_writer(v):
+        # a second writer to the same path completes while the first is mid-write
+        if not started:
+            started.append(True)
+            write_csv(other, out)
+        return fmt(v)
+
+    monkeypatch.setattr(data_module, "_fmt", fmt_after_a_second_writer)
+    write_csv(toy, out)
+    np.testing.assert_array_equal(load_csv(out).y, toy.y)
+    assert [p.name for p in tmp_path.iterdir()] == ["copy.csv"]
+
+
+def test_written_file_gets_the_default_mode(tmp_path, toy):
+    out = tmp_path / "copy.csv"
+    write_csv(toy, out)
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_take(toy):

@@ -162,3 +162,22 @@ def test_interval_brackets_replicate_range(toy):
     assert res.lo <= res.hi
     assert good.min() <= res.lo
     assert res.hi <= good.max()
+
+
+def test_nonfinite_entry_is_nan_alone_but_an_exception_blanks_the_row(toy):
+    calls = {"n": 0}
+
+    def stat(ds):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            return (1.0, 2.0, 3.0)  # base run
+        if calls["n"] % 2:
+            raise ValueError("component bug")
+        return (1.0, np.inf, 3.0)
+
+    values, n_failed = bootstrap_replicates(stat, toy, BootstrapConfig(replicates=40, seed=2))
+    blank = np.isnan(values).all(axis=1)
+    kept = ~blank
+    assert blank.any() and kept.any()
+    np.testing.assert_array_equal(values[kept], np.tile([1.0, np.nan, 3.0], (int(kept.sum()), 1)))
+    assert n_failed == int(blank.sum())
