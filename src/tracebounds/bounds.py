@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +27,13 @@ from .errors import (
     NoReactiveTreated,
     ZeroFraction,
 )
-from .estimators import conditional_mean, estimate_p_m1, estimate_te_dim, strata_shares_monotone
+from .estimators import (
+    StrataShares,
+    conditional_mean,
+    estimate_p_m1,
+    estimate_te_dim,
+    strata_shares_monotone,
+)
 
 
 class Side(enum.Enum):
@@ -172,30 +179,42 @@ def mt_bounds(ds: Dataset) -> Interval:
     p1 = estimate_p_m1(ds)
     if p1 == 0.0:
         raise NoReactiveTreated("no treated unit reacted; the target group is empty in-sample")
-    alpha = shares.at / p1
-    y1m1 = conditional_mean(ds, 1, 1)
 
-    pool_share = shares.c + shares.nt  # control units showing m = 0
-    pi = shares.c / pool_share if pool_share > 0 else 0.0
-
-    if alpha > 0:
-        at_mean = conditional_mean(ds, 0, 1)  # EmptyCell when the data contradict alpha > 0
-    else:
-        at_mean = 0.0  # carries zero mixture weight
-
-    if pi > 0:
-        pool = (ds.d == 0) & (ds.m == 0)
+    def pool_slices(pi: float) -> tuple[float, float]:
+        pool = (ds.d == 0) & (ds.m == 0)  # control units showing m = 0
         if not pool.any():
             raise EmptyCell("no control units with m=0 although the first stage implies some")
         py = ds.y[pool]
         pw = ds.weight[pool]
-        c_low = trimmed_mean(py, pw, TrimSpec(pi, Side.LOWEST))
-        c_high = trimmed_mean(py, pw, TrimSpec(pi, Side.HIGHEST))
-    else:
-        c_low = c_high = 0.0  # carries zero mixture weight
+        return trimmed_mean(py, pw, TrimSpec(pi, Side.LOWEST)), trimmed_mean(py, pw, TrimSpec(pi, Side.HIGHEST))
 
-    ey0_low = at_mean * alpha + c_low * (1.0 - alpha)
-    ey0_high = at_mean * alpha + c_high * (1.0 - alpha)
+    # conditional_mean(ds, 0, 1) raises EmptyCell when the data contradict alpha > 0
+    return mt_interval(conditional_mean(ds, 1, 1), p1, shares, lambda: conditional_mean(ds, 0, 1), pool_slices)
+
+
+def mt_interval(
+    y1m1: float,
+    p1: float,
+    shares: StrataShares,
+    at_mean: Callable[[], float],
+    pool_slices: Callable[[float], tuple[float, float]],
+) -> Interval:
+    """Monotone bounds from the reactive treated mean ``y1m1``, the
+    reactive share ``p1 > 0`` and the strata ``shares``.
+
+    ``at_mean()`` is the control m = 1 mean, asked for only when
+    always-reactors carry weight; ``pool_slices(pi)`` is the lowest and
+    highest share-``pi`` slice mean of the control m = 0 pool, asked for
+    only when treatment-only reactors do. A part that is not asked for
+    carries zero mixture weight.
+    """
+    alpha = shares.at / p1
+    pool_share = shares.c + shares.nt  # control units showing m = 0
+    pi = shares.c / pool_share if pool_share > 0 else 0.0
+    at = at_mean() if alpha > 0 else 0.0
+    c_low, c_high = pool_slices(pi) if pi > 0 else (0.0, 0.0)
+    ey0_low = at * alpha + c_low * (1.0 - alpha)
+    ey0_high = at * alpha + c_high * (1.0 - alpha)
     return _ordered_interval(float(y1m1 - ey0_high), float(y1m1 - ey0_low), BoundKind.MT)
 
 

@@ -13,7 +13,6 @@ import argparse
 import configparser
 import json
 import math
-import operator
 import sys
 from dataclasses import asdict, dataclass
 
@@ -37,8 +36,9 @@ from .estimators import (
     te_estimate,
     te_point,
 )
-from .inference import BootstrapConfig, ResampleUnit, bootstrap_replicates, percentile_band
+from .inference import BootstrapConfig, ResampleUnit, percentile_band
 from .oracle import DGPConfig, OutcomeMeans, StrataProbs, simulate
+from .resample import ReplicateEngine
 from .sensitivity import (
     AssumptionKind,
     AssumptionSpec,
@@ -59,8 +59,6 @@ _PRESET_NAMES = {
 }
 
 _DEFAULT_GRID_ROWS = 21
-
-_ends = operator.attrgetter("lo", "hi")
 
 
 # -- deterministic serialization ---------------------------------------------
@@ -327,19 +325,6 @@ def _mt_or_error(ds: Dataset) -> Interval | TraceBoundsError:
         return exc
 
 
-def _replicate_row(components, d: Dataset) -> list[float]:
-    """Concatenated value pairs of ``components`` on one resample; a
-    failure or a non-finite value blanks that component's pair only."""
-    row = []
-    for fn in components:
-        try:
-            a, b = fn(d)
-        except TraceBoundsError:
-            a = b = math.nan
-        row += (a, b) if math.isfinite(a) and math.isfinite(b) else (math.nan, math.nan)
-    return row
-
-
 def _with_band(iv: Interval, lo_r: np.ndarray, hi_r: np.ndarray, level: float) -> Interval:
     """Percentile band around both endpoints from their replicate columns."""
     good = np.isfinite(lo_r)
@@ -425,13 +410,7 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
     mt = _mt_or_error(ds)
     with_mt = isinstance(mt, Interval)
 
-    components = [
-        lambda d: _ends(no_assumption_bounds(d)),
-        lambda d: (te_point(d, cfg.te_method), estimate_p_m1(d)),
-    ]
-    if with_mt:
-        components.append(lambda d: _ends(mt_bounds(d)))
-    values, _ = bootstrap_replicates(lambda d: _replicate_row(components, d), ds, boot)
+    values = ReplicateEngine(ds, cfg.te_method, boot, with_mt).run()
     te_r, p_r = values[:, 2], values[:, 3]
     failed = np.isnan(values[:, ::2]).sum(axis=0)  # trim, core, mt
 
@@ -723,7 +702,7 @@ def _run_threshold(args) -> int:
         schema=_schema_from(args, cp),
         target=float(args.target),
         te_method=_te_method_from(args, cp),
-        out_report=args.out_report or None,
+        out_report=args.out_report or _cfg_get(cp, "outputs", "report"),
     )
     return 0
 

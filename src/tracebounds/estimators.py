@@ -121,6 +121,12 @@ def strata_shares_monotone(ds: Dataset) -> StrataShares:
     w = ds.weight
     p1 = float(ds.m[t] @ w[t] / w[t].sum())
     p0 = float(ds.m[~t] @ w[~t] / w[~t].sum())
+    return shares_from_first_stage(p1, p0)
+
+
+def shares_from_first_stage(p1: float, p0: float) -> StrataShares:
+    """Strata shares from the reaction rates Pr(m=1|d=1) and Pr(m=1|d=0),
+    with the tolerance rule of :func:`strata_shares_monotone`."""
     c = p1 - p0
     if c < -_MONO_TOL:
         raise MonotonicityViolatedEmpirically(

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .errors import AllReplicatesFailed, InvariantViolation, MissingBlockLabels
+from .errors import AllReplicatesFailed, InvariantViolation, MissingBlockLabels, TraceBoundsError
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,9 +56,11 @@ class BootstrapResult:
     n_failed: int
 
 
-def _replicate_rng(seed: int, r: int) -> np.random.Generator:
+def replicate_draw(seed: int, r: int, size: int) -> np.ndarray:
+    """Replicate ``r``'s draw of ``size`` units (rows, or whole blocks)
+    with replacement, from a Philox generator keyed by ``(seed, r)``."""
     key = ((seed & _MASK64) << 64) | (r & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key)).integers(0, size, size)
 
 
 def _block_index(ds: Dataset) -> list[np.ndarray]:
@@ -88,8 +90,9 @@ def bootstrap_replicates(
     evaluate cleanly on the original dataset (that run determines the
     output width and its failure propagates). Per replicate, rows are
     drawn with replacement (or whole blocks when the config says so).
-    An exception or a result of the wrong width fails the replicate (a
-    NaN row); a non-finite entry of a good result becomes NaN on its own.
+    A :class:`TraceBoundsError` or a result of the wrong width fails the
+    replicate (a NaN row); any other exception is a fault and propagates.
+    A non-finite entry of a good result becomes NaN on its own.
 
     Returns ``(values, n_failed)`` where ``values`` has shape
     (replicates, width) and ``n_failed`` counts the NaNs in column 0.
@@ -101,16 +104,13 @@ def bootstrap_replicates(
     block_rows = _block_index(ds) if cfg.resample_unit is ResampleUnit.BLOCK else None
 
     def run_one(r: int) -> np.ndarray:
-        rng = _replicate_rng(cfg.seed, r)
         if block_rows is None:
-            idx = rng.integers(0, n, n)
+            idx = replicate_draw(cfg.seed, r, n)
         else:
-            nb = len(block_rows)
-            picks = rng.integers(0, nb, nb)
-            idx = np.concatenate([block_rows[j] for j in picks])
+            idx = np.concatenate([block_rows[j] for j in replicate_draw(cfg.seed, r, len(block_rows))])
         try:
             out = np.atleast_1d(np.asarray(statistic(ds.take(idx)), dtype=np.float64))
-        except Exception:
+        except TraceBoundsError:
             return np.full(width, np.nan)
         if out.shape != (width,):
             return np.full(width, np.nan)

@@ -1,0 +1,155 @@
+"""Count-based replicate engine behind ``analyze``.
+
+A bootstrap replicate is a multinomial count vector over the sample
+(Efron & Tibshirani 1993): drawing a row k times gives it weight k·w.
+The engine sorts the control arm and its m = 0 pool by y once. Each
+replicate turns the ``(seed, r)`` draw of :func:`replicate_draw` into
+counts with one ``bincount`` and reads every statistic ``analyze``
+needs off count-weighted sums: the average effect, the reactive share,
+the (1, 1)-cell mean, both trimmed slices (one ``cumsum`` and a
+``searchsorted`` from each end of the sorted order) and the monotone
+mixture. No resample is built and nothing is sorted per replicate; only
+the adjusted regression still fits ``Dataset.take`` of the drawn rows.
+
+Each entry equals the per-``Dataset`` function on ``Dataset.take`` of
+the same draw up to summation order (the reference adds duplicates in
+draw order, the engine adds count·w·y once per row), and fails where
+it fails: a resample that loses an arm blanks the row, p = 0 blanks
+the trimming and monotone bounds, a first-stage gap below -1e-12
+blanks the monotone bounds, a non-finite value blanks its own pair.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from .bounds import BoundKind, Interval, _ordered_interval, mt_interval
+from .data import Dataset
+from .errors import EmptyCell, TraceBoundsError
+from .estimators import TEMethod, shares_from_first_stage, te_point
+from .inference import BootstrapConfig, ResampleUnit, _block_index, replicate_draw
+
+_NAN_PAIR = (math.nan, math.nan)
+
+
+def _slice_means(ys: np.ndarray, ws: np.ndarray, fraction: float) -> tuple[float, float]:
+    """Weighted means of the lowest and the highest ``fraction`` share of
+    the total weight, for ``ys`` sorted ascending; the marginal row enters
+    with the weight that fills the share, as in ``trimmed_mean``. Rows
+    of zero weight (not drawn) take no part."""
+    cum = np.cumsum(ws)
+    total = cum[-1]
+    target = fraction * total
+    k = int(np.searchsorted(cum, target, side="left"))  # marginal row from the bottom
+    below = cum[k - 1] if k else 0.0
+    low = (ys[:k] @ ws[:k] + (target - below) * ys[k]) / target
+    # weight above each row; ``total - target`` would round back to ``total``
+    # for a share below one ulp of it
+    above = total - cum
+    j = int(np.searchsorted(-above, -target, side="right"))  # marginal row from the top
+    high = (ys[j + 1 :] @ ws[j + 1 :] + (target - above[j]) * ys[j]) / target
+    return float(low), float(high)
+
+
+def _pair(make: Callable[[], Interval]) -> tuple[float, float]:
+    """Bound endpoints as the per-``Dataset`` bound returns them, or NaNs
+    where it would raise or come out non-finite."""
+    try:
+        iv = make()
+    except TraceBoundsError:
+        return _NAN_PAIR
+    return (iv.lo, iv.hi) if math.isfinite(iv.lo) and math.isfinite(iv.hi) else _NAN_PAIR
+
+
+class ReplicateEngine:
+    """Replicate rows of ``analyze`` for one dataset: trimming bounds
+    (lo, hi), (te, p) and, ``with_mt``, monotone bounds (lo, hi), NaN
+    where the per-``Dataset`` route fails on the same resample."""
+
+    def __init__(self, ds: Dataset, te_method: TEMethod, cfg: BootstrapConfig, with_mt: bool):
+        self._ds = ds
+        self._te_method = te_method
+        self._cfg = cfg
+        self._with_mt = with_mt
+        y, m = ds.y, ds.m
+        treated = ds.d == 1
+        control = np.flatnonzero(~treated)
+        control = control[np.argsort(y[control], kind="stable")]
+        t1 = np.flatnonzero(treated & (m == 1))
+        self._a = t1.size
+        self._b = int(treated.sum())
+        # engine order: treated m=1 | treated m=0 | control by y
+        rows = np.concatenate([t1, np.flatnonzero(treated & (m == 0)), control])
+        self._y = y[rows]
+        self._w = ds.weight[rows]
+        self._yc = self._y[self._b :]
+        if cfg.resample_unit is ResampleUnit.BLOCK:
+            self._block_rows = _block_index(ds)
+            block_of = np.empty(ds.n, dtype=np.intp)
+            for j, members in enumerate(self._block_rows):
+                block_of[members] = j
+            self._units, self._unit_of = len(self._block_rows), block_of[rows]
+        else:
+            self._block_rows = None
+            self._units, self._unit_of = ds.n, rows
+        if with_mt:
+            cm = m[control]
+            self._c1 = (cm == 1).astype(np.float64)
+            self._c1y = self._c1 * self._yc
+            self._pool = np.flatnonzero(cm == 0)  # still sorted by y
+            self._pool_y = self._yc[self._pool]
+
+    def run(self) -> np.ndarray:
+        """Rows of every replicate, shape (replicates, 6 with mt else 4)."""
+        return np.array([self.row(r) for r in range(self._cfg.replicates)], dtype=np.float64)
+
+    def row(self, r: int) -> list[float]:
+        """Replicate ``r``: its draw as counts, every entry from count-weighted sums."""
+        picks = replicate_draw(self._cfg.seed, r, self._units)
+        cw = np.bincount(picks, minlength=self._units)[self._unit_of] * self._w
+        a, b = self._a, self._b
+        y, wc = self._y, cw[b:]
+        w_t1 = cw[:a].sum()
+        w_t = w_t1 + cw[a:b].sum()
+        w_c = wc.sum()
+        if w_t == 0 or w_c == 0:  # the resample lost an arm
+            return [math.nan] * (6 if self._with_mt else 4)
+        s_t1 = y[:a] @ cw[:a]
+        p = w_t1 / w_t
+        if self._te_method is TEMethod.DIFF_IN_MEANS:
+            te = (s_t1 + y[a:b] @ cw[a:b]) / w_t - (self._yc @ wc) / w_c
+        else:
+            try:
+                te = te_point(self._ds.take(self._rows_of(picks)), self._te_method)
+            except TraceBoundsError:
+                te = math.nan
+        core = (float(te), float(p)) if math.isfinite(te) and math.isfinite(p) else _NAN_PAIR
+        trim = mt = _NAN_PAIR  # p = 0: no reactive treated unit, both bounds undefined
+        if p > 0:
+            y1m1 = s_t1 / w_t1
+            low, high = _slice_means(self._yc, wc, p)
+            trim = _pair(lambda: _ordered_interval(float(y1m1 - high), float(y1m1 - low), BoundKind.NO_ASSUMPTION))
+            if self._with_mt:
+                mt = _pair(lambda: self._mt(wc, w_c, p, y1m1))
+        return [*trim, *core, *mt] if self._with_mt else [*trim, *core]
+
+    def _rows_of(self, picks: np.ndarray) -> np.ndarray:
+        if self._block_rows is None:
+            return picks
+        return np.concatenate([self._block_rows[j] for j in picks])
+
+    def _mt(self, wc: np.ndarray, w_c: float, p: float, y1m1: float) -> Interval:
+        """``mt_bounds`` from the control weights."""
+        w_c1 = self._c1 @ wc
+
+        def pool_slices(pi: float) -> tuple[float, float]:
+            pw = wc[self._pool]
+            if not pw.any():
+                raise EmptyCell("no control units with m=0 although the first stage implies some")
+            return _slice_means(self._pool_y, pw, pi)
+
+        shares = shares_from_first_stage(p, w_c1 / w_c)
+        return mt_interval(y1m1, p, shares, lambda: (self._c1y @ wc) / w_c1, pool_slices)

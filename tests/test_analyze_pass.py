@@ -1,5 +1,10 @@
 """``analyze`` resamples once for every band; the reference resamples once
-per statistic. Both must give the same bands, curve and failure counts."""
+per statistic. Both must give the same bands, curve and failure counts.
+
+``analyze`` reads its replicates off bootstrap counts, which sums
+count·w·y once per row where the reference sums the drawn rows in draw
+order, so band endpoints agree to a tolerance (relative 1e-12, plus
+1e-12·max|y| for endpoints near zero); everything else is exact."""
 
 import csv
 import math
@@ -84,6 +89,20 @@ def _interval_entry(iv) -> dict:
     return {"lo": iv.lo, "hi": iv.hi, "kind": iv.kind.name, "ci_lo": iv.ci_lo, "ci_hi": iv.ci_hi}
 
 
+def _close(got, want, scale: float) -> bool:
+    if got is None or want is None or math.isinf(want):
+        return got == want
+    return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+def _assert_entry(got: dict, want: dict, scale: float) -> None:
+    """Point interval and kind exact, band endpoints to the tolerance."""
+    assert set(got) == set(want)
+    assert {k: got[k] for k in ("lo", "hi", "kind")} == {k: want[k] for k in ("lo", "hi", "kind")}
+    for key in ("ci_lo", "ci_hi"):
+        assert _close(got[key], want[key], scale), (key, got[key], want[key])
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["plain", "weighted", "blocked", "weak", "rare"]),
@@ -120,12 +139,13 @@ def test_single_pass_matches_one_pass_per_statistic(
         ds = load_csv(tmp / "data.csv", schema)
 
     # reference: one bootstrap pass per statistic
+    scale = float(np.abs(ds.y).max())
     te_hat = te_point(ds, te_method)
     p_hat = estimate_p_m1(ds)
     trim_values, trim_failed = bootstrap_replicates(lambda d: _ends(no_assumption_bounds(d)), ds, boot)
     core, core_failed = bootstrap_replicates(lambda d: (te_point(d, te_method), estimate_p_m1(d)), ds, boot)
     trim = _band(no_assumption_bounds(ds), trim_values, level)
-    assert report["no_assumption_bounds"] == _interval_entry(trim)
+    _assert_entry(report["no_assumption_bounds"], _interval_entry(trim), scale)
     try:
         mt = mt_bounds(ds)
     except TraceBoundsError:
@@ -136,7 +156,7 @@ def test_single_pass_matches_one_pass_per_statistic(
         mt_values, mt_failed = bootstrap_replicates(lambda d: _ends(mt_bounds(d)), ds, boot)
         entry = dict(report["mt_bounds"])
         del entry["alpha_hat"], entry["pi_hat"]
-        assert entry == _interval_entry(_band(mt, mt_values, level))
+        _assert_entry(entry, _interval_entry(_band(mt, mt_values, level)), scale)
     assert report["bootstrap"]["failed_replicates"] == {
         "core": core_failed,
         "no_assumption_bounds": trim_failed,
@@ -163,7 +183,7 @@ def test_single_pass_matches_one_pass_per_statistic(
             -math.inf if np.isinf(los).any() else float(np.quantile(los, tail, method="linear")),
             math.inf if np.isinf(his).any() else float(np.quantile(his, 1.0 - tail, method="linear")),
         )
-    assert report["preset_interval"] == _interval_entry(preset)
+    _assert_entry(report["preset_interval"], _interval_entry(preset), scale)
 
     if assumption.kind is AssumptionKind.GRID:
         grid = assumption
@@ -172,7 +192,7 @@ def test_single_pass_matches_one_pass_per_statistic(
         hi = trace0_from_trace(te_hat, p_hat, trim.lo)
         grid = AssumptionSpec.grid(lo, lo, 1.0) if hi <= lo else AssumptionSpec.grid(lo, hi, (hi - lo) / 20)
     curve = build_curve(ds, grid, te_method=te_method, boot=boot)
-    assert [[float(v) for v in row[:4]] for row in table] == [
-        [r.trace0, r.trace_hat, r.ci_lo, r.ci_hi] for r in curve.rows
-    ]
+    assert [[float(v) for v in row[:2]] for row in table] == [[r.trace0, r.trace_hat] for r in curve.rows]
+    for row, r in zip(table, curve.rows):
+        assert _close(float(row[2]), r.ci_lo, scale) and _close(float(row[3]), r.ci_hi, scale)
     assert [row[4] == "true" for row in table] == [r.within_trim_bounds for r in curve.rows]

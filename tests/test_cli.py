@@ -261,6 +261,15 @@ def test_threshold(capsys, toy_path):
     assert rep["required_trace0"] == pytest.approx(3.0)
 
 
+def test_threshold_config_report_path(capsys, toy_path, tmp_path):
+    cfg = tmp_path / "thr.ini"
+    cfg.write_text(f"[input]\npath = {toy_path}\n[outputs]\nreport = {tmp_path / 'thr.json'}\n")
+    code, out = run(capsys, "threshold", "--config", str(cfg))
+    assert code == 0
+    assert out == ""
+    assert _read_json(tmp_path / "thr.json")["required_trace0"] == pytest.approx(3.0)
+
+
 def test_simulate_deterministic_and_truthful(capsys, tmp_path):
     cfg = tmp_path / "dgp.ini"
     cfg.write_text(DGP_INI)

@@ -13,7 +13,12 @@ from tracebounds.errors import (
     AllReplicatesFailed,
     InvariantViolation,
     MissingBlockLabels,
+    TraceBoundsError,
 )
+
+
+class ResampleFailure(TraceBoundsError):
+    """Stands in for an estimator that cannot evaluate on a resample."""
 
 
 def _te(ds: Dataset) -> float:
@@ -89,7 +94,7 @@ def test_failed_replicates_counted_not_retried(toy):
         if calls["n"] == 1:
             return 0.0  # base run must succeed
         if calls["n"] % 3 == 0:
-            raise ValueError("boom")
+            raise ResampleFailure("boom")
         if calls["n"] % 5 == 0:
             return float("nan")
         return 1.0
@@ -106,7 +111,7 @@ def test_all_failed_raises(toy):
     def stat(ds):
         if ds is toy:
             return 0.0  # the base run sees the original object
-        raise RuntimeError("never works on resamples")
+        raise ResampleFailure("never works on resamples")
 
     with pytest.raises(AllReplicatesFailed):
         percentile_ci(stat, toy, BootstrapConfig(replicates=10, seed=0))
@@ -172,7 +177,7 @@ def test_nonfinite_entry_is_nan_alone_but_an_exception_blanks_the_row(toy):
         if calls["n"] == 1:
             return (1.0, 2.0, 3.0)  # base run
         if calls["n"] % 2:
-            raise ValueError("component bug")
+            raise ResampleFailure("component failure")
         return (1.0, np.inf, 3.0)
 
     values, n_failed = bootstrap_replicates(stat, toy, BootstrapConfig(replicates=40, seed=2))
@@ -181,3 +186,14 @@ def test_nonfinite_entry_is_nan_alone_but_an_exception_blanks_the_row(toy):
     assert blank.any() and kept.any()
     np.testing.assert_array_equal(values[kept], np.tile([1.0, np.nan, 3.0], (int(kept.sum()), 1)))
     assert n_failed == int(blank.sum())
+
+
+def test_programming_error_on_a_resample_propagates(toy):
+    # only a TraceBoundsError counts as a failed replicate; a bug must surface
+    def stat(ds):
+        if ds is toy:
+            return 0.0
+        raise TypeError("bug in the statistic")
+
+    with pytest.raises(TypeError):
+        bootstrap_replicates(stat, toy, BootstrapConfig(replicates=10, seed=0))
