@@ -32,6 +32,7 @@ from .estimators import (
     conditional_mean,
     estimate_p_m1,
     estimate_te_dim,
+    reaction_rate,
     strata_shares_monotone,
 )
 
@@ -292,8 +293,8 @@ def naive_estimates(ds: Dataset) -> NaiveEstimates:
         except (EmptyCell, MissingM):
             dim = None
         t = ds.d == 1
-        p1 = float(m[t] @ w[t] / w[t].sum())
-        p0 = float(m[~t] @ w[~t] / w[~t].sum())
+        p1 = reaction_rate(m[t], w[t])
+        p0 = reaction_rate(m[~t], w[~t])
         if p1 != p0:
             wald = itt / (p1 - p0)
 

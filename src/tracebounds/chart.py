@@ -9,7 +9,6 @@ region is absent or infeasible).
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .bounds import Interval
 from .sensitivity import SensitivityCurve, trace0_from_trace
@@ -27,6 +26,8 @@ def _fnum(v: float) -> str:
 
 
 def _tick(v: float) -> str:
+    """Axis label text: digits, a sign, a point or an exponent, so it
+    needs no XML escaping."""
     return f"{v:.4g}"
 
 
@@ -103,13 +104,13 @@ def render_chart(curve: SensitivityCurve, combined: Interval | None = None) -> s
         gy = py(gv)
         parts.append(f'<line x1="{_fnum(x0 - 5)}" y1="{_fnum(gy)}" x2="{_fnum(x0)}" y2="{_fnum(gy)}" stroke="#333" stroke-width="1"/>')
         parts.append(
-            f'<text x="{_fnum(x0 - 9)}" y="{_fnum(gy + 4)}" text-anchor="end">{escape(_tick(gv))}</text>'
+            f'<text x="{_fnum(x0 - 9)}" y="{_fnum(gy + 4)}" text-anchor="end">{_tick(gv)}</text>'
         )
     for tv in (x_min, x_max):
         tx = px(tv)
         parts.append(f'<line x1="{_fnum(tx)}" y1="{_fnum(y0)}" x2="{_fnum(tx)}" y2="{_fnum(y0 + 5)}" stroke="#333" stroke-width="1"/>')
         parts.append(
-            f'<text x="{_fnum(tx)}" y="{_fnum(y0 + 20)}" text-anchor="middle">{escape(_tick(tv))}</text>'
+            f'<text x="{_fnum(tx)}" y="{_fnum(y0 + 20)}" text-anchor="middle">{_tick(tv)}</text>'
         )
 
     # pointwise band whiskers

@@ -1,4 +1,4 @@
-"""Dataset container and CSV ingestion.
+"""Dataset container and CSV codec.
 
 A unit carries an outcome ``y``, a randomized assignment ``d`` in {0, 1},
 and a binary post-treatment reaction indicator ``m``. ``m`` may be
@@ -16,17 +16,13 @@ import enum
 import math
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from array import array
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import (
-    InvariantViolation,
-    MissingColumn,
-    ParseError,
-    RequirementUnmet,
-)
+from .errors import InvariantViolation, MissingColumn, ParseError, RequirementUnmet
 
 
 class Analysis(enum.Enum):
@@ -38,54 +34,24 @@ class Analysis(enum.Enum):
     DIM = "dim"
 
 
-@dataclass(frozen=True)
-class Unit:
-    """One experimental record.
+def _require(ok: np.ndarray, values: np.ndarray, rule: str) -> None:
+    """Raise for the first unit where ``ok`` fails, naming its value.
 
-    ``m`` is ``None`` when the reaction indicator was not measured for
-    this unit. Inside a :class:`Dataset` that is allowed only for
-    control units.
+    ``ok`` and ``values`` have one row per unit (and may have a column axis).
     """
-
-    y: float
-    d: int
-    m: int | None = None
-    x: tuple[float, ...] = ()
-    block: str | None = None
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.y):
-            raise InvariantViolation(f"y must be finite, got {self.y}")
-        if self.d not in (0, 1):
-            raise InvariantViolation(f"d must be 0 or 1, got {self.d!r}")
-        if self.m is not None and self.m not in (0, 1):
-            raise InvariantViolation(f"m must be 0, 1 or None, got {self.m!r}")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise InvariantViolation(f"weight must be positive and finite, got {self.weight}")
-        for v in self.x:
-            if not math.isfinite(v):
-                raise InvariantViolation("covariates must be finite")
-
-
-def _as_m_array(m, n: int) -> np.ndarray:
-    """Coerce m to a float vector with NaN for missing entries."""
-    if m is None:
-        return np.full(n, np.nan)
-    if isinstance(m, np.ndarray) and m.dtype.kind == "f":
-        return m.astype(np.float64, copy=True)
-    try:
-        return np.asarray(m, dtype=np.float64).copy()
-    except (TypeError, ValueError):
-        return np.array([np.nan if v is None else float(v) for v in m], dtype=np.float64)
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        raise InvariantViolation(f"{rule}, got {values.ravel()[i]}", unit=i // (ok.size // len(ok)))
 
 
 class Dataset:
     """Immutable column-oriented collection of units.
 
-    Construction validates every structural invariant once; estimators
-    then treat the arrays as trusted values. Row order is preserved and
-    meaningful (trimming ties break by original position).
+    Construction validates every structural invariant once, and is the
+    only place the per-unit rules are checked (an error names the first
+    offending unit); estimators then treat the arrays as trusted values.
+    Row order is preserved and meaningful (trimming ties break by
+    original position).
 
     Parameters
     ----------
@@ -105,7 +71,7 @@ class Dataset:
     __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_m_obs_ctrl")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
-        yv = np.asarray(y, dtype=np.float64).copy()
+        yv = np.array(y, dtype=np.float64)
         if yv.ndim != 1:
             raise InvariantViolation("y must be one-dimensional")
         n = yv.shape[0]
@@ -115,37 +81,17 @@ class Dataset:
         dv = np.asarray(d, dtype=np.float64)
         if dv.shape != (n,):
             raise InvariantViolation("d length does not match y")
-        if not np.all((dv == 0.0) | (dv == 1.0)):
-            bad = dv[~((dv == 0.0) | (dv == 1.0))][0]
-            raise InvariantViolation(f"d must be 0 or 1, got {bad}")
-        dv = dv.astype(np.int8)
-
-        mv = _as_m_array(m, n)
+        mv = np.full(n, np.nan) if m is None else np.array(m, dtype=np.float64)  # None -> NaN
         if mv.shape != (n,):
             raise InvariantViolation("m length does not match y")
-        ok_m = np.isnan(mv) | (mv == 0.0) | (mv == 1.0)
-        if not ok_m.all():
-            raise InvariantViolation(f"m must be 0, 1 or missing, got {mv[~ok_m][0]}")
-
-        if weight is None:
-            wv = np.ones(n)
-        else:
-            wv = np.asarray(weight, dtype=np.float64).copy()
-            if wv.shape != (n,):
-                raise InvariantViolation("weight length does not match y")
-            if not (np.isfinite(wv).all() and (wv > 0).all()):
-                raise InvariantViolation("weights must be positive and finite")
-
-        if x is None:
-            xv = np.empty((n, 0))
-        else:
-            xv = np.asarray(x, dtype=np.float64).copy()
-            if xv.ndim == 1:
-                xv = xv.reshape(n, 1)
-            if xv.shape[0] != n:
-                raise InvariantViolation("covariate rows do not match y")
-            if not np.isfinite(xv).all():
-                raise InvariantViolation("covariates must be finite")
+        wv = np.ones(n) if weight is None else np.array(weight, dtype=np.float64)
+        if wv.shape != (n,):
+            raise InvariantViolation("weight length does not match y")
+        xv = np.empty((n, 0)) if x is None else np.array(x, dtype=np.float64)
+        if xv.ndim == 1:
+            xv = xv.reshape(n, 1)
+        if xv.shape[0] != n:
+            raise InvariantViolation("covariate rows do not match y")
         k = xv.shape[1]
 
         if covariate_names is None:
@@ -162,20 +108,23 @@ class Dataset:
             if bv.shape != (n,):
                 raise InvariantViolation("block length does not match y")
 
-        if not np.isfinite(yv).all():
-            raise InvariantViolation("y must be finite")
+        # the per-unit rules, each checked here and nowhere else
+        _require(np.isfinite(yv), yv, "y must be finite")
+        _require((dv == 0.0) | (dv == 1.0), dv, "d must be 0 or 1")
+        _require(np.isnan(mv) | (mv == 0.0) | (mv == 1.0), mv, "m must be 0, 1 or missing")
+        _require(np.isfinite(wv) & (wv > 0), wv, "weight must be positive and finite")
+        _require(np.isfinite(xv), xv, "covariates must be finite")
 
-        treated = dv == 1
+        treated = dv == 1.0
         if not treated.any():
             raise InvariantViolation("dataset has no treated unit")
         if treated.all():
             raise InvariantViolation("dataset has no control unit")
-        if np.isnan(mv[treated]).any():
-            raise InvariantViolation("every treated unit must have m observed")
+        _require(~(treated & np.isnan(mv)), mv, "treated units must have m observed")
+        dv = dv.astype(np.int8)
 
-        for a in (yv, mv, wv, xv):
+        for a in (yv, dv, mv, wv, xv):
             a.setflags(write=False)
-        dv.setflags(write=False)
         if bv is not None:
             bv.setflags(write=False)
 
@@ -188,25 +137,7 @@ class Dataset:
         self._names = names
         self._m_obs_ctrl = not np.isnan(mv[~treated]).any()
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_units(cls, units: Iterable[Unit]) -> "Dataset":
-        units = list(units)
-        if not units:
-            raise InvariantViolation("dataset must contain at least one unit")
-        k = len(units[0].x)
-        for u in units:
-            if len(u.x) != k:
-                raise InvariantViolation("covariate vector length must be identical across units")
-        return cls(
-            y=[u.y for u in units],
-            d=[u.d for u in units],
-            m=[u.m for u in units],
-            x=[u.x for u in units] if k else None,
-            block=[u.block for u in units] if any(u.block is not None for u in units) else None,
-            weight=[u.weight for u in units],
-        )
+    # -- resampling --------------------------------------------------------
 
     def take(self, indices) -> "Dataset":
         """Row subset/resample preserving all columns.
@@ -279,23 +210,6 @@ class Dataset:
     def m_observed_in_control(self) -> bool:
         return self._m_obs_ctrl
 
-    @property
-    def units(self) -> tuple[Unit, ...]:
-        out = []
-        for i in range(self.n):
-            mi = self._m[i]
-            out.append(
-                Unit(
-                    y=float(self._y[i]),
-                    d=int(self._d[i]),
-                    m=None if np.isnan(mi) else int(mi),
-                    x=tuple(float(v) for v in self._x[i]),
-                    block=None if self._block is None else self._block[i],
-                    weight=float(self._w[i]),
-                )
-            )
-        return tuple(out)
-
     def __len__(self) -> int:
         return self.n
 
@@ -322,16 +236,35 @@ def validate_for(ds: Dataset, analysis: Analysis) -> None:
     return None
 
 
-# -- CSV ingestion ---------------------------------------------------------
+# -- CSV codec -----------------------------------------------------------
 
 _DEFAULT_SCHEMA: Mapping[str, object] = {"y": "y", "d": "d", "m": "m"}
 
 
-def _parse_float(text: str, row: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(row, column, f"cannot parse {text!r} as a real number") from None
+def _m_value(text: str) -> float:
+    """An m cell: blank marks a missing indicator, anything else is a
+    number. NaN stands for missing in memory, so a literal one is refused
+    rather than read as a blank."""
+    if not text.strip():
+        return math.nan
+    v = float(text)
+    if math.isnan(v):
+        raise ValueError(text)
+    return v
+
+
+def _cell_error(fields: Sequence[str], row: int, cells) -> ParseError:
+    """The error for the first of ``cells`` (column, index, parser) that
+    ``fields`` lacks or that fails to parse."""
+    for column, i, parse in cells:
+        if i >= len(fields):
+            return ParseError(row, column, "row has too few fields")
+        try:
+            parse(fields[i])
+        except ValueError:
+            what = "a number or a blank" if parse is _m_value else "a real number"
+            return ParseError(row, column, f"cannot parse {fields[i]!r} as {what}")
+    raise AssertionError("no cell of the row fails")
 
 
 def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
@@ -345,20 +278,27 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
         (defaults ``"y"``, ``"d"``, ``"m"``). Optional keys:
         ``covariates`` (list of column names), ``block``, ``weight``.
 
-    An empty m cell marks a missing indicator; any other cell must
-    parse as a number. Raises :class:`MissingColumn`,
-    :class:`ParseError` (with row and column) or
-    :class:`InvariantViolation`.
+    A blank m cell marks a missing indicator and an empty block cell a
+    missing label; every other needed cell must parse as a number. Blank
+    lines are skipped but keep their row numbers. Raises
+    :class:`MissingColumn`, :class:`ParseError` (with row and column) or
+    :class:`InvariantViolation` (with the row of the offending unit when
+    a per-unit rule of :class:`Dataset` fails).
     """
     eff = dict(_DEFAULT_SCHEMA)
     if schema:
         eff.update(schema)
-    y_col = str(eff["y"])
-    d_col = str(eff["d"])
     m_col = str(eff["m"])
     cov_cols = [str(c) for c in eff.get("covariates", [])]
-    block_col = eff.get("block")
-    weight_col = eff.get("weight")
+    block_col = None if eff.get("block") is None else str(eff["block"])
+    weight_col = None if eff.get("weight") is None else str(eff["weight"])
+    # (column, parser) in the order a row's cells are checked
+    roles = [(str(eff["y"]), float), (str(eff["d"]), float), (m_col, _m_value)]
+    roles += [(c, float) for c in cov_cols]
+    if block_col is not None:
+        roles.append((block_col, str))
+    if weight_col is not None:
+        roles.append((weight_col, float))
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -366,75 +306,51 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
         if header is None:
             raise ParseError(0, "", "file is empty, a header row is required")
         pos = {name: i for i, name in enumerate(header)}
-        needed = [y_col, d_col, m_col] + cov_cols
-        if block_col is not None:
-            needed.append(str(block_col))
-        if weight_col is not None:
-            needed.append(str(weight_col))
-        for name in needed:
+        for name, _ in roles:
             if name not in pos:
                 raise MissingColumn(f"column {name!r} not found in header {header}")
+        cells = [(name, pos[name], parse) for name, parse in roles]
 
-        ys: list[float] = []
-        ds_: list[int] = []
-        ms: list[float] = []
-        xs: list[list[float]] = []
+        # real-valued cells of a row go to one flat buffer, in the order y, d, covariates, weight
+        reals = [i for _, i, parse in cells if parse is float]
+        get_reals = itemgetter(*reals)
+        m_at = pos[m_col]
+        block_at = pos[block_col] if block_col is not None else None
+        flat = array("d")
+        ms = array("d")
         blocks: list[str | None] = []
-        weights: list[float] = []
-
-        def cell(fields: Sequence[str], col: str, row: int) -> str:
-            i = pos[col]
-            if i >= len(fields):
-                raise ParseError(row, col, "row has too few fields")
-            return fields[i]
-
+        blank_rows: list[int] = []
         for rownum, fields in enumerate(reader, start=1):
             if not fields:
-                continue  # tolerate a trailing blank line
-            yt = cell(fields, y_col, rownum)
-            y = _parse_float(yt, rownum, y_col)
-            if not math.isfinite(y):
-                raise InvariantViolation(f"row {rownum}: y must be finite, got {yt!r}")
+                blank_rows.append(rownum)
+                continue
+            try:
+                flat.extend(map(float, get_reals(fields)))
+                ms.append(_m_value(fields[m_at]))
+                if block_at is not None:
+                    blocks.append(fields[block_at] or None)
+            except (ValueError, IndexError):
+                raise _cell_error(fields, rownum, cells) from None
 
-            dt = cell(fields, d_col, rownum)
-            dval = _parse_float(dt, rownum, d_col)
-            if dval not in (0.0, 1.0):
-                raise InvariantViolation(f"row {rownum}: d must be 0 or 1, got {dt!r}")
-
-            mt = cell(fields, m_col, rownum).strip()
-            if mt == "":
-                mval = math.nan
-            else:
-                mval = _parse_float(mt, rownum, m_col)
-                if mval not in (0.0, 1.0):
-                    raise InvariantViolation(f"row {rownum}: m must be 0, 1 or empty, got {mt!r}")
-
-            row_x = [_parse_float(cell(fields, c, rownum), rownum, c) for c in cov_cols]
-
-            if block_col is not None:
-                b = cell(fields, str(block_col), rownum)
-                blocks.append(b if b != "" else None)
-            if weight_col is not None:
-                wt = cell(fields, str(weight_col), rownum)
-                w = _parse_float(wt, rownum, str(weight_col))
-                if not (math.isfinite(w) and w > 0):
-                    raise InvariantViolation(f"row {rownum}: weight must be positive, got {wt!r}")
-                weights.append(w)
-
-            ys.append(y)
-            ds_.append(int(dval))
-            ms.append(mval)
-            xs.append(row_x)
-
-    return Dataset(
-        y=ys,
-        d=ds_,
-        m=ms,
-        x=xs if cov_cols else None,
-        block=blocks if block_col is not None else None,
-        weight=weights if weight_col is not None else None,
-        covariate_names=cov_cols if cov_cols else None,
-    )
+    table = np.frombuffer(flat).reshape(-1, len(reals))
+    k = len(cov_cols)
+    try:
+        return Dataset(
+            y=table[:, 0],
+            d=table[:, 1],
+            m=np.frombuffer(ms),
+            x=table[:, 2 : 2 + k] if k else None,
+            block=blocks if block_col is not None else None,
+            weight=table[:, -1] if weight_col is not None else None,
+            covariate_names=cov_cols if k else None,
+        )
+    except InvariantViolation as exc:
+        if exc.unit is not None:
+            exc.row = exc.unit + 1
+            for skipped in blank_rows:  # ascending: each blank row at or above pushes the unit down one
+                if skipped <= exc.row:
+                    exc.row += 1
+        raise
 
 
 @contextlib.contextmanager
@@ -458,11 +374,24 @@ def atomic_open(path) -> Iterator[TextIO]:
         raise
 
 
+_CHUNK = 1 << 16  # values per chunk when formatting a column
+
+
 def _fmt(v: float) -> str:
     """Real to text at 17 significant digits, integers kept short."""
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return format(v, ".17g")
+
+
+def _m_text(v: float) -> str:
+    return "" if math.isnan(v) else str(int(v))
+
+
+def _column_text(values: np.ndarray, fmt) -> Iterator[str]:
+    """``fmt`` of each value, converted to Python scalars a chunk at a time."""
+    for start in range(0, len(values), _CHUNK):
+        yield from map(fmt, values[start : start + _CHUNK].tolist())
 
 
 def write_csv(ds: Dataset, path) -> None:
@@ -474,29 +403,21 @@ def write_csv(ds: Dataset, path) -> None:
     digits so the text round-trips to the same float64. The write is
     atomic (temp file then rename).
     """
-    header = ["y", "d", "m"]
-    header += list(ds.covariate_names)
-    has_block = ds.block is not None
-    if has_block:
+    schema = schema_for(ds)
+    header = ["y", "d", "m", *ds.covariate_names]
+    columns = [_column_text(ds.y, _fmt), _column_text(ds.d, str), _column_text(ds.m, _m_text)]
+    columns += [_column_text(ds.x[:, j], _fmt) for j in range(ds.x.shape[1])]
+    if "block" in schema:
         header.append("block")
-    has_weight = bool((ds.weight != 1.0).any())
-    if has_weight:
+        columns.append("" if b is None else b for b in ds.block)
+    if "weight" in schema:
         header.append("weight")
+        columns.append(_column_text(ds.weight, _fmt))
 
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(ds.n):
-            row = [_fmt(float(ds.y[i])), str(int(ds.d[i]))]
-            mi = ds.m[i]
-            row.append("" if np.isnan(mi) else str(int(mi)))
-            row += [_fmt(float(v)) for v in ds.x[i]]
-            if has_block:
-                b = ds.block[i]
-                row.append("" if b is None else str(b))
-            if has_weight:
-                row.append(_fmt(float(ds.weight[i])))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def schema_for(ds: Dataset) -> dict:

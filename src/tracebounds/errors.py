@@ -11,7 +11,25 @@ class TraceBoundsError(Exception):
 
 
 class InvariantViolation(TraceBoundsError):
-    """A record or dataset violates a structural invariant."""
+    """A dataset or another input violates a structural invariant.
+
+    When one unit breaks a per-unit rule, ``unit`` is its 0-based position
+    in the dataset and, for a dataset read from a CSV file, ``row`` is its
+    1-based data row; the message leads with the row, else the unit.
+    """
+
+    def __init__(self, message: str, unit: int | None = None):
+        super().__init__(message)
+        self.unit = unit
+        self.row: int | None = None
+
+    def __str__(self) -> str:
+        rule = super().__str__()
+        if self.row is not None:
+            return f"row {self.row}: {rule}"
+        if self.unit is not None:
+            return f"unit {self.unit}: {rule}"
+        return rule
 
 
 class MissingColumn(TraceBoundsError):

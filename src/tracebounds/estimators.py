@@ -68,6 +68,13 @@ def _wmean(y: np.ndarray, w: np.ndarray, mask: np.ndarray) -> float:
     return float(y[mask] @ ww / sw)
 
 
+def reaction_rate(m: np.ndarray, w: np.ndarray) -> float:
+    """Weighted share of units with m = 1, clamped at 1: when every unit
+    reacts, ``m @ w`` and ``w.sum()`` can round apart under weights that
+    are not dyadic, putting the share an ulp above 1."""
+    return min(float(m @ w / w.sum()), 1.0)
+
+
 def estimate_te_dim(ds: Dataset) -> TEEstimate:
     """Weighted difference in mean outcomes, treated minus control."""
     t = ds.d == 1
@@ -85,8 +92,7 @@ def estimate_p_m1(ds: Dataset) -> float:
     randomization makes the treated arm representative.
     """
     t = ds.d == 1
-    w = ds.weight[t]
-    return float(ds.m[t] @ w / w.sum())
+    return reaction_rate(ds.m[t], ds.weight[t])
 
 
 def conditional_mean(ds: Dataset, d: int, m: int) -> float:
@@ -118,9 +124,8 @@ def strata_shares_monotone(ds: Dataset) -> StrataShares:
     if not ds.m_observed_in_control:
         raise MissingM("strata shares need m observed in both arms")
     t = ds.d == 1
-    w = ds.weight
-    p1 = float(ds.m[t] @ w[t] / w[t].sum())
-    p0 = float(ds.m[~t] @ w[~t] / w[~t].sum())
+    p1 = reaction_rate(ds.m[t], ds.weight[t])
+    p0 = reaction_rate(ds.m[~t], ds.weight[~t])
     return shares_from_first_stage(p1, p0)
 
 

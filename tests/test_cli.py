@@ -1,6 +1,8 @@
 import json
+import pathlib
 import shutil
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -335,10 +337,48 @@ def test_parse_error_carries_location(capsys, tmp_path):
     assert err["column"] == "y"
 
 
+def test_invariant_error_carries_row(capsys, tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("y,d,m\n1,1,1\n\n2,7,0\n")
+    code, out = run(capsys, "bounds", "--input", str(p))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert err["row"] == 3  # the blank line keeps its number
+    assert err["message"] == "row 3: d must be 0 or 1, got 7.0"
+
+
+def test_all_reactors_under_uneven_weights(capsys, tmp_path):
+    from test_estimators import ALL_REACT_WEIGHTS
+
+    k = len(ALL_REACT_WEIGHTS)
+    # every treated unit reacts, every other control unit
+    rows = [f"{i},{int(i < k)},{int(i < k or i % 2)},{w}" for i, w in enumerate(ALL_REACT_WEIGHTS * 2)]
+    p = tmp_path / "all_react.csv"
+    p.write_text("y,d,m,w\n" + "\n".join(rows) + "\n")
+    report = tmp_path / "report.json"
+    analyze = ["analyze", "--preset", "zero", "--replicates", "20", "--out-table", str(tmp_path / "curve.csv")]
+    for command in (["bounds"], analyze):
+        code, out = run(capsys, *command, "--input", str(p), "--weight", "w", "--out-report", str(report))
+        assert code == 0, out
+        assert _read_json(report)["p_hat"] == 1.0
+
+
 def test_missing_file_is_an_io_error(capsys, tmp_path):
     code, out = run(capsys, "bounds", "--input", str(tmp_path / "nope.csv"))
     assert code == 3
     assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+
+
+def test_cli_import_pulls_in_no_network_modules():
+    # the SVG writer needs no XML library, and with one come urllib.request, http.client and email
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import tracebounds.cli; "
+        "print([m for m in ('xml.sax', 'urllib.request', 'http.client', 'email') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_console_script_runs():

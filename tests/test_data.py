@@ -1,15 +1,17 @@
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tracebounds.data as data_module
 
 from tracebounds import (
     Analysis,
     Dataset,
-    Unit,
     load_csv,
     schema_for,
     validate_for,
@@ -139,15 +141,6 @@ def test_take_must_keep_both_arms(toy):
         toy.take([0, 1, 2])
 
 
-def test_units_round_trip(toy):
-    units = toy.units
-    assert len(units) == 6
-    assert units[0] == Unit(y=2.0, d=1, m=1, weight=1.0)
-    back = Dataset.from_units(units)
-    np.testing.assert_array_equal(back.y, toy.y)
-    np.testing.assert_array_equal(back.m, toy.m)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -159,9 +152,22 @@ def test_units_round_trip(toy):
         dict(y=1.0, d=1, m=1, x=(float("inf"),)),
     ],
 )
-def test_unit_rejects_bad_fields(kwargs):
-    with pytest.raises(InvariantViolation):
-        Unit(**kwargs)
+def test_unit_rejects_bad_fields(tmp_path, kwargs):
+    # the bad unit follows two good ones: Dataset names its position, load_csv its row
+    good = dict(x=(0.0,), weight=1.0)
+    units = [dict(good, y=0.0, d=1, m=1), dict(good, y=0.0, d=0, m=0), dict(good, **kwargs)]
+    columns = {f: [u[f] for u in units] for f in ("y", "d", "m", "x", "weight")}
+    with pytest.raises(InvariantViolation) as ei:
+        Dataset(**columns)
+    assert ei.value.unit == 2
+    assert str(ei.value).startswith("unit 2: ")
+
+    p = tmp_path / "bad.csv"
+    p.write_text("y,d,m,x1,w\n" + "".join(f"{u['y']},{u['d']},{u['m']},{u['x'][0]},{u['weight']}\n" for u in units))
+    with pytest.raises(InvariantViolation) as ei:
+        load_csv(p, {"covariates": ["x1"], "weight": "w"})
+    assert ei.value.row == 3
+    assert str(ei.value).startswith("row 3: ")
 
 
 def test_dataset_rejects_empty():

@@ -11,6 +11,7 @@ from tracebounds import (
     estimate_te_dim,
     estimate_te_ols,
     moments_to_te,
+    naive_estimates,
     strata_shares_monotone,
     te_point,
 )
@@ -44,6 +45,38 @@ def test_p_m1_toy(toy):
 def test_p_m1_weighted():
     ds = Dataset(y=[0.0, 0.0, 0.0, 1.0], d=[1, 1, 1, 0], m=[1, 1, 0, 0], weight=[1, 1, 2, 1])
     assert estimate_p_m1(ds) == pytest.approx(0.5, abs=1e-15)
+
+
+# 31 treated units that all react, with weights whose dot product with m
+# and whose sum round apart: m @ w / w.sum() is 1.0000000000000002
+ALL_REACT_WEIGHTS = [
+    1.8, 1.4, 0.6, 1.6, 1.4, 1.7, 1.3, 1.7, 2.0, 1.0, 0.8, 1.1, 1.6, 1.2, 1.4, 0.7,
+    1.6, 0.9, 0.8, 1.8, 1.3, 1.2, 1.8, 0.6, 1.5, 1.0, 0.8, 1.5, 1.0, 1.0, 1.9,
+]
+
+
+def all_react_dataset(weights) -> Dataset:
+    """Every treated unit reacts, and so does every control unit; the
+    control weights repeat the treated ones."""
+    k = len(weights)
+    return Dataset(
+        y=np.arange(2 * k, dtype=float),
+        d=np.repeat([1, 0], k),
+        m=np.ones(2 * k),
+        weight=np.tile(weights, 2),
+    )
+
+
+def test_reaction_rates_of_all_reactors_stay_at_most_one():
+    rng = np.random.default_rng(5)
+    cases = [ALL_REACT_WEIGHTS] + [rng.uniform(0.5, 2.0, int(rng.integers(2, 40))) for _ in range(200)]
+    for weights in cases:
+        ds = all_react_dataset(weights)
+        # rounding may still leave a rate an ulp below 1, never above
+        assert 1.0 - 1e-15 <= estimate_p_m1(ds) <= 1.0
+        shares = strata_shares_monotone(ds)
+        assert 0.0 <= shares.nt <= 1e-15 and shares.at <= 1.0
+        naive_estimates(ds)
 
 
 def test_conditional_means_toy(toy):
