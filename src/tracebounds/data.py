@@ -378,8 +378,9 @@ _CHUNK = 1 << 16  # values per chunk when formatting a column
 
 
 def _fmt(v: float) -> str:
-    """Real to text at 17 significant digits, integers kept short."""
-    if v == int(v) and abs(v) < 1e16:
+    """Real to text at 17 significant digits, integers kept short; a zero
+    goes through ``format`` too, which keeps the sign of -0.0 (``-0``)."""
+    if v and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return format(v, ".17g")
 

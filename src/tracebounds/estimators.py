@@ -1,9 +1,9 @@
 """Sample-analog estimators for the identified ingredients.
 
 Everything here is a weighted mean or a ratio of weighted sums; the one
-regression (``estimate_te_ols``) exists so the average effect can be
-estimated with covariate and block-dummy adjustment while the bounds
-machinery stays design-based.
+regression (``estimate_te_ols``, on the kernel ``absorbed_wls``) exists
+so the average effect can be estimated with covariate and block
+fixed-effect adjustment while the bounds machinery stays design-based.
 """
 
 from __future__ import annotations
@@ -145,65 +145,90 @@ def shares_from_first_stage(p1: float, p0: float) -> StrataShares:
 # -- adjusted TE regression --------------------------------------------------
 
 
-def _design(ds: Dataset, use_covariates: bool, use_block_fe: bool):
-    cols = [np.ones(ds.n), ds.d.astype(np.float64)]
-    names = ["intercept", "d"]
+def ols_columns(ds: Dataset, use_covariates: bool, use_block_fe: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Regressors ``[d, covariates]`` of the adjusted regression and each
+    unit's integer group code: its block with ``use_block_fe``, else one
+    group, whose intercept is the regression's own."""
+    cols = [ds.d.astype(np.float64)]
     if use_covariates and ds.x.shape[1]:
-        for j in range(ds.x.shape[1]):
-            cols.append(ds.x[:, j])
-            names.append(ds.covariate_names[j])
-    if use_block_fe:
-        if ds.block is None:
-            raise InvariantViolation("block fixed effects requested but units carry no block label")
-        if any(b is None for b in ds.block):
-            raise InvariantViolation("block fixed effects requested but some units lack a label")
-        levels: list[str] = []
-        seen = set()
-        for b in ds.block:
-            if b not in seen:
-                seen.add(b)
-                levels.append(b)
-        # drop the first level; the intercept absorbs it
-        for lev in levels[1:]:
-            cols.append((ds.block == lev).astype(np.float64))
-            names.append(f"block[{lev}]")
-    return np.column_stack(cols), names
+        cols.append(ds.x)
+    if not use_block_fe:
+        return np.column_stack(cols), np.zeros(ds.n, dtype=np.intp)
+    if ds.block is None:
+        raise InvariantViolation("block fixed effects requested but units carry no block label")
+    if any(b is None for b in ds.block):
+        raise InvariantViolation("block fixed effects requested but some units lack a label")
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(b, len(index)) for b in ds.block), dtype=np.intp, count=ds.n)
+    return np.column_stack(cols), codes
 
 
-def estimate_te_ols(ds: Dataset, use_covariates: bool = True, use_block_fe: bool = False) -> TEEstimate:
-    """Weighted least squares of y on assignment, covariates and block
-    dummies, with a heteroskedasticity-robust standard error.
+def absorbed_wls(
+    y: np.ndarray, X: np.ndarray, w: np.ndarray, codes: np.ndarray, rows: int, with_se: bool = False
+) -> tuple[float, float | None]:
+    """Coefficient on the first column of ``X`` in the weighted least
+    squares of ``y`` on ``X`` plus one intercept per group of ``codes``,
+    and its HC2 standard error when ``with_se``.
 
-    The fit runs on rows scaled by the square root of the weights and
-    solves via an orthogonal (QR) decomposition, never the normal
-    equations. The reported standard error is the HC2 form: squared
-    residuals inflated by one minus leverage.
+    The group intercepts are absorbed (Frisch-Waugh-Lovell): every column
+    is demeaned within its group under the weights ``w``, with one
+    ``bincount`` per column, and QR runs on the ``sqrt(w)``-scaled
+    residualized ``X`` alone, never on the normal equations. A weight of
+    k·w stands for k copies of a row of weight w (a bootstrap count);
+    ``rows`` is the row count with those copies, and a row of weight 0 or
+    a group without weight takes no part. Raises :class:`RankDeficient`
+    when ``rows`` is below the coefficient count (columns of ``X`` plus
+    groups present) or a diagonal entry of R is negligible.
 
-    With no covariates and no block dummies the coefficient on d equals
-    the weighted difference in means up to numerical error.
+    HC2 inflates each squared residual by one minus the leverage, which
+    is ``w_i / W_g`` (row i's share of its group's weight) plus the
+    leverage of the residualized design.
     """
-    X, _names = _design(ds, use_covariates, use_block_fe)
-    sw = np.sqrt(ds.weight)
-    Xs = X * sw[:, None]
-    ys = ds.y * sw
+    groups = int(codes.max()) + 1
+    wg = np.bincount(codes, w, minlength=groups)
+    p = X.shape[1] + int(np.count_nonzero(wg))
+    if rows < p:
+        raise RankDeficient(f"{rows} rows cannot identify {p} coefficients")
+    inv_wg = np.divide(1.0, wg, out=np.zeros(groups), where=wg > 0)
+    sw = np.sqrt(w)
 
-    n, p = Xs.shape
-    if n < p:
-        raise RankDeficient(f"{n} rows cannot identify {p} coefficients")
+    def within(v: np.ndarray) -> np.ndarray:
+        return (v - (np.bincount(codes, w * v, minlength=groups) * inv_wg)[codes]) * sw
+
+    Xs = np.column_stack([within(X[:, j]) for j in range(X.shape[1])])
+    ys = within(y)
     Q, R = np.linalg.qr(Xs)
     diag = np.abs(np.diag(R))
-    if diag.min() <= max(n, p) * np.finfo(np.float64).eps * max(diag.max(), 1.0):
-        raise RankDeficient("design matrix is rank deficient after dropping reference dummies")
+    if diag.min() <= max(rows, p) * np.finfo(np.float64).eps * max(diag.max(), 1.0):
+        raise RankDeficient("design matrix is rank deficient after absorbing the group intercepts")
 
     beta = np.linalg.solve(R, Q.T @ ys)
+    if not with_se:
+        return float(beta[0]), None
     resid = ys - Xs @ beta
-    lev = np.einsum("ij,ij->i", Q, Q)
+    lev = w * inv_wg[codes] + np.einsum("ij,ij->i", Q, Q)
     denom = np.clip(1.0 - lev, 1e-12, None)
     meat = Q.T @ (Q * (resid**2 / denom)[:, None])
     Rinv = np.linalg.inv(R)
     V = Rinv @ meat @ Rinv.T
-    se = float(np.sqrt(V[1, 1]))
-    return TEEstimate(te_hat=float(beta[1]), se=se, method=TEMethod.OLS_ADJUSTED)
+    return float(beta[0]), float(np.sqrt(V[0, 0]))
+
+
+def estimate_te_ols(ds: Dataset, use_covariates: bool = True, use_block_fe: bool = False) -> TEEstimate:
+    """Weighted least squares of y on assignment, covariates and block
+    intercepts, with a heteroskedasticity-robust standard error.
+
+    The block intercepts (or the single intercept without them) are
+    absorbed by :func:`absorbed_wls`, which solves via an orthogonal (QR)
+    decomposition of the remaining columns. The reported standard error
+    is the HC2 form: squared residuals inflated by one minus leverage.
+
+    With no covariates and no block intercepts the coefficient on d
+    equals the weighted difference in means up to numerical error.
+    """
+    X, codes = ols_columns(ds, use_covariates, use_block_fe)
+    te, se = absorbed_wls(ds.y, X, ds.weight, codes, ds.n, with_se=True)
+    return TEEstimate(te_hat=te, se=se, method=TEMethod.OLS_ADJUSTED)
 
 
 def te_estimate(ds: Dataset, method: TEMethod) -> TEEstimate:
@@ -211,12 +236,16 @@ def te_estimate(ds: Dataset, method: TEMethod) -> TEEstimate:
     every covariate and, when units carry them, block fixed effects."""
     if method is TEMethod.DIFF_IN_MEANS:
         return estimate_te_dim(ds)
-    return estimate_te_ols(ds, use_covariates=bool(ds.x.shape[1]), use_block_fe=ds.block is not None)
+    return estimate_te_ols(ds, use_block_fe=ds.block is not None)
 
 
 def te_point(ds: Dataset, method: TEMethod) -> float:
-    """Point value of the average effect under the chosen route."""
-    return te_estimate(ds, method).te_hat
+    """Point value of the average effect under the chosen route; the
+    adjusted regression skips its standard error."""
+    if method is TEMethod.DIFF_IN_MEANS:
+        return estimate_te_dim(ds).te_hat
+    X, codes = ols_columns(ds, True, ds.block is not None)
+    return absorbed_wls(ds.y, X, ds.weight, codes, ds.n)[0]
 
 
 # -- published-moment back-out -----------------------------------------------

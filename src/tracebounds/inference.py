@@ -8,7 +8,6 @@ and threaded runs, and reruns of a single replicate, agree bit for bit.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,6 +118,8 @@ def bootstrap_replicates(
     if threads <= 1:
         rows = [run_one(r) for r in range(cfg.replicates)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(run_one, range(cfg.replicates)))
 
@@ -148,11 +149,22 @@ def percentile_ci(
     return BootstrapResult(lo=lo, hi=hi, values=flat, n_failed=n_failed)
 
 
-def percentile_band(lo_values, hi_values, level: float) -> tuple[float, float]:
+def percentile_band(lo_values, hi_values, level: float):
     """Lower ``(1 - level) / 2`` quantile of ``lo_values`` and upper one of
     ``hi_values``, interpolating linearly between order statistics. An end
-    whose values include an infinity (a half-line) keeps that infinity."""
+    whose values include an infinity (a half-line) keeps that infinity.
+
+    1-D values give the two ends as floats; 2-D (replicates × rows) values
+    give one band per column, as two arrays, with the infinity rule
+    applied column by column."""
     tail = (1.0 - level) / 2.0
-    ci_lo = -np.inf if np.isinf(lo_values).any() else float(np.quantile(lo_values, tail, method="linear"))
-    ci_hi = np.inf if np.isinf(hi_values).any() else float(np.quantile(hi_values, 1.0 - tail, method="linear"))
+    lo_values = np.asarray(lo_values, dtype=np.float64)
+    hi_values = np.asarray(hi_values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a column holding an infinity interpolates to NaN, replaced below
+        ci_lo = np.quantile(lo_values, tail, axis=0, method="linear")
+        ci_hi = np.quantile(hi_values, 1.0 - tail, axis=0, method="linear")
+    ci_lo = np.where(np.isinf(lo_values).any(axis=0), -np.inf, ci_lo)
+    ci_hi = np.where(np.isinf(hi_values).any(axis=0), np.inf, ci_hi)
+    if ci_lo.ndim == 0:
+        return float(ci_lo), float(ci_hi)
     return ci_lo, ci_hi

@@ -8,8 +8,9 @@ counts with one ``bincount`` and reads every statistic ``analyze``
 needs off count-weighted sums: the average effect, the reactive share,
 the (1, 1)-cell mean, both trimmed slices (one ``cumsum`` and a
 ``searchsorted`` from each end of the sorted order) and the monotone
-mixture. No resample is built and nothing is sorted per replicate; only
-the adjusted regression still fits ``Dataset.take`` of the drawn rows.
+mixture. The adjusted regression is :func:`absorbed_wls` under the
+weights count·w. No resample is built and nothing is sorted per
+replicate.
 
 Each entry equals the per-``Dataset`` function on ``Dataset.take`` of
 the same draw up to summation order (the reference adds duplicates in
@@ -29,7 +30,7 @@ import numpy as np
 from .bounds import BoundKind, Interval, _ordered_interval, mt_interval
 from .data import Dataset
 from .errors import EmptyCell, TraceBoundsError
-from .estimators import TEMethod, shares_from_first_stage, te_point
+from .estimators import TEMethod, absorbed_wls, ols_columns, shares_from_first_stage
 from .inference import BootstrapConfig, ResampleUnit, _block_index, replicate_draw
 
 _NAN_PAIR = (math.nan, math.nan)
@@ -70,7 +71,6 @@ class ReplicateEngine:
     where the per-``Dataset`` route fails on the same resample."""
 
     def __init__(self, ds: Dataset, te_method: TEMethod, cfg: BootstrapConfig, with_mt: bool):
-        self._ds = ds
         self._te_method = te_method
         self._cfg = cfg
         self._with_mt = with_mt
@@ -87,14 +87,17 @@ class ReplicateEngine:
         self._w = ds.weight[rows]
         self._yc = self._y[self._b :]
         if cfg.resample_unit is ResampleUnit.BLOCK:
-            self._block_rows = _block_index(ds)
+            block_rows = _block_index(ds)
             block_of = np.empty(ds.n, dtype=np.intp)
-            for j, members in enumerate(self._block_rows):
+            for j, members in enumerate(block_rows):
                 block_of[members] = j
-            self._units, self._unit_of = len(self._block_rows), block_of[rows]
+            self._units, self._unit_of = len(block_rows), block_of[rows]
         else:
-            self._block_rows = None
             self._units, self._unit_of = ds.n, rows
+        if te_method is TEMethod.OLS_ADJUSTED:
+            X, codes = ols_columns(ds, True, ds.block is not None)
+            self._X, self._codes = X[rows], codes[rows]
+            self._unit_rows = np.bincount(self._unit_of, minlength=self._units)  # rows a drawn unit brings
         if with_mt:
             cm = m[control]
             self._c1 = (cm == 1).astype(np.float64)
@@ -123,7 +126,7 @@ class ReplicateEngine:
             te = (s_t1 + y[a:b] @ cw[a:b]) / w_t - (self._yc @ wc) / w_c
         else:
             try:
-                te = te_point(self._ds.take(self._rows_of(picks)), self._te_method)
+                te = absorbed_wls(y, self._X, cw, self._codes, int(self._unit_rows[picks].sum()))[0]
             except TraceBoundsError:
                 te = math.nan
         core = (float(te), float(p)) if math.isfinite(te) and math.isfinite(p) else _NAN_PAIR
@@ -135,11 +138,6 @@ class ReplicateEngine:
             if self._with_mt:
                 mt = _pair(lambda: self._mt(wc, w_c, p, y1m1))
         return [*trim, *core, *mt] if self._with_mt else [*trim, *core]
-
-    def _rows_of(self, picks: np.ndarray) -> np.ndarray:
-        if self._block_rows is None:
-            return picks
-        return np.concatenate([self._block_rows[j] for j in picks])
 
     def _mt(self, wc: np.ndarray, w_c: float, p: float, y1m1: float) -> Interval:
         """``mt_bounds`` from the control weights."""

@@ -338,14 +338,15 @@ def curve_from_replicates(
     good = np.isfinite(te_r) & np.isfinite(p_r) & (p_r > 0)
     if not good.any():
         raise AllReplicatesFailed("no bootstrap replicate produced a usable (te, p) pair")
-    te_g = te_r[good]
-    p_g = p_r[good]
+    te_g = te_r[good, None]
+    p_g = p_r[good, None]
+    grid = spec.grid_values()
+    reps = (te_g - np.array(grid) * (1.0 - p_g)) / p_g  # (replicates, grid rows)
+    ci_lo, ci_hi = percentile_band(reps, reps, level)
 
     rows = []
-    for t0 in spec.grid_values():
+    for t0, lo, hi in zip(grid, ci_lo.tolist(), ci_hi.tolist()):
         point = trace_from_trace0(te_hat, p_hat, t0)
-        reps = (te_g - t0 * (1.0 - p_g)) / p_g
-        lo, hi = percentile_band(reps, reps, level)
         rows.append(
             CurveRow(
                 trace0=t0,

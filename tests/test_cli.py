@@ -370,15 +370,24 @@ def test_missing_file_is_an_io_error(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
 
-def test_cli_import_pulls_in_no_network_modules():
-    # the SVG writer needs no XML library, and with one come urllib.request, http.client and email
+def _loaded_by_cli_import(modules: tuple[str, ...]) -> str:
+    """Those of ``modules`` that a fresh ``import tracebounds.cli`` loads, as printed."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import tracebounds.cli; "
-        "print([m for m in ('xml.sax', 'urllib.request', 'http.client', 'email') if m in sys.modules])"
+        f"print([m for m in {modules!r} if m in sys.modules])"
     )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_cli_import_pulls_in_no_network_modules():
+    # the SVG writer needs no XML library, and with one come urllib.request, http.client and email
+    assert _loaded_by_cli_import(("xml.sax", "urllib.request", "http.client", "email")) == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # only a threaded bootstrap_replicates needs concurrent.futures, and the CLI never asks for threads
+    assert _loaded_by_cli_import(("concurrent.futures",)) == "[]"
 
 
 def test_console_script_runs():

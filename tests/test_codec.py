@@ -13,7 +13,7 @@ from tracebounds.errors import InvariantViolation, ParseError
 
 nan = math.nan
 
-# -0.0 loses its sign, integers below 1e16 print short and 1e16 itself in
+# -0.0 keeps its sign, integers below 1e16 print short and 1e16 itself in
 # full, other reals at 17 significant digits; labels with a comma or a
 # quote are quoted, and an empty label is an empty cell.
 GOLDEN_DATASET = dict(
@@ -38,9 +38,9 @@ GOLDEN_CSV = "".join(
     line + "\r\n"
     for line in [
         "y,d,m,age,score,block,weight",
-        '0,1,1,0.10000000000000001,-1.5,"a,b",0.5',
+        '-0,1,1,0.10000000000000001,-1.5,"a,b",0.5',
         '9999999999999998,0,,4.9406564584124654e-324,2,"say ""hi""",1.25',
-        "10000000000000000,1,0,0.33333333333333331,0,,3",
+        "10000000000000000,1,0,0.33333333333333331,-0,,3",
         '0.10000000000000001,0,0,10000000000000000,9999999999999998,"a,b",1',
         "4.9406564584124654e-324,0,1,-7,1e-300,,0.10000000000000001",
         "0.33333333333333331,1,1,123456789.12345679,0.5,c,2",
@@ -51,6 +51,8 @@ GOLDEN_CSV = "".join(
 
 def _assert_same(back: Dataset, ds: Dataset) -> None:
     np.testing.assert_array_equal(back.y, ds.y)
+    np.testing.assert_array_equal(np.signbit(back.y), np.signbit(ds.y))  # -0.0 stays -0.0
+    np.testing.assert_array_equal(np.signbit(back.x), np.signbit(ds.x))
     np.testing.assert_array_equal(back.d, ds.d)
     np.testing.assert_array_equal(back.m, ds.m)
     np.testing.assert_array_equal(back.x, ds.x)
@@ -69,6 +71,16 @@ def test_write_csv_golden_bytes(tmp_path):
     write_csv(ds, out)
     assert out.read_bytes() == GOLDEN_CSV.encode()
     _assert_same(load_csv(out, schema_for(ds)), ds)
+
+
+def test_negative_zero_keeps_its_sign(tmp_path):
+    ds = Dataset(y=[-0.0, 0.0, 1.0], d=[1, 0, 0], m=[1, 0, 0], x=[[0.0], [-0.0], [2.0]], covariate_names=["x"])
+    out = tmp_path / "zeros.csv"
+    write_csv(ds, out)
+    assert out.read_text().splitlines() == ["y,d,m,x", "-0,1,1,0", "0,0,0,-0", "1,0,0,2"]
+    back = load_csv(out, schema_for(ds))
+    assert np.signbit(back.y).tolist() == [True, False, False]
+    assert np.signbit(back.x[:, 0]).tolist() == [False, True, False]
 
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)

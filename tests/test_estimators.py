@@ -296,6 +296,40 @@ def test_ols_block_dummies_absorb_block_shifts():
     assert est.te_hat == pytest.approx(0.3, abs=0.02)
 
 
+def _block_dummies(block) -> np.ndarray:
+    """One indicator column per block label in first-appearance order,
+    the first dropped (the intercept absorbs it)."""
+    levels = list(dict.fromkeys(block))
+    return np.column_stack([(block == lev).astype(float) for lev in levels[1:]])
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_ols_block_fe_matches_dense_dummy_regression(seed):
+    # independent route: explicit intercept, assignment, covariates and
+    # block dummies, with the HC2 sandwich from the dense inverse
+    rng = np.random.default_rng(seed)
+    n, k = 90, 2
+    block = np.array([f"b{j}" for j in rng.permutation(np.arange(n) % 7)])
+    d = rng.permutation(np.arange(n) % 2)
+    x = rng.normal(size=(n, k))
+    shift = rng.normal(0.0, 3.0, 7)[np.arange(n) % 7]
+    y = 0.4 * d + x @ np.array([1.0, -2.0]) + shift + rng.normal(0.0, 0.5, n)
+    w = rng.uniform(0.5, 2.0, n)
+    ds = Dataset(y=y, d=d, m=d.astype(float), x=x, block=block, weight=w)
+    sw = np.sqrt(w)
+    X = np.column_stack([np.ones(n), d.astype(float), x, _block_dummies(block)]) * sw[:, None]
+    ys = y * sw
+    XtXi = np.linalg.inv(X.T @ X)
+    beta = XtXi @ X.T @ ys
+    e = ys - X @ beta
+    h = np.einsum("ij,jk,ik->i", X, XtXi, X)
+    V = XtXi @ ((X * (e**2 / (1.0 - h))[:, None]).T @ X) @ XtXi
+    est = estimate_te_ols(ds, use_block_fe=True)
+    assert est.te_hat == pytest.approx(beta[1], rel=1e-9)
+    assert est.se == pytest.approx(float(np.sqrt(V[1, 1])), rel=1e-9)
+    assert te_point(ds, TEMethod.OLS_ADJUSTED) == est.te_hat
+
+
 def test_ols_rank_deficient():
     n = 10
     d = np.array([1, 0] * 5)

@@ -15,6 +15,7 @@ from tracebounds.errors import (
     MissingBlockLabels,
     TraceBoundsError,
 )
+from tracebounds.inference import percentile_band
 
 
 class ResampleFailure(TraceBoundsError):
@@ -197,3 +198,18 @@ def test_programming_error_on_a_resample_propagates(toy):
 
     with pytest.raises(TypeError):
         bootstrap_replicates(stat, toy, BootstrapConfig(replicates=10, seed=0))
+
+
+def test_percentile_band_columns_match_one_column_at_a_time():
+    # the curve takes one band per grid row from a (replicates x rows) matrix
+    rng = np.random.default_rng(4)
+    lo = rng.normal(size=(37, 6))
+    hi = lo + rng.uniform(0.0, 1.0, size=lo.shape)
+    lo[5, 1] = -np.inf  # half-lines keep their infinite end, column by column
+    hi[9, 4] = np.inf
+    ci_lo, ci_hi = percentile_band(lo, hi, 0.9)
+    want = [percentile_band(lo[:, j], hi[:, j], 0.9) for j in range(lo.shape[1])]
+    assert ci_lo.tolist() == [a for a, _ in want]
+    assert ci_hi.tolist() == [b for _, b in want]
+    assert ci_lo[1] == -np.inf and ci_hi[4] == np.inf
+    assert np.isfinite(ci_lo[[0, 2, 3, 4, 5]]).all() and np.isfinite(ci_hi[[0, 1, 2, 3, 5]]).all()

@@ -43,7 +43,11 @@ def _dataset(kind: str, seed: int) -> Dataset:
     ``flat`` the same with one non-dyadic weight for every row (so two
     equal reaction rates can differ by an ulp), ``rare`` one treated
     reactor; ``tiny`` has 5 to 8 rows, so resamples
-    lose an arm or draw only reactors."""
+    lose an arm or draw only reactors. ``covariates`` (unweighted) and
+    ``blocked_covariates`` (weighted, six blocks) add two covariates, the
+    second within about 1e-3 of the first. ``tiny`` gets none: its
+    resamples are mostly exactly singular, and the rank verdict of a
+    singular design rests on roundoff."""
     rng = np.random.default_rng(seed)
     if kind == "tiny":
         n = int(rng.integers(5, 9))
@@ -70,12 +74,17 @@ def _dataset(kind: str, seed: int) -> Dataset:
     weight = None
     if kind == "weighted":
         weight = rng.uniform(0.5, 2.0, 2 * half)
-    elif kind in ("ties", "blocked"):
+    elif kind in ("ties", "blocked", "blocked_covariates"):
         weight = rng.choice([0.5, 1.0, 1.5, 2.0], 2 * half)
     elif kind == "flat":
         weight = np.full(2 * half, rng.choice([0.1, 0.7, 1.3]))
-    block = [f"b{j}" for j in rng.integers(0, 6, 2 * half)] if kind == "blocked" else None
-    return Dataset(y=y, d=d, m=m, weight=weight, block=block)
+    block = [f"b{j}" for j in rng.integers(0, 6, 2 * half)] if kind.startswith("blocked") else None
+    x = None
+    if kind.endswith("covariates"):
+        x1 = rng.normal(0.0, 1.0, 2 * half)
+        x = np.column_stack([x1, x1 + rng.normal(0.0, 1e-3, 2 * half)])
+        y = np.round(y + 0.5 * x1, 2)
+    return Dataset(y=y, d=d, m=m, x=x, weight=weight, block=block)
 
 
 def _draw(ds: Dataset, boot: BootstrapConfig, r: int) -> np.ndarray:
@@ -147,6 +156,19 @@ def test_engine_matches_take_reference(kind, data_seed, boot_seed, replicates, t
     unit = ResampleUnit.BLOCK if kind == "blocked" and block_draws else ResampleUnit.ROW
     boot = BootstrapConfig(replicates=replicates, seed=boot_seed, resample_unit=unit)
     _compare(ds, te_method, boot)
+
+
+@pytest.mark.parametrize(
+    "kind, unit",
+    [("covariates", ResampleUnit.ROW), ("blocked_covariates", ResampleUnit.ROW), ("blocked_covariates", ResampleUnit.BLOCK)],
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data_seed=st.integers(0, 2**32 - 1), boot_seed=st.integers(0, 2**64 - 1), replicates=st.integers(20, 50))
+def test_engine_regression_with_covariates_matches_take_reference(kind, unit, data_seed, boot_seed, replicates):
+    # the absorbed regression of count-weighted rows against the fit of the drawn rows
+    ds = _dataset(kind, data_seed)
+    boot = BootstrapConfig(replicates=replicates, seed=boot_seed, resample_unit=unit)
+    _compare(ds, TEMethod.OLS_ADJUSTED, boot)
 
 
 @pytest.mark.parametrize("te_method", list(TEMethod))
