@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
+import itertools
 import math
 import os
 import tempfile
@@ -284,38 +285,121 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
     :class:`MissingColumn`, :class:`ParseError` (with row and column) or
     :class:`InvariantViolation` (with the row of the offending unit when
     a per-unit rule of :class:`Dataset` fails).
+
+    Without a block column the numeric columns are parsed in one
+    ``np.loadtxt`` call; any file that call refuses, or whose values
+    :class:`Dataset` refuses, is read again row by row, so every error
+    comes from the row reader.
     """
+    roles, build = _plan(schema)
+    if all(parse is not str for _, parse in roles):
+        ds = _load_columns(path, roles, build)
+        if ds is not None:
+            return ds
+    return _load_rows(path, roles, build)
+
+
+def _plan(schema: Mapping[str, object] | None):
+    """The (column, parser) roles of ``schema`` in the order a row's cells
+    are checked (y, d, m, covariates, block, weight), and the builder of
+    its :class:`Dataset` from a table of the real columns (y, d,
+    covariates, weight), the m column and the block labels."""
     eff = dict(_DEFAULT_SCHEMA)
     if schema:
         eff.update(schema)
-    m_col = str(eff["m"])
     cov_cols = [str(c) for c in eff.get("covariates", [])]
     block_col = None if eff.get("block") is None else str(eff["block"])
     weight_col = None if eff.get("weight") is None else str(eff["weight"])
-    # (column, parser) in the order a row's cells are checked
-    roles = [(str(eff["y"]), float), (str(eff["d"]), float), (m_col, _m_value)]
+    roles = [(str(eff["y"]), float), (str(eff["d"]), float), (str(eff["m"]), _m_value)]
     roles += [(c, float) for c in cov_cols]
     if block_col is not None:
         roles.append((block_col, str))
     if weight_col is not None:
         roles.append((weight_col, float))
+    k = len(cov_cols)
 
+    def build(table: np.ndarray, m: np.ndarray, blocks: list | None) -> Dataset:
+        return Dataset(
+            y=table[:, 0],
+            d=table[:, 1],
+            m=m,
+            x=table[:, 2 : 2 + k] if k else None,
+            block=blocks,
+            weight=table[:, -1] if weight_col is not None else None,
+            covariate_names=cov_cols if k else None,
+        )
+
+    return roles, build
+
+
+def _header_cells(fh: TextIO, roles) -> list:
+    """Read the header of ``fh``: (column, index, parser) for each role."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise ParseError(0, "", "file is empty, a header row is required")
+    pos = {name: i for i, name in enumerate(header)}
+    for name, _ in roles:
+        if name not in pos:
+            raise MissingColumn(f"column {name!r} not found in header {header}")
+    return [(name, pos[name], parse) for name, parse in roles]
+
+
+# Py_UNICODE_ISSPACE counts these as whitespace and np.loadtxt strips
+# them around a number, but float() refuses them.
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+
+
+def _has_separator(path) -> bool:
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if len(chunk.translate(None, _SEPARATORS)) != len(chunk):
+                return True
+    return False
+
+
+def _load_columns(path, roles, build) -> Dataset | None:
+    """The dataset parsed by one ``np.loadtxt`` call, or None when the
+    row reader must decide: no data row follows the header, loadtxt
+    fails, an m cell reads as NaN (a literal ``nan``, which the row
+    reader refuses), or :class:`Dataset` refuses the values."""
+    if _has_separator(path):
+        return None
     with open(path, newline="", encoding="utf-8") as fh:
+        cells = _header_cells(fh, roles)
+        # y, d, covariates, weight, then m last
+        order = [i for _, i, parse in cells if parse is float] + [cells[2][1]]
+        try:
+            # loadtxt skips blank lines, and warns when nothing else is left
+            first = next((line for line in fh if line.strip("\r\n")), None)
+            if first is None:
+                return None
+            lines = itertools.chain((first,), fh)
+            table = np.loadtxt(
+                lines, delimiter=",", quotechar='"', comments=None, usecols=order, ndmin=2, encoding="utf-8"
+            )
+        except ValueError:  # UnicodeDecodeError included
+            return None
+    m = table[:, -1]
+    if np.isnan(m).any():
+        return None
+    try:
+        return build(table[:, :-1], m, None)
+    except InvariantViolation:
+        return None
+
+
+def _load_rows(path, roles, build) -> Dataset:
+    """Row-by-row reader: every cell through ``float`` (m through
+    ``_m_value``), locating each error by row and column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = _header_cells(fh, roles)
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(0, "", "file is empty, a header row is required")
-        pos = {name: i for i, name in enumerate(header)}
-        for name, _ in roles:
-            if name not in pos:
-                raise MissingColumn(f"column {name!r} not found in header {header}")
-        cells = [(name, pos[name], parse) for name, parse in roles]
 
         # real-valued cells of a row go to one flat buffer, in the order y, d, covariates, weight
         reals = [i for _, i, parse in cells if parse is float]
         get_reals = itemgetter(*reals)
-        m_at = pos[m_col]
-        block_at = pos[block_col] if block_col is not None else None
+        m_at = cells[2][1]
+        block_at = next((i for _, i, parse in cells if parse is str), None)
         flat = array("d")
         ms = array("d")
         blocks: list[str | None] = []
@@ -333,17 +417,8 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
                 raise _cell_error(fields, rownum, cells) from None
 
     table = np.frombuffer(flat).reshape(-1, len(reals))
-    k = len(cov_cols)
     try:
-        return Dataset(
-            y=table[:, 0],
-            d=table[:, 1],
-            m=np.frombuffer(ms),
-            x=table[:, 2 : 2 + k] if k else None,
-            block=blocks if block_col is not None else None,
-            weight=table[:, -1] if weight_col is not None else None,
-            covariate_names=cov_cols if k else None,
-        )
+        return build(table, np.frombuffer(ms), None if block_at is None else blocks)
     except InvariantViolation as exc:
         if exc.unit is not None:
             exc.row = exc.unit + 1
@@ -374,25 +449,18 @@ def atomic_open(path) -> Iterator[TextIO]:
         raise
 
 
-_CHUNK = 1 << 16  # values per chunk when formatting a column
+_CHUNK = 1 << 14  # rows formatted at a time
+
+# Real to text at 17 significant digits: an integer below 1e16 prints in
+# full without a fraction, and -0.0 keeps its sign (``-0``).
+_fmt = "%.17g".__mod__
+
+_D_TEXT = np.array(["0", "1"], dtype=object)
+_M_TEXT = np.array(["0", "1", ""], dtype=object)  # indexed by m, with 2 for missing
 
 
-def _fmt(v: float) -> str:
-    """Real to text at 17 significant digits, integers kept short; a zero
-    goes through ``format`` too, which keeps the sign of -0.0 (``-0``)."""
-    if v and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return format(v, ".17g")
-
-
-def _m_text(v: float) -> str:
-    return "" if math.isnan(v) else str(int(v))
-
-
-def _column_text(values: np.ndarray, fmt) -> Iterator[str]:
-    """``fmt`` of each value, converted to Python scalars a chunk at a time."""
-    for start in range(0, len(values), _CHUNK):
-        yield from map(fmt, values[start : start + _CHUNK].tolist())
+def _text(values: np.ndarray) -> list[str]:
+    return list(map(_fmt, values.tolist()))
 
 
 def write_csv(ds: Dataset, path) -> None:
@@ -406,19 +474,21 @@ def write_csv(ds: Dataset, path) -> None:
     """
     schema = schema_for(ds)
     header = ["y", "d", "m", *ds.covariate_names]
-    columns = [_column_text(ds.y, _fmt), _column_text(ds.d, str), _column_text(ds.m, _m_text)]
-    columns += [_column_text(ds.x[:, j], _fmt) for j in range(ds.x.shape[1])]
-    if "block" in schema:
-        header.append("block")
-        columns.append("" if b is None else b for b in ds.block)
-    if "weight" in schema:
-        header.append("weight")
-        columns.append(_column_text(ds.weight, _fmt))
+    header += [name for name in ("block", "weight") if name in schema]
+    m_codes = np.where(np.isnan(ds.m), 2, ds.m).astype(np.intp)
 
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*columns))
+        for start in range(0, ds.n, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            columns = [_text(ds.y[rows]), _D_TEXT[ds.d[rows]].tolist(), _M_TEXT[m_codes[rows]].tolist()]
+            columns += [_text(ds.x[rows, j]) for j in range(ds.x.shape[1])]
+            if "block" in schema:
+                columns.append(["" if b is None else b for b in ds.block[rows]])
+            if "weight" in schema:
+                columns.append(_text(ds.weight[rows]))
+            writer.writerows(zip(*columns))
 
 
 def schema_for(ds: Dataset) -> dict:

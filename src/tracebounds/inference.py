@@ -8,6 +8,7 @@ and threaded runs, and reruns of a single replicate, agree bit for bit.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,11 +56,30 @@ class BootstrapResult:
     n_failed: int
 
 
+_thread = threading.local()  # one reusable generator per thread
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
 def replicate_draw(seed: int, r: int, size: int) -> np.ndarray:
     """Replicate ``r``'s draw of ``size`` units (rows, or whole blocks)
-    with replacement, from a Philox generator keyed by ``(seed, r)``."""
-    key = ((seed & _MASK64) << 64) | (r & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key)).integers(0, size, size)
+    with replacement, from a Philox generator keyed by ``(seed, r)``.
+
+    The stream is that of ``Philox(key=(seed << 64) | r)``; resetting
+    the key and counter of a per-thread generator avoids the entropy a
+    new ``Philox`` collects for the seed it then ignores.
+    """
+    gen = getattr(_thread, "gen", None)
+    if gen is None:
+        gen = _thread.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4, "key": np.array([r & _MASK64, seed & _MASK64], dtype=np.uint64)},
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.integers(0, size, size)
 
 
 def _block_index(ds: Dataset) -> list[np.ndarray]:

@@ -1,6 +1,7 @@
 """The CSV codec: the exact bytes ``write_csv`` emits, the round trip
 through ``load_csv``, and where ``load_csv`` says a bad cell is."""
 
+import csv
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracebounds import Dataset, load_csv, schema_for, write_csv
-from tracebounds.errors import InvariantViolation, ParseError
+from tracebounds import data as data_module
+from tracebounds.errors import InvariantViolation, ParseError, TraceBoundsError
 
 nan = math.nan
 
@@ -184,3 +186,181 @@ def test_dataset_level_errors_carry_no_row(tmp_path):
     with pytest.raises(InvariantViolation, match="no control unit") as ei:
         _load_text(tmp_path, "y,d,m\n1,1,1\n2,1,0\n")
     assert (ei.value.unit, ei.value.row) == (None, None)
+
+
+# -- the loadtxt fast path against the row reader ---------------------------
+
+_GOOD_REALS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")) | st.sampled_from(
+    ["0", "-0", "1", "2.5", "-1e-300", '"3"', " 4 ", "+.5", "1e3"]
+)
+# cells that float() or loadtxt may refuse, or that Dataset refuses once parsed
+_ODD_REALS = st.sampled_from(
+    ["", " ", "nan", "NaN", "inf", "-inf", "Infinity", "infinity", "1e400", "#2", "1_0", "0x10", "1d5", "abc",
+     '"1,5"', '"1\n"', '"1\r\n"', '1"2', '"1"2', "\x1c1", "1\x1f", "\xa01", "١", "7"]
+)
+_UNUSED = st.sampled_from(
+    ["", "x", "p q", '"a\nb"', '"a\r\nb"', '"a\rb"', '"p,q"', 'a"b', '"a""b"', '"a"b"c', '"', '"open', "#c", "\x00"]
+)
+_ROLE_CELLS = {
+    "y": _GOOD_REALS,
+    "d": st.sampled_from(["0", "1"]),
+    "m": st.sampled_from(["0", "1"]),
+    "x1": _GOOD_REALS,
+    "w": st.sampled_from(["1", "0.5", "2", "1e-3", '"1.25"']),
+    "z": _UNUSED,
+}
+
+
+@st.composite
+def _csv_texts(draw):
+    """(text, schema): a header naming y, d, m and maybe a covariate x1,
+    a weight w and an unused column z, in any order, then rows of
+    well-formed cells; in a third of the files, odd cells, short and
+    long rows, and blank and whitespace-only lines among them."""
+    columns = ["y", "d", "m"] + [c for c in ("x1", "w", "z") if draw(st.booleans())]
+    columns = draw(st.permutations(columns))
+    schema = {}
+    if "x1" in columns:
+        schema["covariates"] = ["x1"]
+    if "w" in columns:
+        schema["weight"] = "w"
+    odd = draw(st.integers(0, 2)) == 0
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [",".join(columns) + draw(ends)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9)) if odd else 9
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "", " ", "\t", ","])) + draw(ends))
+            continue
+        cells = [
+            draw(_ODD_REALS if odd and c != "z" and draw(st.integers(0, 5)) == 0 else _ROLE_CELLS[c]) for c in columns
+        ]
+        if kind == 1:
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]
+        elif kind == 2:
+            cells += draw(st.lists(_UNUSED, min_size=1, max_size=2))
+        lines.append(",".join(cells) + draw(ends))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, schema
+
+
+def _outcome(read, path, schema):
+    """The arrays ``read`` returns, or the exception it raises."""
+    try:
+        ds = read(path, schema)
+    except (TraceBoundsError, ValueError, csv.Error) as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+    return ds
+
+
+def _read_rows(path, schema):
+    return data_module._load_rows(path, *data_module._plan(schema))
+
+
+def _assert_same_outcome(fast, rows):
+    if isinstance(rows, tuple):
+        assert fast == rows
+        return
+    assert isinstance(fast, Dataset), fast
+    _assert_same(fast, rows)
+    assert fast.block is None and rows.block is None
+
+
+def test_loadtxt_path_matches_row_reader(tmp_path_factory):
+    taken = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_csv_texts())
+    def check(case):
+        text, schema = case
+        path = tmp_path_factory.mktemp("paths") / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        rows = _outcome(_read_rows, path, schema)
+        direct = data_module._load_columns(path, *data_module._plan(schema))
+        taken.append(direct is not None)
+        if direct is not None:
+            _assert_same_outcome(direct, rows)
+        _assert_same_outcome(_outcome(load_csv, path, schema), rows)
+
+    check()
+    # both paths decide a fair share of the generated files
+    assert 0.2 < sum(taken) / len(taken) < 0.9
+
+
+_PATH_CASES = {
+    "quoted numbers": ('y,d,m\n"1.5",1,"1"\n" 2 ",0,0\n', None),
+    "quoted newline in an unused column": ('y,z,d,m\n1,"a\nb",1,1\n2,"c\r\nd",0,0\n', None),
+    "extra fields": ("y,d,m\n1,1,1,9,9\n2,0,0\n", None),
+    "short row": ("y,d,m\n1,1,1\n2,0\n", None),
+    "blank lines": ("y,d,m\n\n1,1,1\n\n\n2,0,0\n\n", None),
+    "whitespace-only line": ("y,d,m\n1,1,1\n  \n2,0,0\n", None),
+    "bare CR": ("y,d,m\r1,1,1\r\r2,0,0\r", None),
+    "CRLF": ("y,d,m\r\n1,1,1\r\n\r\n2,0,0\r\n", None),
+    "blank m": ("y,d,m\n1,1,1\n2,0,\n", None),
+    "literal nan m": ("y,d,m\n1,1,1\n2,0,nan\n", None),
+    "inf y": ("y,d,m\n1,1,1\ninf,0,0\n", None),
+    "infinity y": ("y,d,m\n1,1,1\n-Infinity,0,0\n", None),
+    "hash": ("y,d,m\n1,1,1\n#2,0,0\n", None),
+    "underscore": ("y,d,m\n1_0,1,1\n2,0,0\n", None),
+    "information separator": ("y,d,m\n\x1c1,1,1\n2,0,0\n", None),
+    "negative zero": ("y,d,m,x1\n-0,1,1,-0\n2,0,0,0\n", {"covariates": ["x1"]}),
+    "17 digits": ("y,d,m\n0.10000000000000001,1,1\n-2.7182818284590451,0,0\n", None),
+    "covariates and weights": (
+        "w,x1,y,d,m,x2\n0.5,1,2,1,1,3\n2,-1,0,0,0,1e-300\n",
+        {"covariates": ["x1", "x2"], "weight": "w"},
+    ),
+    "bad weight": ("y,d,m,w\n1,1,1,0\n2,0,0,1\n", {"weight": "w"}),
+    "one arm": ("y,d,m\n1,1,1\n2,1,0\n", None),
+    "header only": ("y,d,m\n", None),
+    "header only without a line end": ("y,d,m", None),
+    "invalid UTF-8 in a data row": (b"y,d,m\n1,1,1\n\xff2,0,0\n", None),
+}
+
+
+@pytest.mark.parametrize("name", list(_PATH_CASES))
+def test_loadtxt_path_matches_row_reader_on_listed_cases(tmp_path, name):
+    text, schema = _PATH_CASES[name]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    _assert_same_outcome(_outcome(load_csv, path, schema), _outcome(_read_rows, path, schema))
+
+
+def test_clean_file_takes_the_loadtxt_path(tmp_path, monkeypatch):
+    path = tmp_path / "in.csv"
+    path.write_text('x1,y,d,m\n0.5,"1",1,1\n\n-2,2,0,0\n')
+
+    def no_row_reader(*args):
+        raise AssertionError("row reader used")
+
+    monkeypatch.setattr(data_module, "_load_rows", no_row_reader)
+    ds = load_csv(path, {"covariates": ["x1"]})
+    assert ds.y.tolist() == [1.0, 2.0] and ds.x[:, 0].tolist() == [0.5, -2.0]
+
+
+def _fmt_reference(v: float) -> str:
+    """The writer's earlier formatter, with its own branch for integers."""
+    if v and v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return format(v, ".17g")
+
+
+_EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 9999999999999998.0, 1e-300, 0.1, 1 / 3]
+_EDGE_REALS += [float(2**53 + k) for k in range(-3, 4)] + [float(-(2**53) + k) for k in range(-3, 4)]
+_EDGE_REALS += [math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), 123456789012345.6, 1e15 + 0.5]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(v=_reals | st.integers(-(2**60), 2**60).map(float) | st.sampled_from(_EDGE_REALS))
+def test_fmt_matches_the_integer_branch_formatter(v):
+    assert data_module._fmt(v) == _fmt_reference(v)
+
+
+def test_header_only_file_warns_nothing(tmp_path, recwarn):
+    # loadtxt warns on an empty body, which the row reader reads instead
+    path = tmp_path / "in.csv"
+    path.write_text("y,d,m\n")
+    with pytest.raises(InvariantViolation, match="at least one unit"):
+        load_csv(path)
+    assert [str(w.message) for w in recwarn] == []

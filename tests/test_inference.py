@@ -1,3 +1,7 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from tracebounds.errors import (
     MissingBlockLabels,
     TraceBoundsError,
 )
-from tracebounds.inference import percentile_band
+from tracebounds.inference import percentile_band, replicate_draw
 
 
 class ResampleFailure(TraceBoundsError):
@@ -213,3 +217,49 @@ def test_percentile_band_columns_match_one_column_at_a_time():
     assert ci_hi.tolist() == [b for _, b in want]
     assert ci_lo[1] == -np.inf and ci_hi[4] == np.inf
     assert np.isfinite(ci_lo[[0, 2, 3, 4, 5]]).all() and np.isfinite(ci_hi[[0, 1, 2, 3, 5]]).all()
+
+
+_DRAW_KEYS = [(seed, r) for seed in (0, 1, 13, 2**63 + 5, 2**64 - 1) for r in (0, 1, 2**40, 2**64 - 1)]
+
+
+def _philox_draw(seed: int, r: int, size: int) -> np.ndarray:
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | r)).integers(0, size, size)
+
+
+def test_replicate_draw_is_the_keyed_philox_stream():
+    for size in (1, 7, 1000):
+        for seed, r in _DRAW_KEYS:
+            np.testing.assert_array_equal(replicate_draw(seed, r, size), _philox_draw(seed, r, size))
+
+
+def test_replicate_draw_is_the_same_on_threads():
+    # each thread resets its own generator, so interleaved draws do not mix
+    # streams; more threads than cores and frequent switches interleave them
+    jobs = [(seed, r, size) for seed, r in _DRAW_KEYS for size in (3, 500)] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda job: replicate_draw(*job), jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    for (seed, r, size), values in zip(jobs, got):
+        np.testing.assert_array_equal(values, _philox_draw(seed, r, size))
+
+
+def test_replicate_draw_takes_no_os_entropy(monkeypatch):
+    want = [_philox_draw(seed, r, 50) for seed, r in _DRAW_KEYS]
+
+    def no_entropy(n):
+        raise AssertionError("OS entropy requested")
+
+    # SeedSequence() without a seed gathers its entropy through random.SystemRandom
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    with pytest.raises(AssertionError):
+        np.random.Philox(key=1)
+    serial = [replicate_draw(seed, r, 50) for seed, r in _DRAW_KEYS]
+    with ThreadPoolExecutor(max_workers=2) as pool:  # a new thread's first draw too
+        threaded = list(pool.map(lambda key: replicate_draw(*key, 50), _DRAW_KEYS))
+    for a, b, c in zip(serial, threaded, want):
+        np.testing.assert_array_equal(a, c)
+        np.testing.assert_array_equal(b, c)
