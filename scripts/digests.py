@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Digest every output of the benchmark workloads and of the demo.
+
+Runs the CLI steps of each workload in perfbench/workloads.py at seeds
+1 and 2, on inputs that module writes, then scripts/run_demo.py, each
+in its own directory under OUT and with paths relative to it (reports
+echo their paths). Prints one row per configuration, each file with
+the first 12 hex digits of its SHA-256:
+
+    | analyze_rows-tiny-s1 | chart.svg=725e64d8603b curve.csv=... |
+
+Two runs of this script, by the same or by two checkouts, print the
+same table exactly when every output is byte-identical.
+
+Usage: python scripts/digests.py [--size tiny|full] OUT
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+SEEDS = (1, 2)
+
+
+def _digests(directory: pathlib.Path) -> str:
+    files = sorted(p for p in directory.rglob("*") if p.is_file())
+    return " ".join(
+        f"{p.relative_to(directory).as_posix()}={hashlib.sha256(p.read_bytes()).hexdigest()[:12]}" for p in files
+    )
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--size", choices=("tiny", "full"), default="tiny")
+    ap.add_argument("out", type=pathlib.Path, help="directory the runs write into")
+    args = ap.parse_args(argv)
+
+    # one BLAS thread, as in the benchmark: a threaded dot product adds in
+    # another order, so the last digits of a long sum follow the core count
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+    from tracebounds.cli import main as cli
+    from workloads import NAMES, prepare
+
+    args.out.mkdir(parents=True, exist_ok=True)
+    os.chdir(args.out)
+    rows = []
+    for name in NAMES:
+        for seed in SEEDS:
+            config = pathlib.Path(f"{name}-{args.size}-s{seed}")
+            job = prepare(name, seed, args.size, config)
+            for step in job.steps:
+                with contextlib.redirect_stdout(io.StringIO()) as said:
+                    code = cli(list(step))
+                if code != 0:
+                    sys.stderr.write(f"{config}: {' '.join(step)} exited {code}\n{said.getvalue()}")
+                    return 1
+            rows.append((str(config), _digests(config)))
+
+    demo = pathlib.Path("run_demo")
+    demo.mkdir(exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_demo.py"), "out"],
+        cwd=demo, env=env, stdout=subprocess.DEVNULL, check=True,
+    )
+    rows.append(("run_demo", _digests(demo)))
+
+    print("| config | digests |")
+    print("|---|---|")
+    for config, digests in rows:
+        print(f"| {config} | {digests} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@ from .bounds import (
     Interval,
     NaiveEstimates,
     Side,
+    SortedControl,
     TrimSpec,
     dim_m1,
     mt_bounds,
@@ -46,6 +47,7 @@ from .estimators import (
     StrataShares,
     TEEstimate,
     TEMethod,
+    arm_reaction_rate,
     conditional_mean,
     estimate_p_m1,
     estimate_te_dim,

@@ -29,10 +29,10 @@ from .errors import (
 )
 from .estimators import (
     StrataShares,
+    arm_reaction_rate,
     conditional_mean,
     estimate_p_m1,
     estimate_te_dim,
-    reaction_rate,
     strata_shares_monotone,
 )
 
@@ -131,11 +131,16 @@ def trimmed_mean(values, weights, spec: TrimSpec) -> float:
         raise InvariantViolation("weights must be positive")
 
     order = np.argsort(v if spec.side is Side.LOWEST else -v, kind="stable")
-    vs = v[order]
-    ws = w[order]
+    return _leading_mean(v[order], w[order], spec.fraction)
+
+
+def _leading_mean(vs: np.ndarray, ws: np.ndarray, fraction: float) -> float:
+    """Weighted mean of the leading ``fraction`` share of total weight of
+    ``vs`` in the order given; the marginal observation enters with the
+    fractional weight that exactly fills the target."""
     cw = np.cumsum(ws)
     total = cw[-1]
-    target = min(spec.fraction * total, total)
+    target = min(fraction * total, total)
     k = int(np.searchsorted(cw, target, side="left"))
     if k >= vs.size:  # float slack at fraction == 1
         k = vs.size - 1
@@ -145,35 +150,62 @@ def trimmed_mean(values, weights, spec: TrimSpec) -> float:
     return float(acc / target)
 
 
-def no_assumption_bounds(ds: Dataset) -> Interval:
+class SortedControl:
+    """The control arm of a dataset in both trimming orders, sorted once
+    so that :func:`no_assumption_bounds` and :func:`mt_bounds` share them.
+
+    The orders are those of :func:`trimmed_mean`: ``argsort(y)`` for the
+    lowest slice and ``argsort(-y)`` for the highest, both stable. (The
+    second is not the first reversed, which would put tied units in
+    reverse row order.) A stable order filtered to the m = 0 pool is
+    the pool's own stable order, so the pool is never sorted apart.
+    """
+
+    def __init__(self, ds: Dataset):
+        control = ds.d == 0
+        self._y = ds.y[control]
+        self._w = ds.weight[control]
+        self._pool = ds.m[control] == 0
+        self._orders = (np.argsort(self._y, kind="stable"), np.argsort(-self._y, kind="stable"))
+
+    def slices(self, fraction: float, pool: bool = False) -> tuple[float, float]:
+        """Means of the lowest and the highest ``fraction`` share of the
+        arm's weight, or with ``pool`` of its m = 0 units' weight, each
+        equal to :func:`trimmed_mean` of the same units."""
+        low, high = (order[self._pool[order]] if pool else order for order in self._orders)
+        return (
+            _leading_mean(self._y[low], self._w[low], fraction),
+            _leading_mean(self._y[high], self._w[high], fraction),
+        )
+
+
+def no_assumption_bounds(ds: Dataset, control: SortedControl | None = None) -> Interval:
     """Bounds on the reactive-group effect from trimming alone.
 
     The treated-arm mean over reactive units minus the highest/lowest
     share-p slice of the whole control arm, where p is the estimated
     reactive share. Sharp without further assumptions: on integer-count
     trims the endpoints equal the exact subset-mean extremes.
+    ``control``, when given, is ``SortedControl(ds)``.
     """
     validate_for(ds, Analysis.NO_ASSUMPTION_BOUNDS)
     p = estimate_p_m1(ds)
     if p == 0.0:
         raise NoReactiveTreated("no treated unit reacted; the target group is empty in-sample")
     y1m1 = conditional_mean(ds, 1, 1)
-    control = ds.d == 0
-    cy = ds.y[control]
-    cw = ds.weight[control]
-    low_slice = trimmed_mean(cy, cw, TrimSpec(p, Side.LOWEST))
-    high_slice = trimmed_mean(cy, cw, TrimSpec(p, Side.HIGHEST))
+    low_slice, high_slice = (control or SortedControl(ds)).slices(p)
     return _ordered_interval(float(y1m1 - high_slice), float(y1m1 - low_slice), BoundKind.NO_ASSUMPTION)
 
 
-def mt_bounds(ds: Dataset) -> Interval:
+def mt_bounds(ds: Dataset, control: SortedControl | None = None) -> Interval:
     """Bounds under monotone reaction.
 
     The control-side counterfactual for the reactive group is a mixture
     of always-reactors, identified exactly by control units with m = 1,
     and treatment-only reactors, bounded by trimming the control m = 0
     pool at the share they occupy within it. Requires m observed in
-    both arms and an empirically monotone first stage.
+    both arms and an empirically monotone first stage. ``control``,
+    when given, is ``SortedControl(ds)``.
     """
     validate_for(ds, Analysis.MT_BOUNDS)
     shares = strata_shares_monotone(ds)
@@ -185,9 +217,7 @@ def mt_bounds(ds: Dataset) -> Interval:
         pool = (ds.d == 0) & (ds.m == 0)  # control units showing m = 0
         if not pool.any():
             raise EmptyCell("no control units with m=0 although the first stage implies some")
-        py = ds.y[pool]
-        pw = ds.weight[pool]
-        return trimmed_mean(py, pw, TrimSpec(pi, Side.LOWEST)), trimmed_mean(py, pw, TrimSpec(pi, Side.HIGHEST))
+        return (control or SortedControl(ds)).slices(pi, pool=True)
 
     # conditional_mean(ds, 0, 1) raises EmptyCell when the data contradict alpha > 0
     return mt_interval(conditional_mean(ds, 1, 1), p1, shares, lambda: conditional_mean(ds, 0, 1), pool_slices)
@@ -292,9 +322,8 @@ def naive_estimates(ds: Dataset) -> NaiveEstimates:
             dim = dim_m1(ds)
         except (EmptyCell, MissingM):
             dim = None
-        t = ds.d == 1
-        p1 = reaction_rate(m[t], w[t])
-        p0 = reaction_rate(m[~t], w[~t])
+        p1 = arm_reaction_rate(ds, 1)
+        p0 = arm_reaction_rate(ds, 0)
         if p1 != p0:
             wald = itt / (p1 - p0)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .bounds import (
     Interval,
+    SortedControl,
     mt_bounds,
     no_assumption_bounds,
     naive_estimates,
@@ -318,11 +319,15 @@ def _dgp_from(cp: configparser.ConfigParser, seed_override: int | None) -> DGPCo
 # -- command implementations --------------------------------------------------
 
 
-def _mt_or_error(ds: Dataset) -> Interval | TraceBoundsError:
+def _trim_and_mt(ds: Dataset) -> tuple[Interval, Interval | TraceBoundsError]:
+    """Trimming bounds, and the monotone bounds or the error that stops
+    them, from one pair of sorts of the control arm, freed on return."""
+    control = SortedControl(ds)
+    trim = no_assumption_bounds(ds, control)
     try:
-        return mt_bounds(ds)
+        return trim, mt_bounds(ds, control)
     except TraceBoundsError as exc:
-        return exc
+        return trim, exc
 
 
 def _with_band(iv: Interval, lo_r: np.ndarray, hi_r: np.ndarray, level: float) -> Interval:
@@ -406,8 +411,7 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
     p_hat = estimate_p_m1(ds)
     boot = cfg.bootstrap
 
-    trim = no_assumption_bounds(ds)
-    mt = _mt_or_error(ds)
+    trim, mt = _trim_and_mt(ds)
     with_mt = isinstance(mt, Interval)
 
     values = ReplicateEngine(ds, cfg.te_method, boot, with_mt).run()
@@ -507,8 +511,8 @@ def cmd_bounds(
             raise InvariantViolation("bounds needs --input or --from-moments")
         ds = load_csv(input_path, schema)
         p_hat = estimate_p_m1(ds)
-        trim = no_assumption_bounds(ds)
-        mt_entry = _mt_json(ds, p_hat, _mt_or_error(ds))
+        trim, mt = _trim_and_mt(ds)
+        mt_entry = _mt_json(ds, p_hat, mt)
         derived = {}
         if type3:
             t3 = type3_dim_bounds(conditional_mean(ds, 1, 1), conditional_mean(ds, 0, 1))

@@ -13,13 +13,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
+import io
 import itertools
 import math
 import os
 import tempfile
 from array import array
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -45,6 +46,9 @@ def _require(ok: np.ndarray, values: np.ndarray, rule: str) -> None:
         raise InvariantViolation(f"{rule}, got {values.ravel()[i]}", unit=i // (ok.size // len(ok)))
 
 
+_UNSET = object()  # no value remembered yet
+
+
 class Dataset:
     """Immutable column-oriented collection of units.
 
@@ -52,7 +56,9 @@ class Dataset:
     only place the per-unit rules are checked (an error names the first
     offending unit); estimators then treat the arrays as trusted values.
     Row order is preserved and meaningful (trimming ties break by
-    original position).
+    original position). Since nothing about a dataset changes after
+    construction, a scalar statistic of it is computed once and
+    remembered (:meth:`derived`).
 
     Parameters
     ----------
@@ -69,7 +75,7 @@ class Dataset:
         Names for the k covariate columns. Defaults to x1..xk.
     """
 
-    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_m_obs_ctrl")
+    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_memo")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
         yv = np.array(y, dtype=np.float64)
@@ -136,7 +142,7 @@ class Dataset:
         self._block = bv
         self._w = wv
         self._names = names
-        self._m_obs_ctrl = not np.isnan(mv[~treated]).any()
+        self._memo: dict = {}
 
     # -- resampling --------------------------------------------------------
 
@@ -153,16 +159,28 @@ class Dataset:
         if d.all():
             raise InvariantViolation("selection has no control unit")
         new = object.__new__(Dataset)
-        m = self._m[idx]
         new._y = self._y[idx]
         new._d = d
-        new._m = m
+        new._m = self._m[idx]
         new._x = self._x[idx]
         new._block = None if self._block is None else self._block[idx]
         new._w = self._w[idx]
         new._names = self._names
-        new._m_obs_ctrl = not np.isnan(m[d == 0]).any()
+        new._memo = {}
         return new
+
+    def derived(self, key, compute: Callable[[], object]):
+        """``compute()``, computed on the first call with ``key`` and
+        remembered for this dataset, whose arrays are read-only.
+
+        For Python scalars only: a remembered array would hold its
+        memory for the dataset's lifetime. An exception from ``compute``
+        is raised, not remembered.
+        """
+        value = self._memo.get(key, _UNSET)
+        if value is _UNSET:
+            value = self._memo[key] = compute()
+        return value
 
     # -- accessors ---------------------------------------------------------
 
@@ -201,15 +219,15 @@ class Dataset:
 
     @property
     def n_treated(self) -> int:
-        return int((self._d == 1).sum())
+        return self.derived("n_treated", lambda: int((self._d == 1).sum()))
 
     @property
     def n_control(self) -> int:
-        return int((self._d == 0).sum())
+        return self.derived("n_control", lambda: int((self._d == 0).sum()))
 
     @property
     def m_observed_in_control(self) -> bool:
-        return self._m_obs_ctrl
+        return self.derived("m_observed_in_control", lambda: not np.isnan(self._m[self._d == 0]).any())
 
     def __len__(self) -> int:
         return self.n
@@ -217,7 +235,7 @@ class Dataset:
     def __repr__(self) -> str:
         return (
             f"Dataset(n={self.n}, treated={self.n_treated}, control={self.n_control}, "
-            f"covariates={len(self._names)}, m_observed_in_control={self._m_obs_ctrl})"
+            f"covariates={len(self._names)}, m_observed_in_control={self.m_observed_in_control})"
         )
 
 
@@ -365,10 +383,10 @@ def _load_columns(path, roles, build) -> Dataset | None:
     if _has_separator(path):
         return None
     with open(path, newline="", encoding="utf-8") as fh:
-        cells = _header_cells(fh, roles)
-        # y, d, covariates, weight, then m last
-        order = [i for _, i, parse in cells if parse is float] + [cells[2][1]]
         try:
+            cells = _header_cells(fh, roles)
+            # y, d, covariates, weight, then m last
+            order = [i for _, i, parse in cells if parse is float] + [cells[2][1]]
             # loadtxt skips blank lines, and warns when nothing else is left
             first = next((line for line in fh if line.strip("\r\n")), None)
             if first is None:
@@ -377,7 +395,7 @@ def _load_columns(path, roles, build) -> Dataset | None:
             table = np.loadtxt(
                 lines, delimiter=",", quotechar='"', comments=None, usecols=order, ndmin=2, encoding="utf-8"
             )
-        except ValueError:  # UnicodeDecodeError included
+        except (ValueError, csv.Error):  # UnicodeDecodeError included
             return None
     m = table[:, -1]
     if np.isnan(m).any():
@@ -390,31 +408,40 @@ def _load_columns(path, roles, build) -> Dataset | None:
 
 def _load_rows(path, roles, build) -> Dataset:
     """Row-by-row reader: every cell through ``float`` (m through
-    ``_m_value``), locating each error by row and column."""
+    ``_m_value``), locating each error by row and column. A byte that is
+    not UTF-8 and a field over ``csv.field_size_limit()`` are
+    :class:`ParseError` too, located by row."""
     with open(path, newline="", encoding="utf-8") as fh:
-        cells = _header_cells(fh, roles)
-        reader = csv.reader(fh)
+        rownum = -1  # the header
+        try:
+            cells = _header_cells(fh, roles)
+            rownum = 0
+            reader = csv.reader(fh)
 
-        # real-valued cells of a row go to one flat buffer, in the order y, d, covariates, weight
-        reals = [i for _, i, parse in cells if parse is float]
-        get_reals = itemgetter(*reals)
-        m_at = cells[2][1]
-        block_at = next((i for _, i, parse in cells if parse is str), None)
-        flat = array("d")
-        ms = array("d")
-        blocks: list[str | None] = []
-        blank_rows: list[int] = []
-        for rownum, fields in enumerate(reader, start=1):
-            if not fields:
-                blank_rows.append(rownum)
-                continue
-            try:
-                flat.extend(map(float, get_reals(fields)))
-                ms.append(_m_value(fields[m_at]))
-                if block_at is not None:
-                    blocks.append(fields[block_at] or None)
-            except (ValueError, IndexError):
-                raise _cell_error(fields, rownum, cells) from None
+            # real-valued cells of a row go to one flat buffer, in the order y, d, covariates, weight
+            reals = [i for _, i, parse in cells if parse is float]
+            get_reals = itemgetter(*reals)
+            m_at = cells[2][1]
+            block_at = next((i for _, i, parse in cells if parse is str), None)
+            flat = array("d")
+            ms = array("d")
+            blocks: list[str | None] = []
+            blank_rows: list[int] = []
+            for rownum, fields in enumerate(reader, start=1):
+                if not fields:
+                    blank_rows.append(rownum)
+                    continue
+                try:
+                    flat.extend(map(float, get_reals(fields)))
+                    ms.append(_m_value(fields[m_at]))
+                    if block_at is not None:
+                        blocks.append(fields[block_at] or None)
+                except (ValueError, IndexError):
+                    raise _cell_error(fields, rownum, cells) from None
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from None
+        except csv.Error as exc:  # a field over the parser's size limit
+            raise ParseError(rownum + 1, None, str(exc)) from None
 
     table = np.frombuffer(flat).reshape(-1, len(reals))
     try:
@@ -426,6 +453,35 @@ def _load_rows(path, roles, build) -> Dataset:
                 if skipped <= exc.row:
                     exc.row += 1
         raise
+
+
+def _decode_error(path, exc: UnicodeDecodeError) -> Exception:
+    """The error for the first byte of ``path`` that is not UTF-8, naming
+    the row and column it falls in and its offset.
+
+    Text is decoded in blocks ahead of the CSV parser, so the rows before
+    the byte are parsed here; a field among them that the parser refuses
+    comes first in the file and is named instead.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as found:
+        at = found.start
+    else:
+        return exc  # the file changed since it was read
+    head = data[:at].decode("utf-8") + "?"  # "?" stands for the undecodable byte
+    header: list[str] = []
+    row, record = -1, []
+    try:
+        for row, record in enumerate(csv.reader(io.StringIO(head, newline=""))):
+            if row == 0:
+                header = record
+    except csv.Error as err:
+        return ParseError(row + 1, None, str(err))
+    column = header[len(record) - 1] if row > 0 and len(record) <= len(header) else None
+    return ParseError(row, column, f"byte {at} ({data[at]:#04x}) is not valid UTF-8")
 
 
 @contextlib.contextmanager
@@ -463,32 +519,44 @@ def _text(values: np.ndarray) -> list[str]:
     return list(map(_fmt, values.tolist()))
 
 
+def _quote(text: str) -> str:
+    """``text`` as one CSV field under the csv module's QUOTE_MINIMAL rule:
+    quoted, with each quote doubled, when it holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset so that ``load_csv`` recovers it exactly.
 
     Columns: y, d, m, then covariates under their stored names, then
     ``block`` when any unit has a label, then ``weight`` when any
     weight differs from 1. Reals are written with 17 significant
-    digits so the text round-trips to the same float64. The write is
-    atomic (temp file then rename).
+    digits so the text round-trips to the same float64. Lines end in
+    CRLF, and a header name or block label is quoted as ``csv.writer``
+    quotes it; no other cell ever needs quoting. The write is atomic
+    (temp file then rename).
     """
     schema = schema_for(ds)
     header = ["y", "d", "m", *ds.covariate_names]
     header += [name for name in ("block", "weight") if name in schema]
     m_codes = np.where(np.isnan(ds.m), 2, ds.m).astype(np.intp)
+    if "block" in schema:
+        labels = {b: "" if b is None else _quote(b) for b in dict.fromkeys(ds.block.tolist())}
 
     with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(map(_quote, header)) + "\r\n")
         for start in range(0, ds.n, _CHUNK):
             rows = slice(start, start + _CHUNK)
             columns = [_text(ds.y[rows]), _D_TEXT[ds.d[rows]].tolist(), _M_TEXT[m_codes[rows]].tolist()]
             columns += [_text(ds.x[rows, j]) for j in range(ds.x.shape[1])]
             if "block" in schema:
-                columns.append(["" if b is None else b for b in ds.block[rows]])
+                columns.append(list(map(labels.__getitem__, ds.block[rows].tolist())))
             if "weight" in schema:
                 columns.append(_text(ds.weight[rows]))
-            writer.writerows(zip(*columns))
+            fh.write("\r\n".join(map(",".join, zip(*columns))))
+            fh.write("\r\n")  # not appended to the chunk, which would copy its text
 
 
 def schema_for(ds: Dataset) -> dict:

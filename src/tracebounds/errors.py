@@ -39,11 +39,13 @@ class MissingColumn(TraceBoundsError):
 class ParseError(TraceBoundsError):
     """A CSV cell could not be parsed.
 
-    Carries the 1-based data row number and the column name.
+    Carries the 1-based data row number (0 for the header) and the
+    column name, which is None when the fault lies in no named column.
     """
 
-    def __init__(self, row: int, column: str, message: str):
-        super().__init__(f"row {row}, column {column!r}: {message}")
+    def __init__(self, row: int, column: str | None, message: str):
+        where = f"row {row}" if column is None else f"row {row}, column {column!r}"
+        super().__init__(f"{where}: {message}")
         self.row = row
         self.column = column
 

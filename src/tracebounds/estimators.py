@@ -75,14 +75,28 @@ def reaction_rate(m: np.ndarray, w: np.ndarray) -> float:
     return min(float(m @ w / w.sum()), 1.0)
 
 
+def arm_reaction_rate(ds: Dataset, d: int) -> float:
+    """Weighted share of units with m = 1 in the arm assigned ``d``,
+    remembered per dataset."""
+
+    def compute() -> float:
+        arm = ds.d == d
+        return reaction_rate(ds.m[arm], ds.weight[arm])
+
+    return ds.derived(("reaction_rate", d), compute)
+
+
 def estimate_te_dim(ds: Dataset) -> TEEstimate:
     """Weighted difference in mean outcomes, treated minus control."""
-    t = ds.d == 1
-    w = ds.weight
-    wt = w[t]
-    wc = w[~t]
-    te = float(ds.y[t] @ wt / wt.sum() - ds.y[~t] @ wc / wc.sum())
-    return TEEstimate(te_hat=te, se=None, method=TEMethod.DIFF_IN_MEANS)
+
+    def compute() -> float:
+        t = ds.d == 1
+        w = ds.weight
+        wt = w[t]
+        wc = w[~t]
+        return float(ds.y[t] @ wt / wt.sum() - ds.y[~t] @ wc / wc.sum())
+
+    return TEEstimate(te_hat=ds.derived("te_dim", compute), se=None, method=TEMethod.DIFF_IN_MEANS)
 
 
 def estimate_p_m1(ds: Dataset) -> float:
@@ -91,8 +105,7 @@ def estimate_p_m1(ds: Dataset) -> float:
     Estimates the population probability of reacting under treatment;
     randomization makes the treated arm representative.
     """
-    t = ds.d == 1
-    return reaction_rate(ds.m[t], ds.weight[t])
+    return arm_reaction_rate(ds, 1)
 
 
 def conditional_mean(ds: Dataset, d: int, m: int) -> float:
@@ -103,13 +116,17 @@ def conditional_mean(ds: Dataset, d: int, m: int) -> float:
     """
     if d not in (0, 1) or m not in (0, 1):
         raise InvariantViolation("cell indices must be 0 or 1")
-    arm = ds.d == d
-    if np.isnan(ds.m[arm]).any():
-        raise MissingM(f"m is not observed for every unit with d={d}")
-    mask = arm & (ds.m == m)
-    if not mask.any():
-        raise EmptyCell(f"no units with d={d}, m={m}")
-    return _wmean(ds.y, ds.weight, mask)
+
+    def compute() -> float:
+        arm = ds.d == d
+        if np.isnan(ds.m[arm]).any():
+            raise MissingM(f"m is not observed for every unit with d={d}")
+        mask = arm & (ds.m == m)
+        if not mask.any():
+            raise EmptyCell(f"no units with d={d}, m={m}")
+        return _wmean(ds.y, ds.weight, mask)
+
+    return ds.derived(("cell_mean", d, m), compute)
 
 
 def strata_shares_monotone(ds: Dataset) -> StrataShares:
@@ -123,10 +140,7 @@ def strata_shares_monotone(ds: Dataset) -> StrataShares:
     """
     if not ds.m_observed_in_control:
         raise MissingM("strata shares need m observed in both arms")
-    t = ds.d == 1
-    p1 = reaction_rate(ds.m[t], ds.weight[t])
-    p0 = reaction_rate(ds.m[~t], ds.weight[~t])
-    return shares_from_first_stage(p1, p0)
+    return shares_from_first_stage(arm_reaction_rate(ds, 1), arm_reaction_rate(ds, 0))
 
 
 def shares_from_first_stage(p1: float, p0: float) -> StrataShares:

@@ -8,6 +8,7 @@ from tracebounds import (
     Dataset,
     Interval,
     Side,
+    SortedControl,
     TrimSpec,
     brute_force_trim_extremes,
     dim_m1,
@@ -23,6 +24,7 @@ from tracebounds.errors import (
     NegativeControlMean,
     NoReactiveTreated,
     RequirementUnmet,
+    TraceBoundsError,
     ZeroFraction,
 )
 
@@ -114,6 +116,64 @@ def test_trimmed_mean_brackets_and_is_monotone(values, f1, f2):
 
 
 # -- interval type ------------------------------------------------------------
+
+
+# -- one pair of sorts shared by the trimming and monotone bounds -----------
+
+
+@st.composite
+def _tied_control_arms(draw):
+    """A dataset whose control arm has weighted ties and signed zeros, a
+    share to trim at, and the arm's m = 0 pool: random, one unit, or the
+    whole arm."""
+    n = draw(st.integers(1, 14))
+    y = draw(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.5]) | st.floats(-3, 3), min_size=n, max_size=n))
+    w = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 1.5, 3.0]), min_size=n, max_size=n))
+    pool = draw(st.sampled_from(["random", "one", "arm"]))
+    if pool == "arm":
+        m = [0.0] * n
+    elif pool == "one":
+        m = [1.0] * n
+        m[draw(st.integers(0, n - 1))] = 0.0
+    else:
+        m = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    fraction = draw(st.sampled_from([1.0, 0.5, 1 / 3]) | st.floats(1e-6, 1.0))
+    ds = Dataset(y=[7.0, *y], d=[1] + [0] * n, m=[1.0, *m], weight=[1.0, *w])
+    return ds, fraction
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=_tied_control_arms())
+def test_shared_orders_match_trimmed_mean(case):
+    ds, fraction = case
+    control = ds.d == 0
+    cy, cw = ds.y[control], ds.weight[control]
+    pool = ds.m[control] == 0
+    sorted_control = SortedControl(ds)
+    populations = [(False, cy, cw)] + ([(True, cy[pool], cw[pool])] if pool.any() else [])
+    for in_pool, y, w in populations:
+        low, high = sorted_control.slices(fraction, pool=in_pool)
+        assert low.hex() == trimmed_mean(y, w, TrimSpec(fraction, Side.LOWEST)).hex()
+        assert high.hex() == trimmed_mean(y, w, TrimSpec(fraction, Side.HIGHEST)).hex()
+
+
+def test_bounds_with_shared_orders_equal_the_bounds_alone():
+    rng = np.random.default_rng(16)
+    checked = 0
+    while checked < 100:
+        ds = make_random_dataset(rng, weighted=checked % 2 == 0)
+        if ds is None or not ds.m[ds.d == 1].any():
+            continue
+        checked += 1
+        control = SortedControl(ds)
+        assert no_assumption_bounds(ds, control) == no_assumption_bounds(ds)
+        try:
+            alone = mt_bounds(ds)
+        except TraceBoundsError as exc:
+            with pytest.raises(type(exc)):
+                mt_bounds(ds, control)
+        else:
+            assert mt_bounds(ds, control) == alone
 
 
 def test_interval_invariants():

@@ -337,6 +337,27 @@ def test_parse_error_carries_location(capsys, tmp_path):
     assert err["column"] == "y"
 
 
+@pytest.mark.parametrize(
+    "data, row, column",
+    [(b"y,d,m\n1,1,1\n\xff2,0,0\n", 2, "y"), (b"y,d,m\n1,1,1\n" + b"7" * 140000 + b",0,0\n", 2, None)],
+    ids=["invalid UTF-8", "over-long field"],
+)
+@pytest.mark.parametrize(
+    "command", [("bounds",), ("analyze", "--preset", "zero", "--replicates", "5")], ids=["bounds", "analyze"]
+)
+def test_undecodable_or_over_long_input_is_a_parse_error(capsys, tmp_path, data, row, column, command):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    if command[0] == "analyze":
+        command += ("--out-table", str(tmp_path / "curve.csv"), "--out-report", str(tmp_path / "report.json"))
+    code, out = run(capsys, *command, "--input", str(p))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ParseError"
+    assert err.get("row") == row
+    assert err.get("column") == column
+
+
 def test_invariant_error_carries_row(capsys, tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("y,d,m\n1,1,1\n\n2,7,0\n")

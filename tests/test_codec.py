@@ -2,7 +2,9 @@
 through ``load_csv``, and where ``load_csv`` says a bad cell is."""
 
 import csv
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,6 +120,80 @@ def test_round_trip_is_exact(tmp_path_factory, ds):
     out = tmp_path_factory.mktemp("codec") / "ds.csv"
     write_csv(ds, out)
     _assert_same(load_csv(out, schema_for(ds)), ds)
+
+
+# -- the writer against csv.writer ------------------------------------------
+
+
+def _reference_csv(ds: Dataset) -> bytes:
+    """What ``write_csv`` writes, made one row at a time by ``csv.writer``."""
+    schema = schema_for(ds)
+    fmt = "%.17g".__mod__
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["y", "d", "m", *ds.covariate_names] + [c for c in ("block", "weight") if c in schema])
+    for i in range(ds.n):
+        m = ds.m[i]
+        row = [fmt(ds.y[i]), str(ds.d[i]), "" if math.isnan(m) else str(int(m))]
+        row += [fmt(v) for v in ds.x[i]]
+        if "block" in schema:
+            row.append(ds.block[i] or "")
+        if "weight" in schema:
+            row.append(fmt(ds.weight[i]))
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+# texts that csv.writer quotes (a comma, a quote, CR, LF), surrounding
+# spaces it does not, and text beyond ASCII
+_TRICKY_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "名", "\t", "#", "'"]), max_size=5)
+_TRICKY_REALS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.1, 1 / 3, 2.0**53 + 1, 1e16, 123456789.12345679]) | _reals
+_TRICKY_WEIGHTS = st.sampled_from([1.0, 5e-324, 0.1, 1 / 3, 2.5, 1e300]) | st.floats(
+    min_value=0.0, exclude_min=True, allow_infinity=False
+)
+
+
+@st.composite
+def _tricky_datasets(draw):
+    n = draw(st.integers(2, 12))
+    d = draw(st.permutations([1, 0] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))))
+    m = [draw(st.sampled_from([0.0, 1.0] if di else [0.0, 1.0, nan])) for di in d]
+    k = draw(st.integers(0, 2))
+    return Dataset(
+        y=draw(st.lists(_TRICKY_REALS, min_size=n, max_size=n)),
+        d=d,
+        m=m,
+        x=draw(st.lists(st.lists(_TRICKY_REALS, min_size=k, max_size=k), min_size=n, max_size=n)) if k else None,
+        block=draw(st.none() | st.lists(st.none() | _TRICKY_TEXT, min_size=n, max_size=n)),
+        weight=draw(st.none() | st.lists(_TRICKY_WEIGHTS, min_size=n, max_size=n)),
+        covariate_names=draw(st.lists(_TRICKY_TEXT, min_size=k, max_size=k)) if k else None,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ds=_tricky_datasets(), chunk=st.integers(1, 13))
+def test_writer_matches_csv_writer(tmp_path_factory, ds, chunk):
+    # a small chunk puts row counts on both sides of a chunk boundary
+    out = tmp_path_factory.mktemp("writer") / "ds.csv"
+    with mock.patch.object(data_module, "_CHUNK", chunk):
+        write_csv(ds, out)
+    assert out.read_bytes() == _reference_csv(ds)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_writer_matches_csv_writer_at_the_chunk_size(tmp_path, extra):
+    n = data_module._CHUNK + extra
+    rng = np.random.default_rng(n)
+    d = np.arange(n) % 2
+    m = np.where(d == 1, rng.integers(0, 2, n), rng.choice([0.0, 1.0, nan], n))
+    labels = np.array(["a,b", 'q"', "", " s ", "é"], dtype=object)
+    ds = Dataset(
+        y=rng.normal(size=n), d=d, m=m, x=rng.normal(size=(n, 1)), block=labels[np.arange(n) % 5],
+        weight=rng.uniform(0.5, 2.0, n), covariate_names=["x,1"],
+    )
+    out = tmp_path / "ds.csv"
+    write_csv(ds, out)
+    assert out.read_bytes() == _reference_csv(ds)
 
 
 def _load_text(tmp_path, text, schema=None):
@@ -364,3 +440,85 @@ def test_header_only_file_warns_nothing(tmp_path, recwarn):
     with pytest.raises(InvariantViolation, match="at least one unit"):
         load_csv(path)
     assert [str(w.message) for w in recwarn] == []
+
+
+# -- faults below the CSV cells: undecodable bytes and over-long fields ----
+
+
+def test_invalid_utf8_names_its_row_and_byte(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"y,d,m\n1,1,1\n\xff2,0,0\n")
+    with pytest.raises(ParseError) as ei:
+        load_csv(path)
+    assert (ei.value.row, ei.value.column) == (2, "y")
+    assert str(ei.value) == "row 2, column 'y': byte 12 (0xff) is not valid UTF-8"
+
+
+@pytest.mark.parametrize(
+    "head, row, column",
+    [
+        (b"y,d,m\n", 1, "y"),  # first byte of a row
+        (b"y,d,m\n1,1,1\r\n2,0,", 2, "m"),  # in the last column, after a CRLF
+        (b'y,d,m,z\n1,1,1,"a\nb', 1, "z"),  # inside a quoted field spanning lines
+        (b"y,d,m\n1,1,1\n\n3,", 3, "d"),  # a blank line keeps its row number
+        (b"y,d", 0, None),  # in the header
+        (b"y,d,m\n1,1,1,9,9,", 1, None),  # in a field the header does not name
+        (b"y,d,m\n" + b"1,1,1\n" * 3000, 3001, "y"),  # beyond the first decoded block
+    ],
+    ids=["row start", "after CRLF", "quoted", "after a blank line", "header", "extra field", "late"],
+)
+def test_invalid_utf8_anywhere_is_a_parse_error(tmp_path, head, row, column):
+    path = tmp_path / "in.csv"
+    path.write_bytes(head + b"\xc3\x28,0,0\n2,0,0\n")
+    with pytest.raises(ParseError) as ei:
+        load_csv(path)
+    assert (ei.value.row, ei.value.column) == (row, column)
+    assert str(ei.value).endswith(f"byte {len(head)} (0xc3) is not valid UTF-8")
+
+
+def test_block_file_with_invalid_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"y,d,m,block\n1,1,1,a\n2,0,0,\xe9t\xe9\n")
+    with pytest.raises(ParseError) as ei:
+        load_csv(path, {"block": "block"})
+    assert (ei.value.row, ei.value.column) == (2, "block")
+
+
+_LONG = "7" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "text, schema, row",
+    [
+        (f"y,d,m\n1,1,1\n{_LONG},0,0\n", None, 2),
+        (f"y,d,m,block\n1,1,1,a\n2,0,0,b\n3,0,0,{_LONG}\n", {"block": "block"}, 3),
+        (f"y,d,m,{_LONG}\n1,1,1,a\n", None, 0),
+    ],
+    ids=["used column", "block column", "header"],
+)
+def test_over_long_field_is_a_parse_error(tmp_path, text, schema, row):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as ei:
+        load_csv(path, schema)
+    assert (ei.value.row, ei.value.column) == (row, None)
+    assert str(ei.value) == f"row {row}: field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_undecodable_byte_after_an_over_long_field_names_the_field(tmp_path):
+    # bytes are decoded ahead of the parser, so the first fault in the file is named
+    path = tmp_path / "in.csv"
+    path.write_bytes(f"y,d,m\n1,1,1\n{_LONG},0,0\n".encode() + b"\xff,0,0\n")
+    with pytest.raises(ParseError) as ei:
+        load_csv(path)
+    assert (ei.value.row, ei.value.column) == (2, None)
+    assert "field limit" in str(ei.value)
+
+
+def test_over_long_field_in_an_unused_column_loads_on_the_loadtxt_path(tmp_path):
+    # the one file the two readers still disagree on
+    path = tmp_path / "in.csv"
+    path.write_text(f"y,d,m,z\n1,1,1,{_LONG}\n2,0,0,\n")
+    assert load_csv(path).y.tolist() == [1.0, 2.0]
+    with pytest.raises(ParseError, match="row 1: field larger"):
+        _read_rows(path, None)

@@ -1,27 +1,42 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracebounds import (
+    BoundKind,
     Dataset,
+    NaiveEstimates,
+    Side,
     TEMethod,
+    TrimSpec,
     conditional_mean,
     estimate_p_m1,
     estimate_te_dim,
     estimate_te_ols,
     moments_to_te,
+    mt_bounds,
     naive_estimates,
+    no_assumption_bounds,
     strata_shares_monotone,
     te_point,
+    trimmed_mean,
+    type3_dim_bounds,
 )
+from tracebounds.bounds import _ordered_interval, mt_interval
 from tracebounds.errors import (
     EmptyCell,
     MissingM,
     MonotonicityViolatedEmpirically,
+    NoReactiveTreated,
     OutOfRange,
     RankDeficient,
+    RequirementUnmet,
+    TraceBoundsError,
 )
+from tracebounds.estimators import shares_from_first_stage
 
 
 def test_te_dim_toy(toy):
@@ -342,3 +357,166 @@ def test_ols_rank_deficient():
 def test_te_point_dispatch(toy):
     assert te_point(toy, TEMethod.DIFF_IN_MEANS) == pytest.approx(1.0)
     assert te_point(toy, TEMethod.OLS_ADJUSTED) == pytest.approx(1.0, abs=1e-10)
+
+
+# -- remembered statistics against inline masks ------------------------------
+
+
+def _ref_rate(ds, d):
+    arm = ds.d == d
+    return min(float(ds.m[arm] @ ds.weight[arm] / ds.weight[arm].sum()), 1.0)
+
+
+def _ref_cell(ds, d, m):
+    arm = ds.d == d
+    if np.isnan(ds.m[arm]).any():
+        raise MissingM("reference")
+    mask = arm & (ds.m == m)
+    if not mask.any():
+        raise EmptyCell("reference")
+    ww = ds.weight[mask]
+    return float(ds.y[mask] @ ww / ww.sum())
+
+
+def _ref_te(ds):
+    t = ds.d == 1
+    w = ds.weight
+    return float(ds.y[t] @ w[t] / w[t].sum() - ds.y[~t] @ w[~t] / w[~t].sum())
+
+
+def _ref_shares(ds):
+    if not ds.m_observed_in_control:
+        raise MissingM("reference")
+    return shares_from_first_stage(_ref_rate(ds, 1), _ref_rate(ds, 0))
+
+
+def _ref_trim(ds):
+    p = _ref_rate(ds, 1)
+    if p == 0.0:
+        raise NoReactiveTreated("reference")
+    y1m1 = _ref_cell(ds, 1, 1)
+    control = ds.d == 0
+    cy, cw = ds.y[control], ds.weight[control]
+    low = trimmed_mean(cy, cw, TrimSpec(p, Side.LOWEST))
+    high = trimmed_mean(cy, cw, TrimSpec(p, Side.HIGHEST))
+    return _ordered_interval(float(y1m1 - high), float(y1m1 - low), BoundKind.NO_ASSUMPTION)
+
+
+def _ref_mt(ds):
+    if not ds.m_observed_in_control:
+        raise RequirementUnmet("reference")
+    shares = _ref_shares(ds)
+    p1 = _ref_rate(ds, 1)
+    if p1 == 0.0:
+        raise NoReactiveTreated("reference")
+
+    def pool_slices(pi):
+        pool = (ds.d == 0) & (ds.m == 0)
+        if not pool.any():
+            raise EmptyCell("reference")
+        py, pw = ds.y[pool], ds.weight[pool]
+        return trimmed_mean(py, pw, TrimSpec(pi, Side.LOWEST)), trimmed_mean(py, pw, TrimSpec(pi, Side.HIGHEST))
+
+    return mt_interval(_ref_cell(ds, 1, 1), p1, shares, lambda: _ref_cell(ds, 0, 1), pool_slices)
+
+
+def _ref_naive(ds):
+    def cells(a, b):
+        try:
+            return _ref_cell(ds, *a) - _ref_cell(ds, *b)
+        except (EmptyCell, MissingM):
+            return None
+
+    itt = _ref_te(ds)
+    as_treated = per_protocol = dim = wald = None
+    if ds.m_observed_in_control:
+        y, w, m = ds.y, ds.weight, ds.m
+        m1, m0 = m == 1, m == 0
+        if m1.any() and m0.any():
+            as_treated = float(y[m1] @ w[m1] / w[m1].sum() - y[m0] @ w[m0] / w[m0].sum())
+        per_protocol = cells((1, 1), (0, 0))
+        dim = cells((1, 1), (0, 1))
+        p1, p0 = _ref_rate(ds, 1), _ref_rate(ds, 0)
+        if p1 != p0:
+            wald = itt / (p1 - p0)
+    return NaiveEstimates(itt=itt, as_treated=as_treated, per_protocol=per_protocol, dim_m1=dim, wald_late=wald)
+
+
+def _bits(value):
+    """``value`` with every float as its hex text, so -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return _bits([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except TraceBoundsError as exc:
+        return type(exc)
+
+
+def _statistics(ds):
+    """Every remembered statistic and every bound built on them, each by
+    the package and by the inline reference."""
+    pairs = [
+        (estimate_p_m1, lambda d: _ref_rate(d, 1)),
+        (lambda d: estimate_te_dim(d).te_hat, _ref_te),
+        (strata_shares_monotone, _ref_shares),
+        (no_assumption_bounds, _ref_trim),
+        (mt_bounds, _ref_mt),
+        (lambda d: type3_dim_bounds(conditional_mean(d, 1, 1), conditional_mean(d, 0, 1)),
+         lambda d: type3_dim_bounds(_ref_cell(d, 1, 1), _ref_cell(d, 0, 1))),
+        (naive_estimates, _ref_naive),
+        (lambda d: (d.n_treated, d.n_control), lambda d: (int((d.d == 1).sum()), int((d.d == 0).sum()))),
+    ]
+    pairs += [
+        (lambda d, c=cell: conditional_mean(d, *c), lambda d, c=cell: _ref_cell(d, *c))
+        for cell in ((0, 0), (0, 1), (1, 0), (1, 1))
+    ]
+    return pairs
+
+
+def _random_dataset(seed):
+    """Tie-heavy weighted data with signed zeros; some draws leave a cell
+    empty, miss m in control or break monotone reaction."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    d = rng.permutation(np.r_[1, 0, rng.integers(0, 2, n - 2)])
+    m = (rng.random(n) < rng.choice([0.0, 0.3, 0.7, 1.0], 2)[d]).astype(float)
+    if rng.random() < 0.2:
+        m[(d == 0) & (rng.random(n) < 0.3)] = np.nan
+    y = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0, 1 / 3], n) + np.round(rng.normal(size=n), 1) * rng.integers(0, 2)
+    w = rng.choice([0.1, 0.5, 1.0, 1.5, 3.0], n) if rng.random() < 0.6 else None
+    return Dataset(y=y, d=d, m=m, weight=w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_remembered_statistics_match_inline_masks(seed):
+    ds = _random_dataset(seed)
+    pairs = _statistics(ds)
+    for _ in range(2):  # the second pass reads the memo
+        for package, reference in pairs:
+            assert _outcome(package, ds) == _outcome(reference, ds)
+    assert all(type(v) in (bool, int, float) for v in ds._memo.values()), ds._memo  # no ndarray is kept
+
+    # a resample starts with an empty memo and never sees its parent's values
+    sub = ds.take(np.r_[np.flatnonzero(ds.d == 1)[:1], np.flatnonzero(ds.d == 0)[-1:], np.arange(ds.n)[::2]])
+    assert sub._memo == {} and sub._memo is not ds._memo
+    for package, reference in pairs:
+        assert _outcome(package, sub) == _outcome(reference, sub)
+
+
+def test_raised_cell_errors_are_not_remembered():
+    empty = Dataset(y=[1.0, 2.0, 3.0], d=[1, 0, 0], m=[1, 1, 1])
+    missing = Dataset(y=[1.0, 2.0, 3.0], d=[1, 0, 0], m=[1, 0, np.nan])
+    for ds, error, cell in ((empty, EmptyCell, (0, 0)), (missing, MissingM, (0, 1))):
+        for _ in range(2):
+            with pytest.raises(error):
+                conditional_mean(ds, *cell)
+        assert ds._memo == {}
