@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -161,113 +163,41 @@ class AnalysisConfig:
             raise InvariantViolation("table and report output paths are required")
 
 
-def _read_config(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None)
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
-    return cp
+def _number(what: str, kind: type = float) -> Callable:
+    """Parser of text as a ``kind`` (float, or int for exact counts and
+    seeds); malformed text is a validation error."""
 
-
-def _cfg_get(cp: configparser.ConfigParser | None, section: str, key: str) -> str | None:
-    if cp is None or not cp.has_option(section, key):
-        return None
-    return cp.get(section, key)
-
-
-def _parse_number(text: str | None, what: str, kind: type = float):
-    """Config text as a ``kind`` (float, or int for exact counts and
-    seeds), None when absent; malformed text is a validation error."""
-    if text is None:
-        return None
-    try:
-        return kind(text)
-    except ValueError:
-        raise InvariantViolation(f"{what} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
-
-
-def _parse_grid_text(text: str) -> AssumptionSpec:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise InvariantViolation(f"grid must look like LO:HI:STEP, got {text!r}")
-    return AssumptionSpec.grid(*(_parse_number(p, f"grid {text!r}") for p in parts))
-
-
-def _schema_from(args, cp) -> dict:
-    schema: dict = {}
-    for role in ("y", "d", "m", "block", "weight"):
-        v = getattr(args, role, None) or _cfg_get(cp, "schema", role)
-        if v:
-            schema[role] = v
-    cov = getattr(args, "covariates", None) or _cfg_get(cp, "schema", "covariates")
-    if cov:
-        names = [c.strip() for c in str(cov).split(",") if c.strip()]
-        if names:
-            schema["covariates"] = names
-    return schema
-
-
-def _assumption_from(args, cp) -> AssumptionSpec | None:
-    preset = getattr(args, "preset", None)
-    grid = getattr(args, "grid", None)
-    if preset and grid:
-        raise InvariantViolation("give either --preset or --grid, not both")
-    if preset:
-        return _PRESET_NAMES[preset]()
-    if grid:
-        return _parse_grid_text(grid)
-    # fall back to the config file
-    for key in ("preset", "grid", "point", "interval"):
-        text = _cfg_get(cp, "assumption", key)
-        if text is None:
-            continue
-        if key == "preset":
-            name = text.strip()
-            if name not in _PRESET_NAMES:
-                raise InvariantViolation(
-                    f"unknown preset {name!r}; expected one of {sorted(_PRESET_NAMES)}"
-                )
-            return _PRESET_NAMES[name]()
-        if key == "grid":
-            return _parse_grid_text(text)
-        if key == "point":
-            return AssumptionSpec.point(_parse_number(text, "assumption point"))
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise InvariantViolation(f"interval must look like LO:HI, got {text!r}")
-        return AssumptionSpec.interval(*(_parse_number(p, f"interval {text!r}") for p in parts))
-    return None
-
-
-def _bootstrap_from(args, cp) -> BootstrapConfig:
-    replicates = getattr(args, "replicates", None)
-    if replicates is None:
-        replicates = _parse_number(_cfg_get(cp, "bootstrap", "replicates"), "replicates", int)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _parse_number(_cfg_get(cp, "bootstrap", "seed"), "seed", int)
-    level = _parse_number(_cfg_get(cp, "bootstrap", "level"), "level")
-    unit_text = _cfg_get(cp, "bootstrap", "resample_unit")
-    unit = ResampleUnit.ROW
-    if unit_text is not None:
+    def parse(text: str):
         try:
-            unit = ResampleUnit(unit_text.strip().lower())
+            return kind(text)
         except ValueError:
-            raise InvariantViolation(
-                f"resample_unit must be 'row' or 'block', got {unit_text!r}"
-            ) from None
-    return BootstrapConfig(
-        replicates=replicates if replicates is not None else 2000,
-        seed=seed if seed is not None else 0,
-        level=level if level is not None else 0.95,
-        resample_unit=unit,
-    )
+            raise InvariantViolation(f"{what} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+
+    return parse
 
 
-def _te_method_from(args, cp) -> TEMethod:
-    text = getattr(args, "te_method", None) or _cfg_get(cp, "estimation", "te_method")
-    if text is None:
-        return TEMethod.DIFF_IN_MEANS
-    text = str(text).strip().lower()
+def _spec(make: Callable, form: str) -> Callable:
+    """Parser of ``LO:HI`` or ``LO:HI:STEP`` text as the assumption ``make`` builds."""
+    kind = make.__name__
+
+    def parse(text: str) -> AssumptionSpec:
+        parts = text.split(":")
+        if len(parts) != form.count(":") + 1:
+            raise InvariantViolation(f"{kind} must look like {form}, got {text!r}")
+        return make(*(_number(f"{kind} {text!r}")(p) for p in parts))
+
+    return parse
+
+
+def _parse_preset(text: str) -> AssumptionSpec:
+    name = text.strip()
+    if name not in _PRESET_NAMES:
+        raise InvariantViolation(f"unknown preset {name!r}; expected one of {sorted(_PRESET_NAMES)}")
+    return _PRESET_NAMES[name]()
+
+
+def _parse_te_method(text: str) -> TEMethod:
+    text = text.strip().lower()
     if text in ("dim", "diff_in_means", "diff-in-means"):
         return TEMethod.DIFF_IN_MEANS
     if text in ("ols", "ols_adjusted", "ols-adjusted"):
@@ -275,45 +205,180 @@ def _te_method_from(args, cp) -> TEMethod:
     raise InvariantViolation(f"te_method must be 'dim' or 'ols', got {text!r}")
 
 
-def _dgp_from(cp: configparser.ConfigParser, seed_override: int | None) -> DGPConfig:
-    if cp is None or not cp.has_section("dgp"):
-        raise InvariantViolation("simulate needs a config file with a [dgp] section")
+def _parse_resample_unit(text: str) -> ResampleUnit:
+    try:
+        return ResampleUnit(text.strip().lower())
+    except ValueError:
+        raise InvariantViolation(f"resample_unit must be 'row' or 'block', got {text!r}") from None
 
-    def need(section: str, key: str, default: str | None = None) -> str:
-        v = _cfg_get(cp, section, key) or default
-        if v is None:
-            raise InvariantViolation(f"config is missing {key!r} in [{section}]")
-        return v
 
-    def number(section: str, key: str, default: str | None = None) -> float:
-        return _parse_number(need(section, key, default), f"[{section}] {key}")
+def _parse_names(text: str) -> list[str] | None:
+    return [c.strip() for c in text.split(",") if c.strip()] or None
 
-    n = _parse_number(need("dgp", "n"), "[dgp] n", int)
-    noise_sd = number("dgp", "noise_sd", "0")
-    type3 = (_cfg_get(cp, "dgp", "type3") or "false").strip().lower() in ("1", "true", "yes")
-    seed = seed_override if seed_override is not None else _parse_number(need("dgp", "seed", "0"), "[dgp] seed", int)
 
-    strata = StrataProbs(
-        at=number("dgp.strata", "at"),
-        c=number("dgp.strata", "c"),
-        nt=number("dgp.strata", "nt"),
-        defier=number("dgp.strata", "def", "0"),
-    )
+def _parse_type3(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise InvariantViolation(f"[dgp] type3 must be true or false (1/0, yes/no), got {text!r}")
+    return word in ("1", "true", "yes")
 
-    def pair(key: str, default: str | None = None) -> tuple[float, float]:
-        text = need("dgp.means", key, default)
+
+def _pair(key: str) -> Callable:
+    def parse(text: str) -> tuple[float, float]:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 2:
             raise InvariantViolation(f"[dgp.means] {key} must be 'control, treated', got {text!r}")
-        return tuple(_parse_number(p, f"[dgp.means] {key}") for p in parts)
+        return tuple(_number(f"[dgp.means] {key}")(p) for p in parts)
 
-    means = OutcomeMeans(
-        at=pair("at"),
-        c=pair("c"),
-        nt=pair("nt"),
-        defier=pair("def", default="0, 0"),
-    )
-    return DGPConfig(n=n, strata=strata, means=means, noise_sd=noise_sd, type3=type3, seed=seed)
+    return parse
+
+
+_REQUIRED = object()  # the default of an option that must be given
+_DGP_STRATA = ("at", "c", "nt", "def")
+
+
+class _Option(NamedTuple):
+    """One settable value: its flag, its INI (section, key), the parser
+    that both texts go through, and its default. Its value lands under
+    ``dest``, else under its name in ``_OPTIONS``. Options that share a
+    ``dest`` are alternatives: any of their flags beats all of their
+    keys, and two flags or two keys are an error."""
+
+    flag: str | None
+    key: tuple[str, str] | None
+    parse: Callable
+    default: object = None
+    help: str = ""
+    dest: str | None = None
+    argparse: dict | None = None  # add_argument keywords, for a flag that is not one string
+
+
+_OPTIONS = {
+    "input": _Option("--input", ("input", "path"), str, help="CSV dataset path"),
+    "config": _Option("--config", None, str, help="INI config file; a flag wins over its key"),
+    **{
+        role: _Option(f"--{role}", ("schema", role), str, help=f"{what} column name")
+        for role, what in (
+            ("y", "outcome"), ("d", "assignment"), ("m", "reaction indicator"), ("block", "block label"), ("weight", "sampling weight")
+        )
+    },
+    "covariates": _Option("--covariates", ("schema", "covariates"), _parse_names, help="comma-separated covariate column names"),
+    "preset": _Option(
+        "--preset", ("assumption", "preset"), _parse_preset, None, "named assumption on the non-reactive effect",
+        "assumption", {"choices": sorted(_PRESET_NAMES)},
+    ),
+    "grid": _Option(
+        "--grid", ("assumption", "grid"), _spec(AssumptionSpec.grid, "LO:HI:STEP"), None,
+        "LO:HI:STEP grid of non-reactive effect values", "assumption",
+    ),
+    "point": _Option(None, ("assumption", "point"), lambda t: AssumptionSpec.point(_number("assumption point")(t)), dest="assumption"),
+    "interval": _Option(None, ("assumption", "interval"), _spec(AssumptionSpec.interval, "LO:HI"), dest="assumption"),
+    "te_method": _Option(
+        "--te-method", ("estimation", "te_method"), _parse_te_method, TEMethod.DIFF_IN_MEANS,
+        "overall-effect estimator (default dim)", argparse={"choices": ["dim", "ols"]},
+    ),
+    "seed": _Option("--seed", ("bootstrap", "seed"), _number("seed", int), 0, "bootstrap seed"),
+    "replicates": _Option("--replicates", ("bootstrap", "replicates"), _number("replicates", int), 2000, "bootstrap replicates"),
+    "level": _Option(None, ("bootstrap", "level"), _number("level"), 0.95),
+    "resample_unit": _Option(None, ("bootstrap", "resample_unit"), _parse_resample_unit, ResampleUnit.ROW),
+    "out_table": _Option("--out-table", ("outputs", "table"), str, help="curve CSV output path"),
+    "out_report": _Option("--out-report", ("outputs", "report"), str, help="JSON report output path; stdout if none (bounds, threshold)"),
+    "out_chart": _Option("--out-chart", ("outputs", "chart"), str, help="SVG chart output path"),
+    "type3": _Option("--type3", None, bool, False, "add outcome-through-reaction bounds", argparse={"action": "store_true"}),
+    "from_moments": _Option(
+        "--from-moments", None, lambda texts: tuple(map(_number("--from-moments"), texts)), None,
+        "work from two published cell means instead of unit data", argparse={"nargs": 2, "metavar": ("MEAN_D1M1", "MEAN_D0M1")},
+    ),
+    "target": _Option("--target", None, _number("target"), 0.0, "target reactive-group effect (default 0)"),
+    # simulate's options are named section.key
+    "dgp.seed": _Option("--seed", ("dgp", "seed"), _number("[dgp] seed", int), 0, "simulation seed"),
+    "dgp.n": _Option(None, ("dgp", "n"), _number("[dgp] n", int), _REQUIRED),
+    "dgp.noise_sd": _Option(None, ("dgp", "noise_sd"), _number("[dgp] noise_sd"), 0.0),
+    "dgp.type3": _Option(None, ("dgp", "type3"), _parse_type3, False),
+    **{
+        f"dgp.strata.{k}": _Option(None, ("dgp.strata", k), _number(f"[dgp.strata] {k}"), 0.0 if k == "def" else _REQUIRED)
+        for k in _DGP_STRATA
+    },
+    **{f"dgp.means.{k}": _Option(None, ("dgp.means", k), _pair(k), (0.0, 0.0) if k == "def" else _REQUIRED) for k in _DGP_STRATA},
+    "data_out": _Option("--out-table", None, str, _REQUIRED, "dataset CSV output path", "out_table"),
+    "truth_out": _Option("--out-report", None, str, _REQUIRED, "truth JSON output path", "out_report"),
+}
+
+_SCHEMA = ("y", "d", "m", "block", "weight", "covariates")
+
+# each subcommand's help line and its options, in --help order
+_COMMANDS = {
+    "analyze": (
+        "bounds, sensitivity curve, combined region, report and chart",
+        ("input", "config", *_SCHEMA, "preset", "grid", "point", "interval", "te_method",
+         "seed", "replicates", "level", "resample_unit", "out_table", "out_report", "out_chart"),
+    ),
+    "bounds": ("bounds and naive contrasts only", ("input", "config", *_SCHEMA, "type3", "from_moments", "out_report")),
+    "simulate": (
+        "draw a synthetic dataset with known estimands",
+        ("config", "dgp.seed", "dgp.n", "dgp.noise_sd", "dgp.type3", *(f"dgp.strata.{k}" for k in _DGP_STRATA),
+         *(f"dgp.means.{k}" for k in _DGP_STRATA), "data_out", "truth_out"),
+    ),
+    "threshold": (
+        "non-reactive effect needed to reach a target",
+        ("input", "config", *_SCHEMA, "target", "te_method", "out_report"),
+    ),
+}
+
+# every (section, key) any subcommand reads, so that one config file serves them all
+_KEYS = {o.key for o in _OPTIONS.values() if o.key}
+
+
+def _read_config(path: str) -> configparser.ConfigParser:
+    """The INI file at ``path``. A file configparser refuses, a byte
+    that is not UTF-8, and a key no option reads in a section some
+    option reads are validation errors that name the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_file(io.StringIO(raw.decode("utf-8"), newline=None), source=path)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InvariantViolation(f"config {path}, line {line}: byte {exc.start} is not UTF-8") from None
+    except configparser.Error as exc:
+        errors = getattr(exc, "errors", None)
+        line = errors[0][0] if errors else getattr(exc, "lineno", None)
+        where = f", line {line}" if line else ""
+        raise InvariantViolation(f"config {path}{where}: {exc}") from None
+    for section in cp.sections():
+        for key in cp.options(section):  # [DEFAULT] keys show in every section
+            if (section, key) not in _KEYS and key not in cp.defaults() and any(section == s for s, _ in _KEYS):
+                raise InvariantViolation(f"config {path}: unknown key {key!r} in [{section}]")
+    return cp
+
+
+def _resolve(command: str, args: argparse.Namespace) -> dict:
+    """Value of every option of ``command``, by dest: the flag if given,
+    else its config key, else its default. An empty text is not given."""
+    cp = _read_config(args.config) if args.config else configparser.ConfigParser()
+    groups: dict[str, list[str]] = {}
+    for name in _COMMANDS[command][1]:
+        groups.setdefault(_OPTIONS[name].dest or name, []).append(name)
+    values = {}
+    for dest, names in groups.items():
+        options = [_OPTIONS[name] for name in names]
+        flags = [(o, v) for name, o in zip(names, options) if o.flag and (v := getattr(args, name)) not in (None, "")]
+        keys = [(o, v) for o in options if o.key and (v := cp.get(*o.key, fallback=""))]
+        if len(flags) > 1:
+            raise InvariantViolation(f"give either {' or '.join(o.flag for o, _ in flags)}, not both")
+        if not flags and len(keys) > 1:
+            given = " and ".join(f"[{o.key[0]}] {o.key[1]}" for o, _ in keys)
+            raise InvariantViolation(f"config gives {given}; give only one")
+        if flags or keys:
+            option, text = (flags or keys)[0]
+            values[dest] = option.parse(text)
+        elif options[0].default is _REQUIRED:
+            section, key = options[0].key
+            raise InvariantViolation(f"config is missing {key!r} in [{section}]")
+        else:
+            values[dest] = options[0].default
+    return values
 
 
 # -- command implementations --------------------------------------------------
@@ -578,90 +643,35 @@ def cmd_threshold(input_path: str, schema: dict, target: float, te_method: TEMet
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_schema_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--y", help="outcome column name")
-    p.add_argument("--d", help="assignment column name")
-    p.add_argument("--m", help="reaction indicator column name")
-    p.add_argument("--covariates", help="comma-separated covariate column names")
-    p.add_argument("--block", help="block label column name")
-    p.add_argument("--weight", help="sampling weight column name")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracebounds",
         description="Point and partial identification of effects among treatment-reactive units.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="bounds, sensitivity curve, combined region, report and chart")
-    pa.add_argument("--input", help="CSV dataset path")
-    pa.add_argument("--config", help="key-value config file")
-    _add_schema_flags(pa)
-    pa.add_argument("--preset", choices=sorted(_PRESET_NAMES), help="named assumption on the non-reactive effect")
-    pa.add_argument("--grid", help="LO:HI:STEP grid of non-reactive effect values")
-    pa.add_argument("--te-method", dest="te_method", choices=["dim", "ols"], help="overall-effect estimator")
-    pa.add_argument("--seed", type=int, help="bootstrap seed")
-    pa.add_argument("--replicates", type=int, help="bootstrap replicates")
-    pa.add_argument("--out-table", dest="out_table", help="curve CSV output path")
-    pa.add_argument("--out-report", dest="out_report", help="JSON report output path")
-    pa.add_argument("--out-chart", dest="out_chart", help="SVG chart output path")
-    pa.set_defaults(func=_run_analyze)
-
-    pb = sub.add_parser("bounds", help="bounds and naive contrasts only")
-    pb.add_argument("--input", help="CSV dataset path")
-    pb.add_argument("--config", help="key-value config file")
-    _add_schema_flags(pb)
-    pb.add_argument("--type3", action="store_true", help="add outcome-through-reaction bounds")
-    pb.add_argument("--from-moments", dest="from_moments", nargs=2, type=float, metavar=("MEAN_D1M1", "MEAN_D0M1"), help="work from two published cell means instead of unit data")
-    pb.add_argument("--out-report", dest="out_report", help="JSON output path (default stdout)")
-    pb.set_defaults(func=_run_bounds)
-
-    ps = sub.add_parser("simulate", help="draw a synthetic dataset with known estimands")
-    ps.add_argument("--config", required=True, help="config file with [dgp] sections")
-    ps.add_argument("--seed", type=int, help="override the config seed")
-    ps.add_argument("--out-table", dest="out_table", required=True, help="dataset CSV output path")
-    ps.add_argument("--out-report", dest="out_report", required=True, help="truth JSON output path")
-    ps.set_defaults(func=_run_simulate)
-
-    pt = sub.add_parser("threshold", help="non-reactive effect needed to reach a target")
-    pt.add_argument("--input", help="CSV dataset path")
-    pt.add_argument("--config", help="key-value config file")
-    _add_schema_flags(pt)
-    pt.add_argument("--target", type=float, default=0.0, help="target reactive-group effect (default 0)")
-    pt.add_argument("--te-method", dest="te_method", choices=["dim", "ols"], help="overall-effect estimator")
-    pt.add_argument("--out-report", dest="out_report", help="JSON output path (default stdout)")
-    pt.set_defaults(func=_run_threshold)
-
+    for command, (summary, names) in _COMMANDS.items():
+        options = [(name, _OPTIONS[name]) for name in names]
+        keys_only = ", ".join(f"[{o.key[0]}] {o.key[1]}" for _, o in options if o.flag is None)
+        p = sub.add_parser(command, help=summary, epilog=keys_only and f"config keys without a flag: {keys_only}")
+        for name, o in options:
+            if o.flag is None:
+                continue
+            text = o.help + (f"; config [{o.key[0]}] {o.key[1]}" if o.key else "")
+            shape = o.argparse or {"metavar": o.flag[2:].upper().replace("-", "_")}
+            p.add_argument(o.flag, dest=name, default=None, required=o.default is _REQUIRED, help=text, **shape)
     return parser
 
 
-def _input_from(args, cp) -> str | None:
-    return getattr(args, "input", None) or _cfg_get(cp, "input", "path")
+def _schema(v: dict) -> dict:
+    return {role: v[role] for role in _SCHEMA if v[role]}
 
 
-def _outputs_from(args, cp) -> tuple[str | None, str | None, str | None]:
-    table = getattr(args, "out_table", None) or _cfg_get(cp, "outputs", "table")
-    report = getattr(args, "out_report", None) or _cfg_get(cp, "outputs", "report")
-    chart = getattr(args, "out_chart", None) or _cfg_get(cp, "outputs", "chart")
-    return table, report, chart
-
-
-def _run_analyze(args) -> int:
-    cp = _read_config(args.config) if args.config else None
-    assumption = _assumption_from(args, cp)
-    if assumption is None:
+def _run_analyze(v: dict) -> int:
+    if v["assumption"] is None:
         raise InvariantViolation("analyze needs an assumption: --preset, --grid, or [assumption] in the config")
-    table, report_path, chart = _outputs_from(args, cp)
+    boot = BootstrapConfig(v["replicates"], v["seed"], v["level"], v["resample_unit"])
     cfg = AnalysisConfig(
-        input_path=_input_from(args, cp) or "",
-        schema=_schema_from(args, cp),
-        assumption=assumption,
-        te_method=_te_method_from(args, cp),
-        bootstrap=_bootstrap_from(args, cp),
-        out_table=table or "",
-        out_report=report_path or "",
-        out_chart=chart,
+        v["input"], _schema(v), v["assumption"], v["te_method"], boot, v["out_table"], v["out_report"], v["out_chart"]
     )
     report = cmd_analyze(cfg)
     status = {
@@ -675,40 +685,28 @@ def _run_analyze(args) -> int:
     return 0
 
 
-def _run_bounds(args) -> int:
-    cp = _read_config(args.config) if args.config else None
-    fm = tuple(args.from_moments) if args.from_moments else None
-    cmd_bounds(
-        input_path=_input_from(args, cp),
-        schema=_schema_from(args, cp),
-        type3=bool(args.type3),
-        from_moments=fm,
-        out_report=args.out_report or _cfg_get(cp, "outputs", "report"),
-    )
+def _run_bounds(v: dict) -> int:
+    cmd_bounds(v["input"], _schema(v), v["type3"], v["from_moments"], v["out_report"])
     return 0
 
 
-def _run_simulate(args) -> int:
-    cp = _read_config(args.config)
-    dgp = _dgp_from(cp, args.seed)
-    cmd_simulate(dgp, args.out_table, args.out_report)
-    sys.stdout.write(_json_dumps({"status": "ok", "data": args.out_table, "truth": args.out_report}) + "\n")
+def _run_simulate(v: dict) -> int:
+    strata = StrataProbs(*(v[f"dgp.strata.{k}"] for k in _DGP_STRATA))
+    means = OutcomeMeans(*(v[f"dgp.means.{k}"] for k in _DGP_STRATA))
+    dgp = DGPConfig(v["dgp.n"], strata, means, v["dgp.noise_sd"], v["dgp.type3"], v["dgp.seed"])
+    cmd_simulate(dgp, v["out_table"], v["out_report"])
+    sys.stdout.write(_json_dumps({"status": "ok", "data": v["out_table"], "truth": v["out_report"]}) + "\n")
     return 0
 
 
-def _run_threshold(args) -> int:
-    cp = _read_config(args.config) if args.config else None
-    input_path = _input_from(args, cp)
-    if not input_path:
+def _run_threshold(v: dict) -> int:
+    if not v["input"]:
         raise InvariantViolation("threshold needs an input dataset")
-    cmd_threshold(
-        input_path=input_path,
-        schema=_schema_from(args, cp),
-        target=float(args.target),
-        te_method=_te_method_from(args, cp),
-        out_report=args.out_report or _cfg_get(cp, "outputs", "report"),
-    )
+    cmd_threshold(v["input"], _schema(v), v["target"], v["te_method"], v["out_report"])
     return 0
+
+
+_RUNNERS = {"analyze": _run_analyze, "bounds": _run_bounds, "simulate": _run_simulate, "threshold": _run_threshold}
 
 
 def _emit_error(exc: Exception) -> None:
@@ -729,7 +727,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _RUNNERS[args.command](_resolve(args.command, args))
     except TraceBoundsError as exc:
         _emit_error(exc)
         return 2

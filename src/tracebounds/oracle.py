@@ -94,6 +94,8 @@ class DGPConfig:
             raise InvariantViolation(f"n must be at least 1, got {self.n}")
         if not (self.noise_sd >= 0 and math.isfinite(self.noise_sd)):
             raise InvariantViolation(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        if self.seed < 0:
+            raise InvariantViolation(f"seed must be nonnegative, got {self.seed}")
         if self.type3:
             # outcome can only occur through the reaction: the mean must be
             # zero in every (stratum, arm) cell where m would be 0

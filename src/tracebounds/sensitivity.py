@@ -141,6 +141,8 @@ def trace0_from_trace(te: float, p: float, trace: float) -> float:
 def threshold_trace0(te: float, p: float, target_trace: float) -> float:
     """How large the non-reactive effect must be for the reactive-group
     effect to sit exactly at ``target_trace``."""
+    if not math.isfinite(target_trace):
+        raise InvariantViolation(f"target_trace must be finite, got {target_trace}")
     return trace0_from_trace(te, p, target_trace)
 
 

@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -7,7 +10,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from tracebounds import cli
 from tracebounds.cli import main
+from tracebounds.estimators import TEMethod
+from tracebounds.inference import ResampleUnit
+from tracebounds.sensitivity import AssumptionSpec
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -475,3 +482,466 @@ def test_config_rejects_malformed_dgp_numbers(capsys, tmp_path, old, new):
     code, out = run(capsys, "simulate", "--config", str(cfg), "--out-table", str(tmp_path / "a.csv"), "--out-report", str(tmp_path / "a.json"))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvariantViolation"
+
+
+# -- how each option gets its value ------------------------------------------
+#
+# Each case runs one subcommand through main() with its cmd_* function
+# replaced by a recorder, so it sees the exact values the CLI resolved
+# from flags and config text, without touching any data.
+
+REQUIRED = "required"  # neither source given: a validation error, exit 2
+
+# what each subcommand needs to reach its cmd_* function
+_BASE_FLAGS = {
+    "analyze": {"--input": "in.csv", "--preset": "zero", "--out-table": "t.csv", "--out-report": "r.json"},
+    "bounds": {},
+    "threshold": {"--input": "in.csv"},
+    "simulate": {"--out-table": "t.csv", "--out-report": "r.json"},
+}
+_BASE_CONFIG = {
+    "simulate": {
+        "dgp": {"n": "50"},
+        "dgp.strata": {"at": "0.2", "c": "0.3", "nt": "0.5"},
+        "dgp.means": {"at": "0.5, 1.5", "c": "0, 2", "nt": "0, 0"},
+    },
+}
+
+_CMD_SIGNATURES = {
+    name: inspect.signature(getattr(cli, name)) for name in ("cmd_analyze", "cmd_bounds", "cmd_simulate", "cmd_threshold")
+}
+
+
+def _ini(config: dict) -> str:
+    return "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for s, keys in config.items())
+
+
+def _resolved(monkeypatch, capsys, tmp_path, command: str, flags: dict, config: dict | None):
+    """Exit code, the arguments ``cmd_<command>`` was called with (None
+    when it was not reached) and stdout of one run."""
+    name = f"cmd_{command}"
+    signature = _CMD_SIGNATURES[name]
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return {"combined": "INFEASIBLE"}
+
+    monkeypatch.setattr(cli, name, record)
+    argv = [command]
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *value]
+        else:
+            argv.append(f"{flag}={value}")
+    if config:
+        path = tmp_path / "run.ini"
+        path.write_text(_ini(config))
+        argv += ["--config", str(path)]
+    code = main(argv)
+    return code, (calls[0] if calls else None), capsys.readouterr().out
+
+
+def _pick(args: dict, path: str):
+    obj = args
+    for part in path.split("."):
+        obj = obj.get(part) if isinstance(obj, dict) else getattr(obj, part)
+    return obj
+
+
+def _option_rows():
+    A = AssumptionSpec
+    # command, flag, "section key", where cmd_* sees it, flag text, config
+    # text, value from the flag, value from the config, default, malformed
+    # config text (None: no text is malformed), config set alongside the key
+    rows = []
+    for command in ("analyze", "bounds", "threshold"):
+        at = "cfg." if command == "analyze" else ""
+        rows += [
+            (command, "--input", "input path", at + "input_path", "fa.csv", "cb.csv", "fa.csv", "cb.csv",
+             None if command == "bounds" else REQUIRED, None, {}),
+            *[
+                (command, f"--{role}", f"schema {role}", f"{at}schema.{role}", "fa", "cb", "fa", "cb", None, None, {})
+                for role in ("y", "d", "m", "block", "weight")
+            ],
+            (command, "--covariates", "schema covariates", f"{at}schema.covariates", "x1,x2", "x3, x4",
+             ["x1", "x2"], ["x3", "x4"], None, None, {}),
+            (command, "--out-report", "outputs report", at + "out_report", "fa.json", "cb.json", "fa.json", "cb.json",
+             REQUIRED if command == "analyze" else None, None, {}),
+        ]
+    for command, at in (("analyze", "cfg."), ("threshold", "")):
+        rows.append((command, "--te-method", "estimation te_method", at + "te_method", "dim", "ols",
+                     TEMethod.DIFF_IN_MEANS, TEMethod.OLS_ADJUSTED, TEMethod.DIFF_IN_MEANS, "lasso", {}))
+    rows += [
+        ("analyze", "--preset", "assumption preset", "cfg.assumption", "equal", "same-sign-smaller",
+         A.equal_effects(), A.same_sign_smaller(), REQUIRED, "bogus", {}),
+        ("analyze", "--grid", "assumption grid", "cfg.assumption", "0:1:0.5", "-1:1:1",
+         A.grid(0.0, 1.0, 0.5), A.grid(-1.0, 1.0, 1.0), REQUIRED, "1:2", {}),
+        ("analyze", None, "assumption point", "cfg.assumption", None, "0.25", None, A.point(0.25), REQUIRED, "x", {}),
+        ("analyze", None, "assumption interval", "cfg.assumption", None, "-0.5:0.5", None,
+         A.interval(-0.5, 0.5), REQUIRED, "1", {}),
+        ("analyze", "--seed", "bootstrap seed", "cfg.bootstrap.seed", "9", "5", 9, 5, 0, "1.9", {}),
+        ("analyze", "--replicates", "bootstrap replicates", "cfg.bootstrap.replicates", "23", "50", 23, 50, 2000, "20.7", {}),
+        ("analyze", None, "bootstrap level", "cfg.bootstrap.level", None, "0.9", None, 0.9, 0.95, "most", {}),
+        ("analyze", None, "bootstrap resample_unit", "cfg.bootstrap.resample_unit", None, "block",
+         None, ResampleUnit.BLOCK, ResampleUnit.ROW, "rows", {}),
+        ("analyze", "--out-table", "outputs table", "cfg.out_table", "fa.csv", "cb.csv", "fa.csv", "cb.csv", REQUIRED, None, {}),
+        ("analyze", "--out-chart", "outputs chart", "cfg.out_chart", "fa.svg", "cb.svg", "fa.svg", "cb.svg", None, None, {}),
+        ("bounds", "--type3", None, "type3", True, None, True, None, False, None, {}),
+        ("bounds", "--from-moments", None, "from_moments", ["0.2", "0.1"], None, (0.2, 0.1), None, None, None, {}),
+        ("threshold", "--target", None, "target", "1.5", None, 1.5, None, 0.0, None, {}),
+        ("simulate", "--seed", "dgp seed", "dgp.seed", "12", "11", 12, 11, 0, "11.5", {}),
+        ("simulate", None, "dgp n", "dgp.n", None, "60", None, 60, REQUIRED, "1e4", {}),
+        ("simulate", None, "dgp noise_sd", "dgp.noise_sd", None, "0.5", None, 0.5, 0.0, "half", {}),
+        ("simulate", None, "dgp type3", "dgp.type3", None, "yes", None, True, False, None, {}),
+        ("simulate", None, "dgp.strata at", "dgp.strata.at", None, "0.3", None, 0.3, REQUIRED, "a fifth",
+         {"dgp.strata": {"nt": "0.4"}}),
+        ("simulate", None, "dgp.strata c", "dgp.strata.c", None, "0.4", None, 0.4, REQUIRED, "1/3",
+         {"dgp.strata": {"nt": "0.4"}}),
+        ("simulate", None, "dgp.strata nt", "dgp.strata.nt", None, "0.4", None, 0.4, REQUIRED, "half",
+         {"dgp.strata": {"at": "0.3"}}),
+        ("simulate", None, "dgp.strata def", "dgp.strata.defier", None, "0.1", None, 0.1, 0.0, "none",
+         {"dgp.strata": {"nt": "0.4"}}),
+        *[
+            ("simulate", None, f"dgp.means {key}", f"dgp.means.{attr}", None, "1, 2.5", None, (1.0, 2.5),
+             REQUIRED if key != "def" else (0.0, 0.0), "0, two", {})
+            for key, attr in (("at", "at"), ("c", "c"), ("nt", "nt"), ("def", "defier"))
+        ],
+        ("simulate", "--out-table", None, "out_table", "fa.csv", None, "fa.csv", None, REQUIRED, None, {}),
+        ("simulate", "--out-report", None, "out_report", "fa.json", None, "fa.json", None, REQUIRED, None, {}),
+    ]
+    return rows
+
+
+def _option_cases():
+    for row in _option_rows():
+        command, flag, key, *_, bad, _extra = row
+        cases = ["default"]
+        if flag:
+            cases.append("flag")
+        if key:
+            cases.append("config")
+        if flag and key:
+            cases.append("both")
+        if bad is not None:
+            cases.append("malformed")
+        for case in cases:
+            yield pytest.param(row, case, id=f"{command}-{flag or key.replace(' ', '.')}-{case}")
+
+
+@pytest.mark.parametrize("row, case", list(_option_cases()))
+def test_option_resolution(monkeypatch, capsys, tmp_path, row, case):
+    command, flag, key, path, flag_text, config_text, from_flag, from_config, default, bad, extra = row
+    drop = {flag} | ({"--preset"} if key and key.startswith("assumption") else set())
+    flags = {f: v for f, v in _BASE_FLAGS[command].items() if f not in drop}
+    config = {s: dict(keys) for s, keys in _BASE_CONFIG.get(command, {}).items()}
+    if key:
+        section, name = key.split()
+        config.get(section, {}).pop(name, None)
+    if case in ("flag", "both"):
+        flags[flag] = flag_text
+    if case in ("config", "both", "malformed"):
+        for s, keys in extra.items():
+            config.setdefault(s, {}).update(keys)
+        config.setdefault(section, {})[name] = bad if case == "malformed" else config_text
+
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, command, flags, config)
+    want = {"flag": from_flag, "both": from_flag, "config": from_config, "default": default}.get(case)
+    if case == "malformed":
+        assert (code, got) == (2, None)
+        assert json.loads(out)["error"]["type"] == "InvariantViolation"
+    elif want is REQUIRED:
+        assert (code, got) == (2, None)
+    else:
+        assert code == 0, out
+        assert _pick(got, path) == want
+
+
+def test_preset_and_grid_flags_conflict(monkeypatch, capsys, tmp_path):
+    flags = {**_BASE_FLAGS["analyze"], "--grid": "0:1:0.5"}
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", flags, None)
+    assert (code, got) == (2, None)
+    assert json.loads(out)["error"] == {"type": "InvariantViolation", "message": "give either --preset or --grid, not both"}
+
+
+def test_an_assumption_flag_beats_every_assumption_key(monkeypatch, capsys, tmp_path):
+    flags = {f: v for f, v in _BASE_FLAGS["analyze"].items() if f != "--preset"}
+    flags["--grid"] = "0:1:0.5"
+    code, got, _ = _resolved(monkeypatch, capsys, tmp_path, "analyze", flags, {"assumption": {"preset": "zero"}})
+    assert code == 0
+    assert got["cfg"].assumption == AssumptionSpec.grid(0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "text, method",
+    [
+        ("dim", "DIFF_IN_MEANS"), ("DIM", "DIFF_IN_MEANS"), ("  Diff_In_Means", "DIFF_IN_MEANS"),
+        ("diff-in-means", "DIFF_IN_MEANS"), ("OLS", "OLS_ADJUSTED"), ("ols_adjusted", "OLS_ADJUSTED"),
+        ("Ols-Adjusted  ", "OLS_ADJUSTED"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "threshold"])
+def test_config_te_method_aliases(monkeypatch, capsys, tmp_path, command, text, method):
+    code, got, _ = _resolved(
+        monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], {"estimation": {"te_method": text}}
+    )
+    assert code == 0
+    te_method = got["cfg"].te_method if command == "analyze" else got["te_method"]
+    assert te_method.name == method
+
+
+@pytest.mark.parametrize("text, unit", [("ROW", "ROW"), ("Block", "BLOCK"), ("BLOCK", "BLOCK")])
+def test_config_resample_unit_ignores_case(monkeypatch, capsys, tmp_path, text, unit):
+    code, got, _ = _resolved(
+        monkeypatch, capsys, tmp_path, "analyze", _BASE_FLAGS["analyze"], {"bootstrap": {"resample_unit": text}}
+    )
+    assert code == 0
+    assert got["cfg"].bootstrap.resample_unit.name == unit
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds", "threshold"])
+def test_config_covariates_of_commas_only_mean_none(monkeypatch, capsys, tmp_path, command):
+    code, got, _ = _resolved(
+        monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], {"schema": {"y": "out", "covariates": ","}}
+    )
+    assert code == 0
+    schema = got["cfg"].schema if command == "analyze" else got["schema"]
+    assert schema == {"y": "out"}
+
+
+@pytest.mark.parametrize(
+    "command, section, key, path, default",
+    [
+        ("analyze", "schema", "y", "cfg.schema.y", None),
+        ("analyze", "schema", "covariates", "cfg.schema.covariates", None),
+        ("analyze", "outputs", "chart", "cfg.out_chart", None),
+        ("bounds", "input", "path", "input_path", None),
+        ("bounds", "outputs", "report", "out_report", None),
+        ("threshold", "schema", "weight", "schema.weight", None),
+        ("simulate", "dgp", "seed", "dgp.seed", 0),
+        ("simulate", "dgp", "noise_sd", "dgp.noise_sd", 0.0),
+        ("simulate", "dgp", "type3", "dgp.type3", False),
+        ("simulate", "dgp.strata", "def", "dgp.strata.defier", 0.0),
+        ("simulate", "dgp.means", "def", "dgp.means.defier", (0.0, 0.0)),
+    ],
+)
+def test_empty_config_value_counts_as_absent(monkeypatch, capsys, tmp_path, command, section, key, path, default):
+    config = {s: dict(keys) for s, keys in _BASE_CONFIG.get(command, {}).items()}
+    config.setdefault(section, {})[key] = ""
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], config)
+    assert code == 0, out
+    value = _pick(got, path)
+    assert (value or None if default is None else value) == default  # an absent name or path may arrive as ""
+
+
+@pytest.mark.parametrize(
+    "command, flag, section, key, path",
+    [
+        ("analyze", "--input", "input", "path", "cfg.input_path"),
+        ("analyze", "--y", "schema", "y", "cfg.schema.y"),
+        ("analyze", "--out-report", "outputs", "report", "cfg.out_report"),
+        ("bounds", "--covariates", "schema", "covariates", "schema.covariates"),
+        ("threshold", "--out-report", "outputs", "report", "out_report"),
+    ],
+)
+def test_empty_flag_falls_back_to_config(monkeypatch, capsys, tmp_path, command, flag, section, key, path):
+    flags = {**_BASE_FLAGS[command], flag: ""}
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, command, flags, {section: {key: "c1"}})
+    assert code == 0, out
+    assert _pick(got, path) in ("c1", ["c1"])
+
+
+@pytest.mark.parametrize("command", ["bounds", "threshold"])
+def test_bounds_and_threshold_read_only_the_report_output(monkeypatch, capsys, tmp_path, command):
+    outputs = {"table": "t.csv", "chart": "c.svg"}
+    code, got, _ = _resolved(monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], {"outputs": outputs})
+    assert code == 0
+    assert got["out_report"] is None
+    outputs["report"] = "r.json"
+    code, got, _ = _resolved(monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], {"outputs": outputs})
+    assert code == 0
+    assert got["out_report"] == "r.json"
+
+
+def test_analyze_by_flags_and_by_config_write_the_same_bytes(capsys, toy_path, tmp_path):
+    out = {"table": tmp_path / "curve.csv", "report": tmp_path / "report.json", "chart": tmp_path / "chart.svg"}
+    flags = [
+        "analyze", "--input", str(toy_path), "--y", "y", "--d", "d", "--m", "m", "--grid=-1:1:0.25",
+        "--te-method", "ols", "--seed", "3", "--replicates", "40",
+        "--out-table", str(out["table"]), "--out-report", str(out["report"]), "--out-chart", str(out["chart"]),
+    ]
+    assert run(capsys, *flags)[0] == 0
+    by_flags = {k: p.read_bytes() for k, p in out.items()}
+    for p in out.values():
+        p.unlink()
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        _ini(
+            {
+                "input": {"path": toy_path},
+                "schema": {"y": "y", "d": "d", "m": "m"},
+                "assumption": {"grid": "-1:1:0.25"},
+                "estimation": {"te_method": "ols"},
+                "bootstrap": {"seed": "3", "replicates": "40"},
+                "outputs": {k: str(p) for k, p in out.items()},
+            }
+        )
+    )
+    assert run(capsys, "analyze", "--config", str(cfg))[0] == 0
+    assert {k: p.read_bytes() for k, p in out.items()} == by_flags
+
+
+# -- exact config files --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (b"[bootstrap]\nseed = 1\nseed = 2\n", 3),
+        (b"seed = 1\n[bootstrap]\n", 1),
+        (b"[input]\npath = \xff.csv\n", 2),
+        (b"[bootstrap]\nseed = 1\n[bootstrap]\n", 3),
+    ],
+    ids=["duplicate key", "no section header", "invalid UTF-8", "duplicate section"],
+)
+@pytest.mark.parametrize("command", ["analyze", "bounds", "simulate", "threshold"])
+def test_malformed_config_file_is_a_validation_error(capsys, tmp_path, command, text, line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text)
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out-table", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.json")]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert str(cfg) in err["message"]
+    assert f"line {line}" in err["message"]
+
+
+def _simulated(monkeypatch, capsys, tmp_path, dgp: dict, flags: dict | None = None):
+    config = {s: dict(keys) for s, keys in _BASE_CONFIG["simulate"].items()}
+    config["dgp"].update(dgp)
+    return _resolved(monkeypatch, capsys, tmp_path, "simulate", {**_BASE_FLAGS["simulate"], **(flags or {})}, config)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("1", True), ("true", True), ("Yes", True), ("TRUE", True), ("0", False), ("false", False), ("No", False)]
+)
+def test_dgp_type3_spellings(monkeypatch, capsys, tmp_path, text, value):
+    code, got, out = _simulated(monkeypatch, capsys, tmp_path, {"type3": text})
+    assert code == 0, out
+    assert got["dgp"].type3 is value
+
+
+@pytest.mark.parametrize("text", ["ture", "on", "off", "2", "y"])
+def test_dgp_type3_rejects_other_spellings(monkeypatch, capsys, tmp_path, text):
+    code, got, out = _simulated(monkeypatch, capsys, tmp_path, {"type3": text})
+    assert (code, got) == (2, None)
+    err = json.loads(out)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert "type3" in err["message"] and repr(text) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "keys", [{"preset": "zero", "point": "5"}, {"grid": "0:1:0.5", "interval": "0:1"}, {"point": "1", "interval": "0:1"}]
+)
+def test_config_takes_exactly_one_assumption(monkeypatch, capsys, tmp_path, keys):
+    flags = {f: v for f, v in _BASE_FLAGS["analyze"].items() if f != "--preset"}
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", flags, {"assumption": keys})
+    assert (code, got) == (2, None)
+    err = json.loads(out)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert all(k in err["message"] for k in keys)
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("analyze", "bootstrap", "replicate"),
+        ("analyze", "schema", "covariate"),
+        ("bounds", "outputs", "tables"),
+        ("threshold", "input", "paths"),
+        ("simulate", "dgp", "sead"),
+        ("simulate", "dgp.strata", "defier"),
+    ],
+)
+def test_unknown_config_key_is_an_error(monkeypatch, capsys, tmp_path, command, section, key):
+    config = {s: dict(keys) for s, keys in _BASE_CONFIG.get(command, {}).items()}
+    config.setdefault(section, {})[key] = "5"
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], config)
+    assert (code, got) == (2, None)
+    err = json.loads(out)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert repr(key) in err["message"] and f"[{section}]" in err["message"]
+
+
+def test_config_default_section_feeds_every_section(monkeypatch, capsys, tmp_path):
+    config = {"DEFAULT": {"seed": "4"}, "input": {"path": "in.csv"}, "bootstrap": {"replicates": "30"}}
+    flags = {f: v for f, v in _BASE_FLAGS["analyze"].items() if f != "--input"}
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", flags, config)
+    assert code == 0, out
+    assert (got["cfg"].bootstrap.seed, got["cfg"].bootstrap.replicates) == (4, 30)
+
+
+@pytest.mark.parametrize("dgp, flags", [({"seed": "-3"}, {}), ({}, {"--seed": "-1"})], ids=["config", "flag"])
+def test_simulate_rejects_a_negative_seed(capsys, tmp_path, dgp, flags):
+    config = {s: dict(keys) for s, keys in _BASE_CONFIG["simulate"].items()}
+    config["dgp"].update(dgp)
+    cfg = tmp_path / "dgp.ini"
+    cfg.write_text(_ini(config))
+    argv = ["simulate", "--config", str(cfg), "--out-table", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.json")]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value}")
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvariantViolation"
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+def test_threshold_rejects_a_non_finite_target(capsys, toy_path, target):
+    code, out = run(capsys, "threshold", "--input", str(toy_path), f"--target={target}")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvariantViolation"
+
+
+def _readme_block(lang: str) -> str:
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(rf"```{lang}\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds", "simulate", "threshold"])
+def test_readme_config_loads_for_every_subcommand(monkeypatch, capsys, tmp_path, command):
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(_readme_block("ini"))
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out-table", "t.csv", "--out-report", "r.json"]
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda *a, **kw: {"combined": "FEASIBLE"})
+    code, out = run(capsys, *argv)
+    assert code == 0, out
+
+
+def test_option_table_matches_the_characterized_rows():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    rows = _option_rows()
+    counts = {}
+    for command, sub in subparsers.items():
+        flags = {s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")}
+        assert flags == {row[1] for row in rows if row[0] == command and row[1]} | {"--config"}
+        counts[command] = len(flags)
+        text = " ".join(sub.format_help().split())
+        for row in rows:
+            if row[0] == command and row[2]:
+                section, key = row[2].split()
+                assert f"[{section}] {key}" in text  # --help names every key the subcommand reads
+    assert counts == {"analyze": 16, "bounds": 11, "simulate": 4, "threshold": 11}
+    keys = {f"{section} {key}" for section, key in cli._KEYS}
+    assert keys == {row[2] for row in rows if row[2]}
+    assert len(keys) == 31
