@@ -150,29 +150,49 @@ def _leading_mean(vs: np.ndarray, ws: np.ndarray, fraction: float) -> float:
     return float(acc / target)
 
 
+def _descending_order(ys: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """``np.argsort(-y, kind="stable")`` from ``ascending``, the stable
+    ascending order of ``y``, and ``ys = y[ascending]``: the runs of tied
+    values in reverse, the rows of each run kept in order. A row at
+    position i of the run [s, e) of ``ys`` moves to n - e + (i - s)."""
+    n = ys.size
+    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
+    ends = np.append(starts[1:], n)
+    to = np.repeat(n - ends - starts, ends - starts)
+    to += np.arange(n)
+    order = np.empty_like(ascending)
+    order[to] = ascending
+    return order
+
+
 class SortedControl:
     """The control arm of a dataset in both trimming orders, sorted once
     so that :func:`no_assumption_bounds` and :func:`mt_bounds` share them.
 
     The orders are those of :func:`trimmed_mean`: ``argsort(y)`` for the
-    lowest slice and ``argsort(-y)`` for the highest, both stable. (The
+    lowest slice and ``argsort(-y)`` for the highest, both stable. The
     second is not the first reversed, which would put tied units in
-    reverse row order.) A stable order filtered to the m = 0 pool is
-    the pool's own stable order, so the pool is never sorted apart.
+    reverse row order; it is the first with its runs of ties reversed.
+    A stable order filtered to the m = 0 pool is the pool's own stable
+    order, so the pool is never sorted apart.
     """
 
     def __init__(self, ds: Dataset):
-        control = ds.d == 0
+        control = np.flatnonzero(ds.d == 0)
         self._y = ds.y[control]
         self._w = ds.weight[control]
         self._pool = ds.m[control] == 0
-        self._orders = (np.argsort(self._y, kind="stable"), np.argsort(-self._y, kind="stable"))
+        ascending = np.argsort(self._y, kind="stable")
+        self._orders = (ascending, _descending_order(self._y[ascending], ascending))
 
     def slices(self, fraction: float, pool: bool = False) -> tuple[float, float]:
         """Means of the lowest and the highest ``fraction`` share of the
         arm's weight, or with ``pool`` of its m = 0 units' weight, each
-        equal to :func:`trimmed_mean` of the same units."""
-        low, high = (order[self._pool[order]] if pool else order for order in self._orders)
+        equal to :func:`trimmed_mean` of the same units. Raises
+        :class:`EmptyCell` for a ``pool`` with no unit."""
+        low, high = (order[np.flatnonzero(self._pool[order])] if pool else order for order in self._orders)
+        if not low.size:
+            raise EmptyCell("no control units with m=0 although the first stage implies some")
         return (
             _leading_mean(self._y[low], self._w[low], fraction),
             _leading_mean(self._y[high], self._w[high], fraction),
@@ -214,9 +234,7 @@ def mt_bounds(ds: Dataset, control: SortedControl | None = None) -> Interval:
         raise NoReactiveTreated("no treated unit reacted; the target group is empty in-sample")
 
     def pool_slices(pi: float) -> tuple[float, float]:
-        pool = (ds.d == 0) & (ds.m == 0)  # control units showing m = 0
-        if not pool.any():
-            raise EmptyCell("no control units with m=0 although the first stage implies some")
+        # the control units showing m = 0; EmptyCell when there are none
         return (control or SortedControl(ds)).slices(pi, pool=True)
 
     # conditional_mean(ds, 0, 1) raises EmptyCell when the data contradict alpha > 0
@@ -310,10 +328,11 @@ def naive_estimates(ds: Dataset) -> NaiveEstimates:
     m = ds.m
 
     if ds.m_observed_in_control:
-        m1 = m == 1
-        m0 = m == 0
-        if m1.any() and m0.any():
-            as_treated = float(y[m1] @ w[m1] / w[m1].sum() - y[m0] @ w[m0] / w[m0].sum())
+        m1 = np.flatnonzero(m == 1)
+        m0 = np.flatnonzero(m == 0)
+        if m1.size and m0.size:
+            w1, w0 = w[m1], w[m0]
+            as_treated = float(y[m1] @ w1 / w1.sum() - y[m0] @ w0 / w0.sum())
         try:
             per_protocol = conditional_mean(ds, 1, 1) - conditional_mean(ds, 0, 0)
         except (EmptyCell, MissingM):

@@ -33,6 +33,7 @@ from .data import Dataset, atomic_open, load_csv
 from .errors import DegenerateP, InvariantViolation, TraceBoundsError
 from .estimators import (
     TEMethod,
+    arm_reaction_rate,
     conditional_mean,
     estimate_p_m1,
     strata_shares_monotone,
@@ -327,12 +328,42 @@ _COMMANDS = {
 
 # every (section, key) any subcommand reads, so that one config file serves them all
 _KEYS = {o.key for o in _OPTIONS.values() if o.key}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
+def _edit_distance(a: str, b: str) -> int:
+    """The fewest single-character insertions, deletions and substitutions
+    that turn ``a`` into ``b`` (Levenshtein)."""
+    row = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        diagonal, row[0] = row[0], i
+        for j, cb in enumerate(b, 1):
+            diagonal, row[j] = row[j], min(row[j] + 1, row[j - 1] + 1, diagonal + (ca != cb))
+    return row[-1]
+
+
+def _misspelt_section(section: str) -> str | None:
+    """The known section that ``section``, one no option reads, most
+    likely misspells: the nearest known one, ignoring case, within one
+    edit of a name of four characters or fewer and two of a longer one.
+    None for a known section or one further from every known one, which
+    may belong to another tool (``[dev]`` and ``[db]`` are two edits
+    from ``[dgp]``)."""
+    if section in _SECTIONS:
+        return None
+    near = [
+        (distance, known)
+        for known in _SECTIONS
+        if (distance := _edit_distance(section.lower(), known)) <= (1 if len(known) <= 4 else 2)
+    ]
+    return min(near)[1] if near else None
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
     """The INI file at ``path``. A file configparser refuses, a byte
-    that is not UTF-8, and a key no option reads in a section some
-    option reads are validation errors that name the file."""
+    that is not UTF-8, a misspelt section and a key no option reads in
+    a section some option reads are validation errors that name the
+    file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     cp = configparser.ConfigParser(interpolation=None)
@@ -347,8 +378,10 @@ def _read_config(path: str) -> configparser.ConfigParser:
         where = f", line {line}" if line else ""
         raise InvariantViolation(f"config {path}{where}: {exc}") from None
     for section in cp.sections():
+        if intended := _misspelt_section(section):
+            raise InvariantViolation(f"config {path}: unknown section [{section}]; did you mean [{intended}]?")
         for key in cp.options(section):  # [DEFAULT] keys show in every section
-            if (section, key) not in _KEYS and key not in cp.defaults() and any(section == s for s, _ in _KEYS):
+            if (section, key) not in _KEYS and key not in cp.defaults() and section in _SECTIONS:
                 raise InvariantViolation(f"config {path}: unknown key {key!r} in [{section}]")
     return cp
 
@@ -386,7 +419,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 def _trim_and_mt(ds: Dataset) -> tuple[Interval, Interval | TraceBoundsError]:
     """Trimming bounds, and the monotone bounds or the error that stops
-    them, from one pair of sorts of the control arm, freed on return."""
+    them, from one sort of the control arm, freed on return. The control
+    arm's statistics are computed first, so that the arrays of their
+    pass and the sorted arm are never held at once."""
+    arm_reaction_rate(ds, 0)
     control = SortedControl(ds)
     trim = no_assumption_bounds(ds, control)
     try:

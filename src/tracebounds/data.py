@@ -182,6 +182,26 @@ class Dataset:
             value = self._memo[key] = compute()
         return value
 
+    def derived_together(self, key, compute: Callable[[], dict]):
+        """The statistic ``key`` among those that one ``compute()`` gives
+        together, as a dict from key to value, computed on the first call
+        with any of its keys.
+
+        A value may be the exception that asking for its statistic
+        raises. When the value asked for is not one, every value that is
+        not one is remembered, as :meth:`derived` remembers one value; a
+        call that raises remembers nothing, and no exception is ever
+        remembered.
+        """
+        value = self._memo.get(key, _UNSET)
+        if value is _UNSET:
+            values = compute()
+            value = values[key]
+            if isinstance(value, Exception):
+                raise value
+            self._memo.update((k, v) for k, v in values.items() if not isinstance(v, Exception))
+        return value
+
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -227,7 +247,8 @@ class Dataset:
 
     @property
     def m_observed_in_control(self) -> bool:
-        return self.derived("m_observed_in_control", lambda: not np.isnan(self._m[self._d == 0]).any())
+        # a treated unit always has m, so a missing one is in control
+        return self.derived("m_observed_in_control", lambda: not np.isnan(self._m).any())
 
     def __len__(self) -> int:
         return self.n
@@ -507,16 +528,18 @@ def atomic_open(path) -> Iterator[TextIO]:
 
 _CHUNK = 1 << 14  # rows formatted at a time
 
-# Real to text at 17 significant digits: an integer below 1e16 prints in
-# full without a fraction, and -0.0 keeps its sign (``-0``).
-_fmt = "%.17g".__mod__
-
-_D_TEXT = np.array(["0", "1"], dtype=object)
-_M_TEXT = np.array(["0", "1", ""], dtype=object)  # indexed by m, with 2 for missing
+# The d and m cells of a row as one text, indexed by 3 * d + the m code
+# (m itself, or 2 for a missing m).
+_DM_TEXT = np.array(["0,0", "0,1", "0,", "1,0", "1,1", "1,"], dtype=object)
 
 
-def _text(values: np.ndarray) -> list[str]:
-    return list(map(_fmt, values.tolist()))
+def _row_format(k: int, block: bool, weight: bool) -> str:
+    """The ``%`` template of one written row: y, the d and m text, ``k``
+    covariates, the quoted block label and the weight, as chosen. A real
+    takes 17 significant digits (an integer below 1e16 prints in full
+    without a fraction, and -0.0 keeps its sign as ``-0``); a label is
+    an argument, never template text, so a ``%`` in it stays literal."""
+    return "%.17g,%s" + ",%.17g" * k + (",%s" if block else "") + (",%.17g" if weight else "") + "\r\n"
 
 
 def _quote(text: str) -> str:
@@ -541,22 +564,26 @@ def write_csv(ds: Dataset, path) -> None:
     schema = schema_for(ds)
     header = ["y", "d", "m", *ds.covariate_names]
     header += [name for name in ("block", "weight") if name in schema]
-    m_codes = np.where(np.isnan(ds.m), 2, ds.m).astype(np.intp)
+    dm_codes = np.where(np.isnan(ds.m), 2, ds.m).astype(np.int8) + 3 * ds.d
     if "block" in schema:
         labels = {b: "" if b is None else _quote(b) for b in dict.fromkeys(ds.block.tolist())}
+    row = _row_format(ds.x.shape[1], "block" in schema, "weight" in schema)
 
     with atomic_open(path) as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
         for start in range(0, ds.n, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            columns = [_text(ds.y[rows]), _D_TEXT[ds.d[rows]].tolist(), _M_TEXT[m_codes[rows]].tolist()]
-            columns += [_text(ds.x[rows, j]) for j in range(ds.x.shape[1])]
+            columns = [ds.y[rows].tolist(), _DM_TEXT[dm_codes[rows]].tolist()]
+            columns += [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
             if "block" in schema:
                 columns.append(list(map(labels.__getitem__, ds.block[rows].tolist())))
             if "weight" in schema:
-                columns.append(_text(ds.weight[rows]))
-            fh.write("\r\n".join(map(",".join, zip(*columns))))
-            fh.write("\r\n")  # not appended to the chunk, which would copy its text
+                columns.append(ds.weight[rows].tolist())
+            size = len(columns[0])
+            cells = [None] * (len(columns) * size)
+            for j, column in enumerate(columns):  # row-major: the cells of each row in turn
+                cells[j :: len(columns)] = column
+            fh.write(row * size % tuple(cells))
 
 
 def schema_for(ds: Dataset) -> dict:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracebounds import (
@@ -18,6 +18,7 @@ from tracebounds import (
     trimmed_mean,
     type3_dim_bounds,
 )
+from tracebounds.bounds import _descending_order
 from tracebounds.errors import (
     EmptyInput,
     InvariantViolation,
@@ -155,6 +156,25 @@ def test_shared_orders_match_trimmed_mean(case):
         low, high = sorted_control.slices(fraction, pool=in_pool)
         assert low.hex() == trimmed_mean(y, w, TrimSpec(fraction, Side.LOWEST)).hex()
         assert high.hex() == trimmed_mean(y, w, TrimSpec(fraction, Side.HIGHEST)).hex()
+
+
+_TIED_REALS = st.sampled_from([-0.0, 0.0, 1.0, -2.5]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    y=st.lists(_TIED_REALS, min_size=1, max_size=40)
+    | st.tuples(st.integers(1, 40), _TIED_REALS).map(lambda nv: [nv[1]] * nv[0])  # all values equal
+)
+@example(y=[-0.0])  # one unit
+@example(y=[0.0, -0.0, 0.0, -0.0, 1.0, -0.0])
+def test_descending_order_is_the_stable_sort_of_minus_y(y):
+    # the runs of ties of the ascending order reversed: one sort gives both orders
+    y = np.array(y)
+    ascending = np.argsort(y, kind="stable")
+    descending = _descending_order(y[ascending], ascending)
+    assert descending.dtype == ascending.dtype
+    np.testing.assert_array_equal(descending, np.argsort(-y, kind="stable"))
 
 
 def test_bounds_with_shared_orders_equal_the_bounds_alone():

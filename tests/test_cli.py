@@ -418,6 +418,11 @@ def test_cli_import_loads_no_thread_pool():
     assert _loaded_by_cli_import(("concurrent.futures",)) == "[]"
 
 
+def test_cli_import_loads_no_spelling_helper():
+    # a misspelt config section is found by an edit distance of its own, on the error path only
+    assert _loaded_by_cli_import(("difflib",)) == "[]"
+
+
 def test_console_script_runs():
     exe = shutil.which("tracebounds")
     if exe is None:
@@ -876,6 +881,37 @@ def test_unknown_config_key_is_an_error(monkeypatch, capsys, tmp_path, command, 
     err = json.loads(out)["error"]
     assert err["type"] == "InvariantViolation"
     assert repr(key) in err["message"] and f"[{section}]" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command, section, intended",
+    [
+        ("analyze", "bootsrap", "bootstrap"),
+        ("analyze", "Bootstrap", "bootstrap"),  # section names are case-sensitive
+        ("bounds", "INPUTS", "input"),
+        ("threshold", "estimaton", "estimation"),
+        ("simulate", "dgp.strat", "dgp.strata"),
+        ("simulate", "DGPP", "dgp"),  # one edit from a short name
+    ],
+)
+def test_misspelt_config_section_is_an_error(monkeypatch, capsys, tmp_path, command, section, intended):
+    # a section near a known one, ignoring case, is a typo, not another tool's section
+    config = {s: dict(keys) for s, keys in _BASE_CONFIG.get(command, {}).items()}
+    config[section] = {"replicates": "5"}
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], config)
+    assert (code, got) == (2, None)
+    err = json.loads(out)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert str(tmp_path / "run.ini") in err["message"]
+    assert f"[{section}]" in err["message"] and f"[{intended}]" in err["message"]
+
+
+@pytest.mark.parametrize("section", ["tool.black", "notes", "analysis", "bootstrapping", "dev", "app", "db", "gpu"])
+def test_other_unknown_config_sections_are_allowed(monkeypatch, capsys, tmp_path, section):
+    config = {section: {"replicates": "5"}, "bootstrap": {"replicates": "30"}}
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", _BASE_FLAGS["analyze"], config)
+    assert code == 0, out
+    assert got["cfg"].bootstrap.replicates == 30
 
 
 def test_config_default_section_feeds_every_section(monkeypatch, capsys, tmp_path):

@@ -145,8 +145,11 @@ def _reference_csv(ds: Dataset) -> bytes:
 
 
 # texts that csv.writer quotes (a comma, a quote, CR, LF), surrounding
-# spaces it does not, and text beyond ASCII
-_TRICKY_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "名", "\t", "#", "'"]), max_size=5)
+# spaces it does not, text beyond ASCII, and texts that read as %-format
+# specifiers, which the writer's row template must not take for its own
+_TRICKY_TEXT = st.lists(
+    st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "名", "\t", "#", "'", "%", "%s"]), max_size=5
+).map("".join)
 _TRICKY_REALS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.1, 1 / 3, 2.0**53 + 1, 1e16, 123456789.12345679]) | _reals
 _TRICKY_WEIGHTS = st.sampled_from([1.0, 5e-324, 0.1, 1 / 3, 2.5, 1e300]) | st.floats(
     min_value=0.0, exclude_min=True, allow_infinity=False
@@ -430,7 +433,9 @@ _EDGE_REALS += [math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), 12345
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(v=_reals | st.integers(-(2**60), 2**60).map(float) | st.sampled_from(_EDGE_REALS))
 def test_fmt_matches_the_integer_branch_formatter(v):
-    assert data_module._fmt(v) == _fmt_reference(v)
+    # every real of a row (y, a covariate, the weight) goes through the row template
+    text = _fmt_reference(v)
+    assert data_module._row_format(1, True, True) % (v, "1,1", v, "b", v) == f"{text},1,1,{text},b,{text}\r\n"
 
 
 def test_header_only_file_warns_nothing(tmp_path, recwarn):

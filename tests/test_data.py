@@ -85,14 +85,36 @@ def test_write_is_value_exact(tmp_path):
     assert load_csv(out).y.tolist() == ds.y.tolist()
 
 
+class _DMText:
+    """A d and m text of the writer's table that runs ``action`` each
+    time a chunk formats it."""
+
+    def __init__(self, text, action):
+        self.text = text
+        self.action = action
+
+    def __str__(self):
+        self.action()
+        return self.text
+
+
+def _patch_dm_text(monkeypatch, action):
+    """Two-row chunks, and ``action`` when a control row with m = 1 is
+    formatted: in the toy, row 3, the second row of the second chunk."""
+    table = data_module._DM_TEXT.copy()
+    table[1] = _DMText(table[1], action)
+    monkeypatch.setattr(data_module, "_DM_TEXT", table)
+    monkeypatch.setattr(data_module, "_CHUNK", 2)
+
+
 def test_failed_write_keeps_target_and_leaves_no_temp_file(tmp_path, toy, monkeypatch):
     out = tmp_path / "copy.csv"
     out.write_text("old\n")
 
-    def fail(v):
+    def fail():
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(data_module, "_fmt", fail)
+    _patch_dm_text(monkeypatch, fail)  # fails mid-chunk, after one chunk is written
     with pytest.raises(RuntimeError):
         write_csv(toy, out)
     assert out.read_text() == "old\n"
@@ -102,18 +124,17 @@ def test_failed_write_keeps_target_and_leaves_no_temp_file(tmp_path, toy, monkey
 def test_writers_to_one_path_do_not_share_a_temp_file(tmp_path, toy, monkeypatch):
     out = tmp_path / "copy.csv"
     other = Dataset(y=[7.0, 8.0], d=[1, 0], m=[1, 0])
-    fmt = data_module._fmt
     started = []
 
-    def fmt_after_a_second_writer(v):
+    def second_writer():
         # a second writer to the same path completes while the first is mid-write
         if not started:
             started.append(True)
             write_csv(other, out)
-        return fmt(v)
 
-    monkeypatch.setattr(data_module, "_fmt", fmt_after_a_second_writer)
+    _patch_dm_text(monkeypatch, second_writer)
     write_csv(toy, out)
+    assert started
     np.testing.assert_array_equal(load_csv(out).y, toy.y)
     assert [p.name for p in tmp_path.iterdir()] == ["copy.csv"]
 

@@ -36,6 +36,7 @@ from tracebounds.errors import (
     RequirementUnmet,
     TraceBoundsError,
 )
+from tracebounds import estimators
 from tracebounds.estimators import shares_from_first_stage
 
 
@@ -520,3 +521,42 @@ def test_raised_cell_errors_are_not_remembered():
             with pytest.raises(error):
                 conditional_mean(ds, *cell)
         assert ds._memo == {}
+
+
+@pytest.mark.parametrize(
+    "control_m, control_passes",
+    [([1, 0, 0, 0], 1), ([0, 0, 0, 0], 3), ([1, 0, np.nan, 0], 2)],
+    ids=["every cell", "no control reactor", "m missing in control"],
+)
+def test_an_arm_is_gathered_again_only_for_a_statistic_it_cannot_give(monkeypatch, control_m, control_passes):
+    # the statistics of `bounds --type3`: each arm's first pass is remembered, and only a request
+    # that raises gathers the arm again (the control m = 1 mean, asked for by naive_estimates and
+    # by the type-3 bounds, when no control unit reacts; the type-3 bounds alone when m is missing)
+    passes = []
+    arm_statistics = estimators._arm_statistics
+    monkeypatch.setattr(estimators, "_arm_statistics", lambda ds, d: passes.append(d) or arm_statistics(ds, d))
+    ds = Dataset(y=[1.0, 2.0, 3.0, 4.0, 0.5, 1.5, 2.5, 3.5], d=[1, 1, 1, 1, 0, 0, 0, 0], m=[1, 0, 1, 0, *control_m])
+    statistics = [
+        estimate_p_m1,
+        estimate_te_dim,
+        no_assumption_bounds,
+        mt_bounds,
+        naive_estimates,
+        lambda d: type3_dim_bounds(conditional_mean(d, 1, 1), conditional_mean(d, 0, 1)),
+    ]
+    for statistic in statistics:
+        try:
+            statistic(ds)
+        except TraceBoundsError:
+            pass
+    assert (passes.count(1), passes.count(0)) == (1, control_passes)
+
+    passes.clear()
+    raised = 0
+    cells = [lambda x, c=c: conditional_mean(x, *c) for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    for request in (estimate_p_m1, estimate_te_dim, *cells):
+        try:
+            request(ds)
+        except TraceBoundsError:
+            raised += 1
+    assert len(passes) == raised  # an answer is read from the memo
