@@ -77,11 +77,13 @@ from .oracle import (
 from .sensitivity import (
     AltAssumption,
     AltQuantity,
+    AnalysisResult,
     AssumptionKind,
     AssumptionSpec,
     CurveRow,
     SensitivityCurve,
     alt_quantity_to_trace0,
+    analyze,
     build_curve,
     combined_region,
     preset_interval,

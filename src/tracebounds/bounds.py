@@ -185,6 +185,11 @@ class SortedControl:
         ascending = np.argsort(self._y, kind="stable")
         self._orders = (ascending, _descending_order(self._y[ascending], ascending))
 
+    @property
+    def ascending(self) -> np.ndarray:
+        """Stable ascending order of y in the control arm, as positions in the arm; not a copy."""
+        return self._orders[0]
+
     def slices(self, fraction: float, pool: bool = False) -> tuple[float, float]:
         """Means of the lowest and the highest ``fraction`` share of the
         arm's weight, or with ``pool`` of its m = 0 units' weight, each

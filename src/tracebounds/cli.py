@@ -20,38 +20,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    Interval,
-    SortedControl,
-    mt_bounds,
-    no_assumption_bounds,
-    naive_estimates,
-    type3_dim_bounds,
-)
+from .bounds import Interval, naive_estimates, type3_dim_bounds
 from .chart import render_chart
 from .data import Dataset, atomic_open, load_csv
-from .errors import DegenerateP, InvariantViolation, TraceBoundsError
-from .estimators import (
-    TEMethod,
-    arm_reaction_rate,
-    conditional_mean,
-    estimate_p_m1,
-    strata_shares_monotone,
-    te_estimate,
-    te_point,
-)
-from .inference import BootstrapConfig, ResampleUnit, percentile_band
+from .errors import InvariantViolation, TraceBoundsError
+from .estimators import TEMethod, conditional_mean, estimate_p_m1, strata_shares_monotone, te_point
+from .inference import BootstrapConfig, ResampleUnit
 from .oracle import DGPConfig, OutcomeMeans, StrataProbs, simulate
-from .resample import ReplicateEngine
 from .sensitivity import (
     AssumptionKind,
     AssumptionSpec,
     SensitivityCurve,
-    combined_region,
-    curve_from_replicates,
-    preset_interval,
+    analyze,
+    full_sample_bounds,
     threshold_trace0,
-    trace0_from_trace,
 )
 from . import data as _data
 
@@ -61,8 +43,6 @@ _PRESET_NAMES = {
     "same-sign-smaller": AssumptionSpec.same_sign_smaller,
     "opposite-sign": AssumptionSpec.opposite_sign,
 }
-
-_DEFAULT_GRID_ROWS = 21
 
 
 # -- deterministic serialization ---------------------------------------------
@@ -417,58 +397,6 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 # -- command implementations --------------------------------------------------
 
 
-def _trim_and_mt(ds: Dataset) -> tuple[Interval, Interval | TraceBoundsError]:
-    """Trimming bounds, and the monotone bounds or the error that stops
-    them, from one sort of the control arm, freed on return. The control
-    arm's statistics are computed first, so that the arrays of their
-    pass and the sorted arm are never held at once."""
-    arm_reaction_rate(ds, 0)
-    control = SortedControl(ds)
-    trim = no_assumption_bounds(ds, control)
-    try:
-        return trim, mt_bounds(ds, control)
-    except TraceBoundsError as exc:
-        return trim, exc
-
-
-def _with_band(iv: Interval, lo_r: np.ndarray, hi_r: np.ndarray, level: float) -> Interval:
-    """Percentile band around both endpoints from their replicate columns."""
-    good = np.isfinite(lo_r)
-    if not good.any():
-        return iv
-    return iv.with_ci(*percentile_band(lo_r[good], hi_r[good], level))
-
-
-def _preset_ci(preset: Interval, spec: AssumptionSpec, te_r: np.ndarray, p_r: np.ndarray, level: float) -> Interval:
-    """Band for a preset interval from joint (te, p) replicates."""
-    good = np.isfinite(te_r) & np.isfinite(p_r) & (p_r > 0)
-    los = []
-    his = []
-    for te, p in zip(te_r[good], p_r[good]):
-        try:
-            iv = preset_interval(float(te), float(p), spec)
-        except TraceBoundsError:
-            continue
-        los.append(iv.lo)
-        his.append(iv.hi)
-    if not los:
-        return preset
-    return preset.with_ci(*percentile_band(los, his, level))
-
-
-def _default_grid(te_hat: float, p_hat: float, trim: Interval) -> AssumptionSpec:
-    """Grid spanning the non-reactive effects consistent with the trimming
-    bounds; a single point at zero when everyone reacts."""
-    if p_hat >= 1.0:
-        return AssumptionSpec.grid(0.0, 0.0, 1.0)
-    lo = trace0_from_trace(te_hat, p_hat, trim.hi)
-    hi = trace0_from_trace(te_hat, p_hat, trim.lo)
-    if hi <= lo:
-        return AssumptionSpec.grid(lo, lo, 1.0)
-    step = (hi - lo) / (_DEFAULT_GRID_ROWS - 1)
-    return AssumptionSpec.grid(lo, hi, step)
-
-
 def _mt_json(ds: Dataset, p_hat: float, mt: Interval | TraceBoundsError) -> dict:
     if isinstance(mt, TraceBoundsError):
         return {"skipped": f"{type(mt).__name__}: {mt}"}
@@ -501,71 +429,39 @@ def _dataset_report(input_path: str, ds: Dataset, estimates: dict, trim: Interva
 
 
 def cmd_analyze(cfg: AnalysisConfig) -> dict:
-    """Full pipeline: estimates, bounds, preset, combined region, curve,
-    every band from one bootstrap pass.
+    """Full pipeline: load the input, :func:`analyze` it, and write the
+    curve table, the report and the chart if asked for.
 
     Returns the report dictionary after writing all requested outputs.
     """
-    ds = load_csv(cfg.input_path, cfg.schema)
-    te_est = te_estimate(ds, cfg.te_method)
-    te_hat = te_est.te_hat
-    p_hat = estimate_p_m1(ds)
     boot = cfg.bootstrap
-
-    trim, mt = _trim_and_mt(ds)
-    with_mt = isinstance(mt, Interval)
-
-    values = ReplicateEngine(ds, cfg.te_method, boot, with_mt).run()
-    te_r, p_r = values[:, 2], values[:, 3]
-    failed = np.isnan(values[:, ::2]).sum(axis=0)  # trim, core, mt
-
-    trim = _with_band(trim, values[:, 0], values[:, 1], boot.level)
-    if with_mt:
-        mt = _with_band(mt, values[:, 4], values[:, 5], boot.level)
-
-    preset = preset_interval(te_hat, p_hat, cfg.assumption)
-    preset = _preset_ci(preset, cfg.assumption, te_r, p_r, boot.level)
-
-    combined = combined_region(preset, trim)
-
-    if cfg.assumption.kind is AssumptionKind.GRID:
-        grid_spec = cfg.assumption
-    else:
-        grid_spec = _default_grid(te_hat, p_hat, trim)
-    curve = curve_from_replicates(grid_spec, te_hat, p_hat, trim, te_r, p_r, boot.level)
-
-    try:
-        threshold = threshold_trace0(te_hat, p_hat, 0.0)
-        threshold_note = None
-    except DegenerateP:
-        threshold = None
-        threshold_note = "everyone reacts under treatment; the non-reactive group is empty"
-
+    ds = load_csv(cfg.input_path, cfg.schema)
+    res = analyze(ds, cfg.assumption, cfg.te_method, boot)
     report = _dataset_report(
         cfg.input_path,
         ds,
         {
             "te_method": cfg.te_method.name,
-            "te_hat": te_hat,
-            "te_se": te_est.se,
-            "p_hat": p_hat,
+            "te_hat": res.te.te_hat,
+            "te_se": res.te.se,
+            "p_hat": res.p_hat,
             "assumption": _assumption_json(cfg.assumption),
         },
-        trim,
-        _mt_json(ds, p_hat, mt),
+        res.trim,
+        _mt_json(ds, res.p_hat, res.mt),
         {
-            "preset_interval": _interval_json(preset),
-            "combined": "INFEASIBLE" if combined is None else _interval_json(combined),
+            "preset_interval": _interval_json(res.preset),
+            "combined": "INFEASIBLE" if res.combined is None else _interval_json(res.combined),
         },
     )
     report["threshold_trace0"] = {
         "target_trace": 0.0,
-        "value": threshold,
-        "note": threshold_note,
+        "value": res.threshold,
+        "note": "everyone reacts under treatment; the non-reactive group is empty" if res.threshold is None else None,
     }
     report["curve"] = {
-        "grid": _assumption_json(grid_spec),
-        "rows": len(curve.rows),
+        "grid": _assumption_json(res.grid),
+        "rows": len(res.curve.rows),
         "table": str(cfg.out_table),
     }
     report["bootstrap"] = {
@@ -573,19 +469,15 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
         "replicates": boot.replicates,
         "level": boot.level,
         "resample_unit": boot.resample_unit.name,
-        "failed_replicates": {
-            "core": int(failed[1]),
-            "no_assumption_bounds": int(failed[0]),
-            "mt_bounds": int(failed[2]) if with_mt else None,
-        },
+        "failed_replicates": dict(res.failed_replicates),
     }
 
     with atomic_open(cfg.out_table) as fh:
-        fh.write(_curve_csv(curve))
+        fh.write(_curve_csv(res.curve))
     _write_report(report, cfg.out_report)
     if cfg.out_chart:
         with atomic_open(cfg.out_chart) as fh:
-            fh.write(render_chart(curve, combined))
+            fh.write(render_chart(res.curve, res.combined))
     return report
 
 
@@ -612,7 +504,7 @@ def cmd_bounds(
             raise InvariantViolation("bounds needs --input or --from-moments")
         ds = load_csv(input_path, schema)
         p_hat = estimate_p_m1(ds)
-        trim, mt = _trim_and_mt(ds)
+        trim, mt = full_sample_bounds(ds)[1:]  # the sorted arm is freed before the naive statistics
         mt_entry = _mt_json(ds, p_hat, mt)
         derived = {}
         if type3:

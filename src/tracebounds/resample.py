@@ -2,15 +2,15 @@
 
 A bootstrap replicate is a multinomial count vector over the sample
 (Efron & Tibshirani 1993): drawing a row k times gives it weight k·w.
-The engine sorts the control arm and its m = 0 pool by y once. Each
-replicate turns the ``(seed, r)`` draw of :func:`replicate_draw` into
-counts with one ``bincount`` and reads every statistic ``analyze``
-needs off count-weighted sums: the average effect, the reactive share,
-the (1, 1)-cell mean, both trimmed slices (one ``cumsum`` and a
-``searchsorted`` from each end of the sorted order) and the monotone
-mixture. The adjusted regression is :func:`absorbed_wls` under the
-weights count·w. No resample is built and nothing is sorted per
-replicate.
+The control arm and its m = 0 pool keep the order by y of
+``SortedControl``. Each replicate turns the ``(seed, r)`` draw of
+:func:`replicate_draw` into counts with one ``bincount`` and reads
+every statistic ``analyze`` needs off count-weighted sums: the average
+effect, the reactive share, the (1, 1)-cell mean, both trimmed slices
+(one ``cumsum`` and a ``searchsorted`` from each end of the sorted
+order) and the monotone mixture. The adjusted regression is
+:func:`absorbed_wls` under the weights count·w. No resample is built
+and nothing is sorted per replicate.
 
 Each entry equals the per-``Dataset`` function on ``Dataset.take`` of
 the same draw up to summation order (the reference adds duplicates in
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundKind, Interval, _ordered_interval, mt_interval
+from .bounds import BoundKind, Interval, SortedControl, _ordered_interval, mt_interval
 from .data import Dataset
 from .errors import EmptyCell, TraceBoundsError
 from .estimators import TEMethod, absorbed_wls, ols_columns, shares_from_first_stage
@@ -68,16 +68,16 @@ def _pair(make: Callable[[], Interval]) -> tuple[float, float]:
 class ReplicateEngine:
     """Replicate rows of ``analyze`` for one dataset: trimming bounds
     (lo, hi), (te, p) and, ``with_mt``, monotone bounds (lo, hi), NaN
-    where the per-``Dataset`` route fails on the same resample."""
+    where the per-``Dataset`` route fails on the same resample.
+    ``control``, when given, is ``SortedControl(ds)``."""
 
-    def __init__(self, ds: Dataset, te_method: TEMethod, cfg: BootstrapConfig, with_mt: bool):
+    def __init__(self, ds: Dataset, te_method: TEMethod, cfg: BootstrapConfig, with_mt: bool, control: SortedControl | None = None):
         self._te_method = te_method
         self._cfg = cfg
         self._with_mt = with_mt
         y, m = ds.y, ds.m
         treated = ds.d == 1
-        control = np.flatnonzero(~treated)
-        control = control[np.argsort(y[control], kind="stable")]
+        control = np.flatnonzero(~treated)[(control or SortedControl(ds)).ascending]
         t1 = np.flatnonzero(treated & (m == 1))
         self._a = t1.size
         self._b = int(treated.sum())

@@ -7,8 +7,9 @@ The overall average effect decomposes exactly as
 where ``p`` is the probability of reacting under treatment, ``trace``
 the average effect among reactors and ``trace0`` among non-reactors.
 Fixing a value (or range) for the unidentified ``trace0`` therefore
-pins down (or brackets) ``trace``. Everything in this module is that
-one linear map, applied carefully.
+pins down (or brackets) ``trace``. Presets, regions and the curve are
+that one linear map, applied carefully; :func:`analyze` joins them to the
+bounds of a dataset, every band from one replicate pass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundKind, Interval, no_assumption_bounds
+from .bounds import BoundKind, Interval, SortedControl, mt_bounds, no_assumption_bounds
 from .data import Analysis, Dataset, validate_for
 from .errors import (
     AllReplicatesFailed,
@@ -29,9 +30,11 @@ from .errors import (
     InvariantViolation,
     OutOfSupportWarning,
     SignUndefined,
+    TraceBoundsError,
 )
-from .estimators import StrataShares, TEMethod, estimate_p_m1, te_point
-from .inference import BootstrapConfig, bootstrap_replicates, percentile_band
+from .estimators import StrataShares, TEEstimate, TEMethod, arm_reaction_rate, estimate_p_m1, te_estimate
+from .inference import BootstrapConfig, percentile_band
+from .resample import ReplicateEngine
 
 
 class AssumptionKind(enum.Enum):
@@ -45,6 +48,7 @@ class AssumptionKind(enum.Enum):
 
 
 _GRID_EPS = 1e-9
+_GRID_MAX_STEPS = 10_000  # each grid row is a column of the (replicates × rows) band matrix
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,9 @@ class AssumptionSpec:
             if k is AssumptionKind.GRID:
                 if self.step is None or not (self.step > 0):
                     raise InvariantViolation("GRID needs a positive step")
+                steps = (self.hi - self.lo) / self.step
+                if not steps <= _GRID_MAX_STEPS:  # also an infinite count
+                    raise InvariantViolation(f"GRID needs {steps:.6g} steps from lo to hi; at most {_GRID_MAX_STEPS} are allowed")
 
     @classmethod
     def point(cls, value: float) -> "AssumptionSpec":
@@ -302,9 +309,8 @@ def build_curve(
     spec: AssumptionSpec,
     te_method: TEMethod = TEMethod.DIFF_IN_MEANS,
     boot: BootstrapConfig | None = None,
-    threads: int = 1,
 ) -> SensitivityCurve:
-    """Trace out the implied effect over a GRID assumption.
+    """The curve of :func:`analyze` over a GRID assumption.
 
     Each bootstrap replicate re-estimates both the overall effect and
     the reactive share, then every grid row maps that same pair through
@@ -315,20 +321,9 @@ def build_curve(
     if spec.kind is not AssumptionKind.GRID:
         raise InvariantViolation("build_curve needs a GRID assumption")
     validate_for(ds, Analysis.SENSITIVITY)
-    if boot is None:
-        boot = BootstrapConfig()
-
-    p_hat = estimate_p_m1(ds)
-    if p_hat == 0.0:
+    if estimate_p_m1(ds) == 0.0:
         raise DegenerateP("no treated unit reacted; the curve is undefined")
-    te_hat = te_point(ds, te_method)
-    trim = no_assumption_bounds(ds)
-
-    def stat(d: Dataset) -> tuple[float, float]:
-        return te_point(d, te_method), estimate_p_m1(d)
-
-    values, _failed = bootstrap_replicates(stat, ds, boot, threads=threads)
-    return curve_from_replicates(spec, te_hat, p_hat, trim, values[:, 0], values[:, 1], boot.level)
+    return analyze(ds, spec, te_method, boot or BootstrapConfig()).curve
 
 
 def curve_from_replicates(
@@ -359,3 +354,108 @@ def curve_from_replicates(
             )
         )
     return SensitivityCurve(rows=tuple(rows), te_hat=te_hat, p_hat=p_hat, trim_bounds=trim)
+
+
+# -- the whole analysis --------------------------------------------------------
+
+_DEFAULT_GRID_ROWS = 21
+
+
+@dataclass(frozen=True)
+class AnalysisResult:
+    """One analysis of a dataset. ``mt`` is the error that stops the
+    monotone bounds, if one does; ``combined`` is None for an infeasible
+    region; ``curve`` runs over ``grid``, the assumption if it is a GRID,
+    else one spanning the trimming bounds; ``threshold``, the non-reactive
+    effect at which the reactive-group effect is zero, is None when
+    everyone reacts. ``failed_replicates`` counts failed replicates by
+    statistic, None for skipped monotone bounds."""
+
+    te: TEEstimate
+    p_hat: float
+    trim: Interval
+    mt: Interval | TraceBoundsError
+    preset: Interval
+    combined: Interval | None
+    grid: AssumptionSpec
+    curve: SensitivityCurve
+    threshold: float | None
+    failed_replicates: dict[str, int | None]
+
+
+def full_sample_bounds(ds: Dataset) -> tuple[SortedControl, Interval, Interval | TraceBoundsError]:
+    """The control arm sorted once, the trimming bounds, and the monotone
+    bounds or the error that stops them, without its traceback, whose
+    frames would keep the sorted arm alive. The control arm's statistics
+    are computed first, so that the arrays of their pass and the sorted
+    arm are never held at once."""
+    arm_reaction_rate(ds, 0)
+    control = SortedControl(ds)
+    trim = no_assumption_bounds(ds, control)
+    try:
+        return control, trim, mt_bounds(ds, control)
+    except TraceBoundsError as exc:
+        return control, trim, exc.with_traceback(None)
+
+
+def _with_band(iv: Interval, lo_r: np.ndarray, hi_r: np.ndarray, level: float) -> Interval:
+    """Percentile band around both endpoints from their replicate columns."""
+    good = np.isfinite(lo_r)
+    if not good.any():
+        return iv
+    return iv.with_ci(*percentile_band(lo_r[good], hi_r[good], level))
+
+
+def _preset_ci(preset: Interval, spec: AssumptionSpec, te_r: np.ndarray, p_r: np.ndarray, level: float) -> Interval:
+    """Band for a preset interval from joint (te, p) replicates."""
+    good = np.isfinite(te_r) & np.isfinite(p_r) & (p_r > 0)
+    los = []
+    his = []
+    for te, p in zip(te_r[good], p_r[good]):
+        try:
+            iv = preset_interval(float(te), float(p), spec)
+        except TraceBoundsError:
+            continue
+        los.append(iv.lo)
+        his.append(iv.hi)
+    if not los:
+        return preset
+    return preset.with_ci(*percentile_band(los, his, level))
+
+
+def _default_grid(te_hat: float, p_hat: float, trim: Interval) -> AssumptionSpec:
+    """Grid spanning the non-reactive effects consistent with the trimming
+    bounds; a single point at zero when everyone reacts."""
+    if p_hat >= 1.0:
+        return AssumptionSpec.grid(0.0, 0.0, 1.0)
+    lo = trace0_from_trace(te_hat, p_hat, trim.hi)
+    hi = trace0_from_trace(te_hat, p_hat, trim.lo)
+    if hi <= lo:
+        return AssumptionSpec.grid(lo, lo, 1.0)
+    step = (hi - lo) / (_DEFAULT_GRID_ROWS - 1)
+    return AssumptionSpec.grid(lo, hi, step)
+
+
+def analyze(ds: Dataset, assumption: AssumptionSpec, te_method: TEMethod, boot: BootstrapConfig) -> AnalysisResult:
+    """Estimates, bounds, preset interval, combined region, sensitivity
+    curve and threshold of ``ds`` under ``assumption``, every band from
+    one pass of :class:`~tracebounds.resample.ReplicateEngine`. Reads and
+    writes no file."""
+    te = te_estimate(ds, te_method)
+    p_hat = estimate_p_m1(ds)
+    control, trim, mt = full_sample_bounds(ds)
+    with_mt = isinstance(mt, Interval)
+
+    values = ReplicateEngine(ds, te_method, boot, with_mt, control).run()
+    te_r, p_r = values[:, 2], values[:, 3]
+    failed = np.isnan(values[:, ::2]).sum(axis=0).tolist()  # trim, core, mt
+
+    trim = _with_band(trim, values[:, 0], values[:, 1], boot.level)
+    if with_mt:
+        mt = _with_band(mt, values[:, 4], values[:, 5], boot.level)
+    preset = _preset_ci(preset_interval(te.te_hat, p_hat, assumption), assumption, te_r, p_r, boot.level)
+    grid = assumption if assumption.kind is AssumptionKind.GRID else _default_grid(te.te_hat, p_hat, trim)
+    curve = curve_from_replicates(grid, te.te_hat, p_hat, trim, te_r, p_r, boot.level)
+    threshold = threshold_trace0(te.te_hat, p_hat, 0.0) if p_hat < 1.0 else None  # the trimming bounds need p_hat > 0
+    failed_replicates = {"core": failed[1], "no_assumption_bounds": failed[0], "mt_bounds": failed[2] if with_mt else None}
+    return AnalysisResult(te, p_hat, trim, mt, preset, combined_region(preset, trim), grid, curve, threshold, failed_replicates)

@@ -1,5 +1,6 @@
 """``analyze`` resamples once for every band; the reference resamples once
-per statistic. Both must give the same bands, curve and failure counts.
+per statistic. Both must give the same bands, curve and failure counts,
+and the CLI and ``build_curve`` must give exactly what ``analyze`` gives.
 
 ``analyze`` reads its replicates off bootstrap counts, which sums
 count·w·y once per row where the reference sums the drawn rows in draw
@@ -12,6 +13,7 @@ import pathlib
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,10 @@ from tracebounds import (
     AssumptionSpec,
     BootstrapConfig,
     Dataset,
+    Interval,
     ResampleUnit,
     TEMethod,
+    analyze,
     bootstrap_replicates,
     build_curve,
     estimate_p_m1,
@@ -36,6 +40,7 @@ from tracebounds import (
 )
 from tracebounds.cli import AnalysisConfig, cmd_analyze
 from tracebounds.errors import TraceBoundsError
+from tracebounds.sensitivity import curve_from_replicates
 
 _ASSUMPTIONS = [
     AssumptionSpec.zero(),
@@ -191,8 +196,34 @@ def test_single_pass_matches_one_pass_per_statistic(
         lo = trace0_from_trace(te_hat, p_hat, trim.hi)
         hi = trace0_from_trace(te_hat, p_hat, trim.lo)
         grid = AssumptionSpec.grid(lo, lo, 1.0) if hi <= lo else AssumptionSpec.grid(lo, hi, (hi - lo) / 20)
-    curve = build_curve(ds, grid, te_method=te_method, boot=boot)
+    curve = curve_from_replicates(grid, te_hat, p_hat, trim, core[:, 0], core[:, 1], level)
     assert [[float(v) for v in row[:2]] for row in table] == [[r.trace0, r.trace_hat] for r in curve.rows]
     for row, r in zip(table, curve.rows):
         assert _close(float(row[2]), r.ci_lo, scale) and _close(float(row[3]), r.ci_hi, scale)
     assert [row[4] == "true" for row in table] == [r.within_trim_bounds for r in curve.rows]
+
+    # the library and the CLI read one engine run
+    result = analyze(ds, assumption, te_method, boot)
+    assert result.grid == grid
+    assert build_curve(ds, grid, te_method=te_method, boot=boot) == result.curve
+    assert [[float(v).hex() for v in row[:4]] + [row[4]] for row in table] == [
+        [r.trace0.hex(), r.trace_hat.hex(), r.ci_lo.hex(), r.ci_hi.hex(), "true" if r.within_trim_bounds else "false"]
+        for r in result.curve.rows
+    ]
+
+
+@pytest.mark.parametrize("te_method", list(TEMethod))
+def test_analyze_sorts_the_control_arm_once(monkeypatch, te_method):
+    # the full-sample bounds and the replicate engine share one SortedControl
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argsort(*args, **kwargs)
+
+    ds = _dataset("blocked", 3)
+    monkeypatch.setattr(np, "argsort", counted)
+    result = analyze(ds, AssumptionSpec.zero(), te_method, BootstrapConfig(replicates=20, seed=1))
+    assert isinstance(result.mt, Interval)
+    assert len(calls) == 1

@@ -671,6 +671,19 @@ def test_preset_and_grid_flags_conflict(monkeypatch, capsys, tmp_path):
     assert json.loads(out)["error"] == {"type": "InvariantViolation", "message": "give either --preset or --grid, not both"}
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-320", "0:1:1e-12"])
+def test_a_grid_of_too_many_steps_exits_2_before_loading(capsys, tmp_path, grid):
+    # the input does not exist: reading it would exit 3
+    code, out = run(
+        capsys, "analyze", "--input", str(tmp_path / "absent.csv"), f"--grid={grid}",
+        "--out-table", str(tmp_path / "c.csv"), "--out-report", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InvariantViolation"
+    assert "at most 10000 are allowed" in error["message"]
+
+
 def test_an_assumption_flag_beats_every_assumption_key(monkeypatch, capsys, tmp_path):
     flags = {f: v for f, v in _BASE_FLAGS["analyze"].items() if f != "--preset"}
     flags["--grid"] = "0:1:0.5"

@@ -1,4 +1,7 @@
+import gc
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -22,11 +25,14 @@ from tracebounds import (
     trace0_from_trace,
     trace_from_trace0,
 )
+from tracebounds import sensitivity
+from tracebounds.bounds import SortedControl
 from tracebounds.errors import (
     DegenerateP,
     DegenerateShare,
     InvariantViolation,
     OutOfSupportWarning,
+    RequirementUnmet,
     SignUndefined,
 )
 
@@ -146,6 +152,17 @@ def test_grid_values_clamp_ragged_step():
 
 def test_grid_values_single_step():
     assert AssumptionSpec.grid(0.0, 1.0, 1.0).grid_values() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("step, steps", [(1e-320, "inf"), (1e-12, "1e+12"), (1.0 / 10_001, "10001")])
+def test_grid_refuses_more_steps_than_the_cap(step, steps):
+    # an infinite count once crashed in grid_values, after the whole bootstrap
+    with pytest.raises(InvariantViolation, match=re.escape(f"GRID needs {steps} steps from lo to hi; at most 10000 are allowed")):
+        AssumptionSpec.grid(0.0, 1.0, step)
+
+
+def test_grid_at_the_step_cap():
+    assert len(AssumptionSpec.grid(0.0, 10_000.0, 1.0).grid_values()) == 10_001
 
 
 def test_grid_values_only_for_grid():
@@ -276,3 +293,23 @@ def test_curve_zero_width_when_outcome_constant():
 def test_curve_needs_grid(toy):
     with pytest.raises(InvariantViolation):
         build_curve(toy, AssumptionSpec.zero())
+
+
+# -- the whole analysis -------------------------------------------------------
+
+
+def test_skipped_monotone_bounds_keep_no_sorted_arm(monkeypatch):
+    # the error's traceback would hold the frame that holds the sorted arm
+    made = []
+
+    class Recorded(SortedControl):
+        def __init__(self, ds):
+            super().__init__(ds)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(sensitivity, "SortedControl", Recorded)
+    ds = Dataset(y=[2.0, 3.0, 1.0, 0.0, 1.0, 2.0], d=[1, 1, 1, 0, 0, 0], m=[1.0, 1.0, 0.0, math.nan, 0.0, 0.0])
+    trim, mt = sensitivity.full_sample_bounds(ds)[1:]
+    gc.collect()
+    assert isinstance(mt, RequirementUnmet)
+    assert len(made) == 1 and made[0]() is None
