@@ -20,7 +20,7 @@ import os
 import tempfile
 from array import array
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -46,7 +46,36 @@ def _require(ok: np.ndarray, values: np.ndarray, rule: str) -> None:
         raise InvariantViolation(f"{rule}, got {values.ravel()[i]}", unit=i // (ok.size // len(ok)))
 
 
-_UNSET = object()  # no value remembered yet
+def _wmean(y: np.ndarray, w: np.ndarray) -> float:
+    return float(y @ w / w.sum())
+
+
+def reaction_rate(m: np.ndarray, w: np.ndarray) -> float:
+    """Weighted share of units with m = 1, clamped at 1: when every unit
+    reacts, ``m @ w`` and ``w.sum()`` can round apart under weights that
+    are not dyadic, putting the share an ulp above 1."""
+    return min(float(m @ w / w.sum()), 1.0)
+
+
+class Arm(NamedTuple):
+    """The statistics of one arm that the estimators read, as Python
+    scalars: its unit count, its weighted mean outcome, its weighted
+    reaction rate and its m = 0 and m = 1 cell means (None for a cell
+    with no unit). ``rate`` and ``cells`` are None when the arm misses
+    an m."""
+
+    n: int
+    mean: float
+    rate: float | None
+    cells: tuple[float | None, float | None] | None
+
+
+def _summarize(y: np.ndarray, m: np.ndarray, w: np.ndarray) -> Arm:
+    """The :class:`Arm` of the gathered columns of one arm."""
+    if np.isnan(m).any():
+        return Arm(y.size, _wmean(y, w), None, None)
+    cells = tuple(_wmean(y[c], w[c]) if (c := np.flatnonzero(m == value)).size else None for value in (0, 1))
+    return Arm(y.size, _wmean(y, w), reaction_rate(m, w), cells)
 
 
 class Dataset:
@@ -57,8 +86,8 @@ class Dataset:
     offending unit); estimators then treat the arrays as trusted values.
     Row order is preserved and meaningful (trimming ties break by
     original position). Since nothing about a dataset changes after
-    construction, a scalar statistic of it is computed once and
-    remembered (:meth:`derived`).
+    construction, the summary of each arm is computed once, on first
+    use, and kept (:meth:`arm`).
 
     Parameters
     ----------
@@ -75,7 +104,7 @@ class Dataset:
         Names for the k covariate columns. Defaults to x1..xk.
     """
 
-    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_memo")
+    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_arms")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
         yv = np.array(y, dtype=np.float64)
@@ -142,7 +171,7 @@ class Dataset:
         self._block = bv
         self._w = wv
         self._names = names
-        self._memo: dict = {}
+        self._arms: list[Arm | None] = [None, None]
 
     # -- resampling --------------------------------------------------------
 
@@ -166,41 +195,20 @@ class Dataset:
         new._block = None if self._block is None else self._block[idx]
         new._w = self._w[idx]
         new._names = self._names
-        new._memo = {}
+        new._arms = [None, None]
         return new
 
-    def derived(self, key, compute: Callable[[], object]):
-        """``compute()``, computed on the first call with ``key`` and
-        remembered for this dataset, whose arrays are read-only.
-
-        For Python scalars only: a remembered array would hold its
-        memory for the dataset's lifetime. An exception from ``compute``
-        is raised, not remembered.
-        """
-        value = self._memo.get(key, _UNSET)
-        if value is _UNSET:
-            value = self._memo[key] = compute()
-        return value
-
-    def derived_together(self, key, compute: Callable[[], dict]):
-        """The statistic ``key`` among those that one ``compute()`` gives
-        together, as a dict from key to value, computed on the first call
-        with any of its keys.
-
-        A value may be the exception that asking for its statistic
-        raises. When the value asked for is not one, every value that is
-        not one is remembered, as :meth:`derived` remembers one value; a
-        call that raises remembers nothing, and no exception is ever
-        remembered.
-        """
-        value = self._memo.get(key, _UNSET)
-        if value is _UNSET:
-            values = compute()
-            value = values[key]
-            if isinstance(value, Exception):
-                raise value
-            self._memo.update((k, v) for k, v in values.items() if not isinstance(v, Exception))
-        return value
+    def arm(self, d: int) -> Arm:
+        """The summary of the arm assigned ``d``, from one gather of its
+        columns on the first call and kept for this dataset, whose arrays
+        are read-only."""
+        if d not in (0, 1):
+            raise InvariantViolation(f"arm must be 0 or 1, got {d!r}")
+        arm = self._arms[d]
+        if arm is None:
+            rows = np.flatnonzero(self._d == d)  # an index gathers faster than a mask of random rows
+            arm = self._arms[d] = _summarize(self._y[rows], self._m[rows], self._w[rows])
+        return arm
 
     # -- accessors ---------------------------------------------------------
 
@@ -239,16 +247,16 @@ class Dataset:
 
     @property
     def n_treated(self) -> int:
-        return self.derived("n_treated", lambda: int((self._d == 1).sum()))
+        return self.arm(1).n
 
     @property
     def n_control(self) -> int:
-        return self.derived("n_control", lambda: int((self._d == 0).sum()))
+        return self.arm(0).n
 
     @property
     def m_observed_in_control(self) -> bool:
-        # a treated unit always has m, so a missing one is in control
-        return self.derived("m_observed_in_control", lambda: not np.isnan(self._m).any())
+        # treated units always carry m, so the control arm decides
+        return self.arm(0).cells is not None
 
     def __len__(self) -> int:
         return self.n
@@ -279,6 +287,7 @@ def validate_for(ds: Dataset, analysis: Analysis) -> None:
 # -- CSV codec -----------------------------------------------------------
 
 _DEFAULT_SCHEMA: Mapping[str, object] = {"y": "y", "d": "d", "m": "m"}
+_SCHEMA_KEYS = frozenset(("y", "d", "m", "covariates", "block", "weight"))
 
 
 def _m_value(text: str) -> float:
@@ -317,6 +326,8 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
         Keys ``y``, ``d``, ``m`` name the corresponding columns
         (defaults ``"y"``, ``"d"``, ``"m"``). Optional keys:
         ``covariates`` (list of column names), ``block``, ``weight``.
+        Any other key, or ``covariates`` as one str, raises
+        :class:`InvariantViolation`.
 
     A blank m cell marks a missing indicator and an empty block cell a
     missing label; every other needed cell must parse as a number. Blank
@@ -346,6 +357,11 @@ def _plan(schema: Mapping[str, object] | None):
     eff = dict(_DEFAULT_SCHEMA)
     if schema:
         eff.update(schema)
+    for key in eff:
+        if key not in _SCHEMA_KEYS:
+            raise InvariantViolation(f"unknown schema key {key!r}; expected one of {sorted(_SCHEMA_KEYS)}")
+    if isinstance(eff.get("covariates"), str):
+        raise InvariantViolation("schema key 'covariates' must be a list of column names, not a str")
     cov_cols = [str(c) for c in eff.get("covariates", [])]
     block_col = None if eff.get("block") is None else str(eff["block"])
     weight_col = None if eff.get("weight") is None else str(eff["weight"])
@@ -372,7 +388,8 @@ def _plan(schema: Mapping[str, object] | None):
 
 
 def _header_cells(fh: TextIO, roles) -> list:
-    """Read the header of ``fh``: (column, index, parser) for each role."""
+    """Read the header of ``fh``: (column, index, parser) for each role.
+    A column a role reads must appear in it exactly once."""
     header = next(csv.reader(fh), None)
     if header is None:
         raise ParseError(0, "", "file is empty, a header row is required")
@@ -380,6 +397,8 @@ def _header_cells(fh: TextIO, roles) -> list:
     for name, _ in roles:
         if name not in pos:
             raise MissingColumn(f"column {name!r} not found in header {header}")
+        if header.count(name) > 1:
+            raise ParseError(0, name, f"the header names this column {header.count(name)} times")
     return [(name, pos[name], parse) for name, parse in roles]
 
 
@@ -559,11 +578,16 @@ def write_csv(ds: Dataset, path) -> None:
     digits so the text round-trips to the same float64. Lines end in
     CRLF, and a header name or block label is quoted as ``csv.writer``
     quotes it; no other cell ever needs quoting. The write is atomic
-    (temp file then rename).
+    (temp file then rename). A header that would name a column twice,
+    which ``load_csv`` refuses, raises :class:`InvariantViolation` before
+    the target is opened.
     """
     schema = schema_for(ds)
     header = ["y", "d", "m", *ds.covariate_names]
     header += [name for name in ("block", "weight") if name in schema]
+    for name in header:
+        if header.count(name) > 1:
+            raise InvariantViolation(f"the header would name column {name!r} {header.count(name)} times")
     dm_codes = np.where(np.isnan(ds.m), 2, ds.m).astype(np.int8) + 3 * ds.d
     if "block" in schema:
         labels = {b: "" if b is None else _quote(b) for b in dict.fromkeys(ds.block.tolist())}

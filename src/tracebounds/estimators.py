@@ -60,50 +60,20 @@ class StrataShares:
             raise InvariantViolation(f"shares must sum to 1, got {total}")
 
 
-def _wmean(y: np.ndarray, w: np.ndarray) -> float:
-    return float(y @ w / w.sum())
-
-
-def reaction_rate(m: np.ndarray, w: np.ndarray) -> float:
-    """Weighted share of units with m = 1, clamped at 1: when every unit
-    reacts, ``m @ w`` and ``w.sum()`` can round apart under weights that
-    are not dyadic, putting the share an ulp above 1."""
-    return min(float(m @ w / w.sum()), 1.0)
-
-
-def _arm_statistics(ds: Dataset, d: int) -> dict:
-    """Statistics of the arm assigned ``d`` from one gather of its
-    columns, keyed as :meth:`Dataset.derived_together` remembers them:
-    the weighted mean outcome, the reaction rate and the two (d, m) cell
-    means. A cell mean the arm cannot give is the :class:`MissingM` or
-    :class:`EmptyCell` that asking for it raises."""
-    arm = np.flatnonzero(ds.d == d)  # an index gathers faster than a mask of random rows
-    y, w, m = ds.y[arm], ds.weight[arm], ds.m[arm]
-    stats: dict = {("arm_mean", d): _wmean(y, w), ("reaction_rate", d): reaction_rate(m, w)}
-    missing = np.isnan(m).any()
-    for value in (0, 1):
-        if missing:
-            stats["cell_mean", d, value] = MissingM(f"m is not observed for every unit with d={d}")
-        elif (cell := np.flatnonzero(m == value)).size:
-            stats["cell_mean", d, value] = _wmean(y[cell], w[cell])
-        else:
-            stats["cell_mean", d, value] = EmptyCell(f"no units with d={d}, m={value}")
-    return stats
-
-
 def arm_reaction_rate(ds: Dataset, d: int) -> float:
-    """Weighted share of units with m = 1 in the arm assigned ``d``."""
-    return ds.derived_together(("reaction_rate", d), lambda: _arm_statistics(ds, d))
+    """Weighted share of units with m = 1 in the arm assigned ``d``.
 
-
-def _arm_mean(ds: Dataset, d: int) -> float:
-    """Weighted mean outcome of the arm assigned ``d``."""
-    return ds.derived_together(("arm_mean", d), lambda: _arm_statistics(ds, d))
+    Raises :class:`MissingM` when the arm has unobserved m.
+    """
+    rate = ds.arm(d).rate
+    if rate is None:
+        raise MissingM(f"m is not observed for every unit with d={d}")
+    return rate
 
 
 def estimate_te_dim(ds: Dataset) -> TEEstimate:
     """Weighted difference in mean outcomes, treated minus control."""
-    return TEEstimate(te_hat=_arm_mean(ds, 1) - _arm_mean(ds, 0), se=None, method=TEMethod.DIFF_IN_MEANS)
+    return TEEstimate(te_hat=ds.arm(1).mean - ds.arm(0).mean, se=None, method=TEMethod.DIFF_IN_MEANS)
 
 
 def estimate_p_m1(ds: Dataset) -> float:
@@ -123,7 +93,12 @@ def conditional_mean(ds: Dataset, d: int, m: int) -> float:
     """
     if d not in (0, 1) or m not in (0, 1):
         raise InvariantViolation("cell indices must be 0 or 1")
-    return ds.derived_together(("cell_mean", d, m), lambda: _arm_statistics(ds, d))
+    cells = ds.arm(d).cells
+    if cells is None:
+        raise MissingM(f"m is not observed for every unit with d={d}")
+    if cells[m] is None:
+        raise EmptyCell(f"no units with d={d}, m={m}")
+    return cells[m]
 
 
 def strata_shares_monotone(ds: Dataset) -> StrataShares:

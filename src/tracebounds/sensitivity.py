@@ -32,7 +32,7 @@ from .errors import (
     SignUndefined,
     TraceBoundsError,
 )
-from .estimators import StrataShares, TEEstimate, TEMethod, arm_reaction_rate, estimate_p_m1, te_estimate
+from .estimators import StrataShares, TEEstimate, TEMethod, estimate_p_m1, te_estimate
 from .inference import BootstrapConfig, percentile_band
 from .resample import ReplicateEngine
 
@@ -386,10 +386,10 @@ class AnalysisResult:
 def full_sample_bounds(ds: Dataset) -> tuple[SortedControl, Interval, Interval | TraceBoundsError]:
     """The control arm sorted once, the trimming bounds, and the monotone
     bounds or the error that stops them, without its traceback, whose
-    frames would keep the sorted arm alive. The control arm's statistics
-    are computed first, so that the arrays of their pass and the sorted
-    arm are never held at once."""
-    arm_reaction_rate(ds, 0)
+    frames would keep the sorted arm alive. The control arm's summary
+    (:meth:`Dataset.arm`) is made first, so that the arrays gathered for
+    it and the sorted arm are never held at once."""
+    ds.arm(0)
     control = SortedControl(ds)
     trim = no_assumption_bounds(ds, control)
     try:

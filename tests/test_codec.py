@@ -178,6 +178,12 @@ def _tricky_datasets(draw):
 def test_writer_matches_csv_writer(tmp_path_factory, ds, chunk):
     # a small chunk puts row counts on both sides of a chunk boundary
     out = tmp_path_factory.mktemp("writer") / "ds.csv"
+    header = ["y", "d", "m", *ds.covariate_names] + [c for c in ("block", "weight") if c in schema_for(ds)]
+    if len(set(header)) < len(header):  # load_csv would misread the file, so none is written
+        with pytest.raises(InvariantViolation):
+            write_csv(ds, out)
+        assert list(out.parent.iterdir()) == []
+        return
     with mock.patch.object(data_module, "_CHUNK", chunk):
         write_csv(ds, out)
     assert out.read_bytes() == _reference_csv(ds)
@@ -527,3 +533,67 @@ def test_over_long_field_in_an_unused_column_loads_on_the_loadtxt_path(tmp_path)
     assert load_csv(path).y.tolist() == [1.0, 2.0]
     with pytest.raises(ParseError, match="row 1: field larger"):
         _read_rows(path, None)
+
+
+# -- column names ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, schema, column",
+    [
+        ("y,d,m,y\n1,1,1,5\n2,0,0,6\n", None, "y"),
+        ("y,d,m,x1,x1\n1,1,1,5,7\n2,0,0,6,8\n", {"covariates": ["x1"]}, "x1"),
+        ("y,d,m,w,b,w\n1,1,1,1,a,2\n2,0,0,1,b,2\n", {"weight": "w", "block": "b"}, "w"),
+    ],
+    ids=["y", "covariate", "weight"],
+)
+def test_a_used_column_named_twice_is_a_parse_error(tmp_path, text, schema, column):
+    with pytest.raises(ParseError) as ei:
+        _load_text(tmp_path, text, schema)
+    assert (ei.value.row, ei.value.column) == (0, column)
+
+
+def test_an_unused_column_may_be_named_twice(tmp_path):
+    ds = _load_text(tmp_path, "y,z,d,m,z\n1,a,1,1,b\n2,c,0,0,d\n")
+    assert ds.y.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["y"], ["d"], ["m"], ["x", "x"]],
+    ids=["y", "d", "m", "twice"],
+)
+def test_write_csv_refuses_a_header_that_repeats_a_name(tmp_path, names):
+    ds = Dataset(y=[1.0, 2.0], d=[1, 0], m=[1, 0], x=np.ones((2, len(names))), covariate_names=names)
+    out = tmp_path / "out.csv"
+    with pytest.raises(InvariantViolation, match=repr(names[-1])):
+        write_csv(ds, out)
+    assert list(tmp_path.iterdir()) == []  # the target was never opened
+
+
+@pytest.mark.parametrize("extra", ["block", "weight"])
+def test_write_csv_refuses_a_covariate_named_like_a_written_column(tmp_path, extra):
+    ds = Dataset(
+        y=[1.0, 2.0], d=[1, 0], m=[1, 0], x=[[3.0], [4.0]], covariate_names=[extra],
+        block=["a", "b"] if extra == "block" else None, weight=[1.0, 2.0] if extra == "weight" else None,
+    )
+    with pytest.raises(InvariantViolation, match=repr(extra)):
+        write_csv(ds, tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_covariate_named_like_an_unwritten_column_round_trips(tmp_path):
+    ds = Dataset(y=[1.0, 2.0], d=[1, 0], m=[1, 0], x=[[3.0, 5.0], [4.0, 6.0]], covariate_names=["block", "weight"])
+    out = tmp_path / "out.csv"
+    write_csv(ds, out)
+    _assert_same(load_csv(out, schema_for(ds)), ds)
+
+
+@pytest.mark.parametrize(
+    "schema, key",
+    [({"weights": "wt"}, "weights"), ({"Y": "y"}, "Y"), ({"covariates": "wt"}, "covariates")],
+    ids=["unknown", "case", "covariates as a str"],
+)
+def test_a_schema_key_load_csv_cannot_use_is_refused(tmp_path, schema, key):
+    with pytest.raises(InvariantViolation, match=repr(key)):
+        _load_text(tmp_path, "y,d,m,wt\n1,1,1,2\n2,0,0,3\n", schema)

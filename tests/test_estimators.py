@@ -12,6 +12,7 @@ from tracebounds import (
     Side,
     TEMethod,
     TrimSpec,
+    arm_reaction_rate,
     conditional_mean,
     estimate_p_m1,
     estimate_te_dim,
@@ -28,6 +29,7 @@ from tracebounds import (
 from tracebounds.bounds import _ordered_interval, mt_interval
 from tracebounds.errors import (
     EmptyCell,
+    InvariantViolation,
     MissingM,
     MonotonicityViolatedEmpirically,
     NoReactiveTreated,
@@ -36,7 +38,8 @@ from tracebounds.errors import (
     RequirementUnmet,
     TraceBoundsError,
 )
-from tracebounds import estimators
+from tracebounds import data as data_module
+from tracebounds.data import Arm
 from tracebounds.estimators import shares_from_first_stage
 
 
@@ -365,6 +368,8 @@ def test_te_point_dispatch(toy):
 
 def _ref_rate(ds, d):
     arm = ds.d == d
+    if np.isnan(ds.m[arm]).any():
+        raise MissingM("reference")
     return min(float(ds.m[arm] @ ds.weight[arm] / ds.weight[arm].sum()), 1.0)
 
 
@@ -466,6 +471,7 @@ def _statistics(ds):
     the package and by the inline reference."""
     pairs = [
         (estimate_p_m1, lambda d: _ref_rate(d, 1)),
+        (lambda d: arm_reaction_rate(d, 0), lambda d: _ref_rate(d, 0)),
         (lambda d: estimate_te_dim(d).te_hat, _ref_te),
         (strata_shares_monotone, _ref_shares),
         (no_assumption_bounds, _ref_trim),
@@ -496,46 +502,84 @@ def _random_dataset(seed):
     return Dataset(y=y, d=d, m=m, weight=w)
 
 
+def _summaries_hold_python_scalars(ds):
+    """Whether each kept arm summary is an :class:`Arm` of Python scalars
+    (no ndarray, which would hold its memory for the dataset's lifetime)."""
+    def scalar(v, *types):
+        return v is None or type(v) in types
+
+    return all(
+        arm is None
+        or (
+            type(arm) is Arm
+            and type(arm.n) is int
+            and type(arm.mean) is float
+            and scalar(arm.rate, float)
+            and (arm.cells is None or (type(arm.cells) is tuple and all(scalar(c, float) for c in arm.cells)))
+        )
+        for arm in ds._arms
+    )
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_remembered_statistics_match_inline_masks(seed):
     ds = _random_dataset(seed)
     pairs = _statistics(ds)
-    for _ in range(2):  # the second pass reads the memo
+    for _ in range(2):  # the second pass reads the kept summaries
         for package, reference in pairs:
             assert _outcome(package, ds) == _outcome(reference, ds)
-    assert all(type(v) in (bool, int, float) for v in ds._memo.values()), ds._memo  # no ndarray is kept
+    assert len(ds._arms) == 2 and _summaries_hold_python_scalars(ds), ds._arms
 
-    # a resample starts with an empty memo and never sees its parent's values
+    # a resample starts with no summary and never sees its parent's
     sub = ds.take(np.r_[np.flatnonzero(ds.d == 1)[:1], np.flatnonzero(ds.d == 0)[-1:], np.arange(ds.n)[::2]])
-    assert sub._memo == {} and sub._memo is not ds._memo
+    assert sub._arms == [None, None] and sub._arms is not ds._arms
     for package, reference in pairs:
         assert _outcome(package, sub) == _outcome(reference, sub)
+    assert _summaries_hold_python_scalars(sub), sub._arms
 
 
-def test_raised_cell_errors_are_not_remembered():
+def test_a_cell_error_raises_the_same_on_every_call():
     empty = Dataset(y=[1.0, 2.0, 3.0], d=[1, 0, 0], m=[1, 1, 1])
     missing = Dataset(y=[1.0, 2.0, 3.0], d=[1, 0, 0], m=[1, 0, np.nan])
-    for ds, error, cell in ((empty, EmptyCell, (0, 0)), (missing, MissingM, (0, 1))):
+    cases = (
+        (empty, EmptyCell, (0, 0), "no units with d=0, m=0"),
+        (missing, MissingM, (0, 1), "m is not observed for every unit with d=0"),
+    )
+    for ds, error, cell, message in cases:
         for _ in range(2):
-            with pytest.raises(error):
+            with pytest.raises(error) as ei:
                 conditional_mean(ds, *cell)
-        assert ds._memo == {}
+            assert str(ei.value) == message
+            estimate_te_dim(ds)  # the arm's summary is kept between the calls
+
+
+def test_the_control_reaction_rate_needs_m_in_every_control_unit():
+    ds = Dataset(y=[1, 2, 3, 4], d=[1, 1, 0, 0], m=[1, 0, np.nan, 1])
+    for _ in range(2):
+        with pytest.raises(MissingM) as ei:
+            arm_reaction_rate(ds, 0)
+        assert str(ei.value) == "m is not observed for every unit with d=0"
+    assert arm_reaction_rate(ds, 1) == 0.5
+    for d in (-1, 2):  # no arm, rather than an empty one or the last one
+        with pytest.raises(InvariantViolation, match=f"arm must be 0 or 1, got {d}"):
+            arm_reaction_rate(ds, d)
+
+
+TREATED_Y = [1.0, 2.0, 3.0, 4.0]
+CONTROL_Y = [0.5, 1.5, 2.5, 3.5]
 
 
 @pytest.mark.parametrize(
-    "control_m, control_passes",
-    [([1, 0, 0, 0], 1), ([0, 0, 0, 0], 3), ([1, 0, np.nan, 0], 2)],
+    "control_m",
+    [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, np.nan, 0]],
     ids=["every cell", "no control reactor", "m missing in control"],
 )
-def test_an_arm_is_gathered_again_only_for_a_statistic_it_cannot_give(monkeypatch, control_m, control_passes):
-    # the statistics of `bounds --type3`: each arm's first pass is remembered, and only a request
-    # that raises gathers the arm again (the control m = 1 mean, asked for by naive_estimates and
-    # by the type-3 bounds, when no control unit reacts; the type-3 bounds alone when m is missing)
-    passes = []
-    arm_statistics = estimators._arm_statistics
-    monkeypatch.setattr(estimators, "_arm_statistics", lambda ds, d: passes.append(d) or arm_statistics(ds, d))
-    ds = Dataset(y=[1.0, 2.0, 3.0, 4.0, 0.5, 1.5, 2.5, 3.5], d=[1, 1, 1, 1, 0, 0, 0, 0], m=[1, 0, 1, 0, *control_m])
+def test_each_arm_is_gathered_once(monkeypatch, control_m):
+    # the statistics of `bounds --type3`, then every arm statistic and cell, in three orders
+    gathered = []
+    summarize = data_module._summarize
+    monkeypatch.setattr(data_module, "_summarize", lambda y, m, w: gathered.append(y.tolist()) or summarize(y, m, w))
     statistics = [
         estimate_p_m1,
         estimate_te_dim,
@@ -543,20 +587,19 @@ def test_an_arm_is_gathered_again_only_for_a_statistic_it_cannot_give(monkeypatc
         mt_bounds,
         naive_estimates,
         lambda d: type3_dim_bounds(conditional_mean(d, 1, 1), conditional_mean(d, 0, 1)),
+        strata_shares_monotone,
+        lambda d: (d.n_treated, d.n_control, d.m_observed_in_control),
+        lambda d: arm_reaction_rate(d, 0),
+        *(lambda x, c=c: conditional_mean(x, *c) for c in ((0, 0), (0, 1), (1, 0), (1, 1))),
     ]
-    for statistic in statistics:
-        try:
-            statistic(ds)
-        except TraceBoundsError:
-            pass
-    assert (passes.count(1), passes.count(0)) == (1, control_passes)
-
-    passes.clear()
-    raised = 0
-    cells = [lambda x, c=c: conditional_mean(x, *c) for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    for request in (estimate_p_m1, estimate_te_dim, *cells):
-        try:
-            request(ds)
-        except TraceBoundsError:
-            raised += 1
-    assert len(passes) == raised  # an answer is read from the memo
+    rng = np.random.default_rng(0)
+    for order in (statistics, statistics[::-1], [statistics[i] for i in rng.permutation(len(statistics))]):
+        gathered.clear()
+        ds = Dataset(y=TREATED_Y + CONTROL_Y, d=[1, 1, 1, 1, 0, 0, 0, 0], m=[1, 0, 1, 0, *control_m])
+        for _ in range(2):
+            for statistic in order:
+                try:
+                    statistic(ds)
+                except TraceBoundsError:
+                    pass
+        assert sorted(gathered) == [CONTROL_Y, TREATED_Y]
