@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InvariantViolation, MissingColumn, ParseError, RequirementUnmet
+from .errors import InvariantViolation, MissingBlockLabels, MissingColumn, ParseError, RequirementUnmet
 
 
 class Analysis(enum.Enum):
@@ -86,8 +86,9 @@ class Dataset:
     offending unit); estimators then treat the arrays as trusted values.
     Row order is preserved and meaningful (trimming ties break by
     original position). Since nothing about a dataset changes after
-    construction, the summary of each arm is computed once, on first
-    use, and kept (:meth:`arm`).
+    construction, the summary of each arm and the numbering of the
+    blocks are computed once, on first use, and kept (:meth:`arm`,
+    :meth:`block_codes`).
 
     Parameters
     ----------
@@ -104,7 +105,7 @@ class Dataset:
         Names for the k covariate columns. Defaults to x1..xk.
     """
 
-    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_arms")
+    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_arms", "_codes")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
         yv = np.array(y, dtype=np.float64)
@@ -172,6 +173,7 @@ class Dataset:
         self._w = wv
         self._names = names
         self._arms: list[Arm | None] = [None, None]
+        self._codes: tuple[np.ndarray, tuple] | None = None
 
     # -- resampling --------------------------------------------------------
 
@@ -196,6 +198,7 @@ class Dataset:
         new._w = self._w[idx]
         new._names = self._names
         new._arms = [None, None]
+        new._codes = None
         return new
 
     def arm(self, d: int) -> Arm:
@@ -209,6 +212,30 @@ class Dataset:
             rows = np.flatnonzero(self._d == d)  # an index gathers faster than a mask of random rows
             arm = self._arms[d] = _summarize(self._y[rows], self._m[rows], self._w[rows])
         return arm
+
+    def block_codes(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Each unit's block as an integer code, and the block labels in
+        code order: blocks are numbered in order of first appearance.
+        Raises :class:`MissingBlockLabels` unless every unit has a label."""
+        if self._block is None:
+            raise MissingBlockLabels("the units carry no block label")
+        codes, blocks = self._numbered_blocks()
+        if None in blocks:
+            raise MissingBlockLabels("a unit carries no block label")
+        return codes, blocks
+
+    def _numbered_blocks(self) -> tuple[np.ndarray, tuple]:
+        """:meth:`block_codes` with a missing label numbered as one more
+        block, from one pass over the labels on the first call, kept for
+        this dataset."""
+        if self._codes is None:
+            labels = self._block.tolist()
+            blocks = tuple(dict.fromkeys(labels))
+            number = {b: i for i, b in enumerate(blocks)}
+            codes = np.fromiter(map(number.__getitem__, labels), dtype=np.intp, count=len(labels))
+            codes.setflags(write=False)
+            self._codes = codes, blocks
+        return self._codes
 
     # -- accessors ---------------------------------------------------------
 
@@ -590,7 +617,8 @@ def write_csv(ds: Dataset, path) -> None:
             raise InvariantViolation(f"the header would name column {name!r} {header.count(name)} times")
     dm_codes = np.where(np.isnan(ds.m), 2, ds.m).astype(np.int8) + 3 * ds.d
     if "block" in schema:
-        labels = {b: "" if b is None else _quote(b) for b in dict.fromkeys(ds.block.tolist())}
+        codes, blocks = ds._numbered_blocks()
+        labels = np.array(["" if b is None else _quote(b) for b in blocks], dtype=object)
     row = _row_format(ds.x.shape[1], "block" in schema, "weight" in schema)
 
     with atomic_open(path) as fh:
@@ -600,7 +628,7 @@ def write_csv(ds: Dataset, path) -> None:
             columns = [ds.y[rows].tolist(), _DM_TEXT[dm_codes[rows]].tolist()]
             columns += [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
             if "block" in schema:
-                columns.append(list(map(labels.__getitem__, ds.block[rows].tolist())))
+                columns.append(labels[codes[rows]].tolist())
             if "weight" in schema:
                 columns.append(ds.weight[rows].tolist())
             size = len(columns[0])

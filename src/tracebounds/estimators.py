@@ -133,19 +133,14 @@ def shares_from_first_stage(p1: float, p0: float) -> StrataShares:
 
 def ols_columns(ds: Dataset, use_covariates: bool, use_block_fe: bool) -> tuple[np.ndarray, np.ndarray]:
     """Regressors ``[d, covariates]`` of the adjusted regression and each
-    unit's integer group code: its block with ``use_block_fe``, else one
-    group, whose intercept is the regression's own."""
+    unit's integer group code: its block with ``use_block_fe``
+    (:meth:`Dataset.block_codes`, which raises :class:`MissingBlockLabels`
+    unless every unit has a label), else one group, whose intercept is
+    the regression's own."""
     cols = [ds.d.astype(np.float64)]
     if use_covariates and ds.x.shape[1]:
         cols.append(ds.x)
-    if not use_block_fe:
-        return np.column_stack(cols), np.zeros(ds.n, dtype=np.intp)
-    if ds.block is None:
-        raise InvariantViolation("block fixed effects requested but units carry no block label")
-    if any(b is None for b in ds.block):
-        raise InvariantViolation("block fixed effects requested but some units lack a label")
-    index: dict[str, int] = {}
-    codes = np.fromiter((index.setdefault(b, len(index)) for b in ds.block), dtype=np.intp, count=ds.n)
+    codes = ds.block_codes()[0] if use_block_fe else np.zeros(ds.n, dtype=np.intp)
     return np.column_stack(cols), codes
 
 

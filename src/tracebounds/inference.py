@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .errors import AllReplicatesFailed, InvariantViolation, MissingBlockLabels, TraceBoundsError
+from .errors import AllReplicatesFailed, InvariantViolation, TraceBoundsError
 
 _MASK64 = (1 << 64) - 1
 
@@ -83,18 +83,10 @@ def replicate_draw(seed: int, r: int, size: int) -> np.ndarray:
 
 
 def _block_index(ds: Dataset) -> list[np.ndarray]:
-    if ds.block is None:
-        raise MissingBlockLabels("block resampling needs a block column")
-    if any(b is None for b in ds.block):
-        raise MissingBlockLabels("block resampling needs a label on every unit")
-    groups: dict[str, list[int]] = {}
-    order: list[str] = []
-    for i, b in enumerate(ds.block):
-        if b not in groups:
-            groups[b] = []
-            order.append(b)
-        groups[b].append(i)
-    return [np.asarray(groups[b], dtype=np.intp) for b in order]
+    """The rows of each block, blocks in the order of ``Dataset.block_codes``."""
+    codes, _ = ds.block_codes()
+    order = np.argsort(codes, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(codes[order])) + 1)
 
 
 def bootstrap_replicates(

@@ -31,7 +31,7 @@ from .bounds import BoundKind, Interval, SortedControl, _ordered_interval, mt_in
 from .data import Dataset
 from .errors import EmptyCell, TraceBoundsError
 from .estimators import TEMethod, absorbed_wls, ols_columns, shares_from_first_stage
-from .inference import BootstrapConfig, ResampleUnit, _block_index, replicate_draw
+from .inference import BootstrapConfig, ResampleUnit, replicate_draw
 
 _NAN_PAIR = (math.nan, math.nan)
 
@@ -87,11 +87,8 @@ class ReplicateEngine:
         self._w = ds.weight[rows]
         self._yc = self._y[self._b :]
         if cfg.resample_unit is ResampleUnit.BLOCK:
-            block_rows = _block_index(ds)
-            block_of = np.empty(ds.n, dtype=np.intp)
-            for j, members in enumerate(block_rows):
-                block_of[members] = j
-            self._units, self._unit_of = len(block_rows), block_of[rows]
+            codes, blocks = ds.block_codes()
+            self._units, self._unit_of = len(blocks), codes[rows]
         else:
             self._units, self._unit_of = ds.n, rows
         if te_method is TEMethod.OLS_ADJUSTED:

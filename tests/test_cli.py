@@ -376,6 +376,25 @@ def test_invariant_error_carries_row(capsys, tmp_path):
     assert err["message"] == "row 3: d must be 0 or 1, got 7.0"
 
 
+def test_ols_block_effects_need_a_label_on_every_unit(capsys, tmp_path):
+    # the fourth unit's block cell is empty: block fixed effects fail as block draws do
+    p = tmp_path / "blocks.csv"
+    p.write_text("y,d,m,block\n2,1,1,a\n3,1,1,b\n1,1,0,a\n0,0,1,\n1,0,0,b\n2,0,0,a\n")
+    code, out = run(
+        capsys,
+        "analyze",
+        "--input", str(p),
+        "--block", "block",
+        "--te-method", "ols",
+        "--preset", "zero",
+        "--replicates", "5",
+        "--out-table", str(tmp_path / "curve.csv"),
+        "--out-report", str(tmp_path / "report.json"),
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "MissingBlockLabels"
+
+
 def test_all_reactors_under_uneven_weights(capsys, tmp_path):
     from test_estimators import ALL_REACT_WEIGHTS
 

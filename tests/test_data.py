@@ -19,6 +19,7 @@ from tracebounds import (
 )
 from tracebounds.errors import (
     InvariantViolation,
+    MissingBlockLabels,
     MissingColumn,
     ParseError,
     RequirementUnmet,
@@ -155,6 +156,22 @@ def test_take(toy):
     # repeated indices are allowed, as the bootstrap requires
     rep = toy.take([0, 0, 0, 3])
     assert rep.y.tolist() == [2.0, 2.0, 2.0, 0.0]
+
+
+def test_block_codes_number_blocks_in_order_of_first_appearance(toy):
+    ds = Dataset(y=[0.0] * 5, d=[1, 0, 1, 0, 0], m=[1, 0, 0, 1, 0], block=["v", "u", "v", "w", "u"])
+    codes, blocks = ds.block_codes()
+    assert codes.tolist() == [0, 1, 0, 2, 1]
+    assert blocks == ("v", "u", "w")
+    assert ds.block.tolist() == ["v", "u", "v", "w", "u"]
+    codes, blocks = ds.take([4, 3, 0, 4]).block_codes()  # a resample numbers its own blocks
+    assert codes.tolist() == [0, 1, 2, 0]
+    assert blocks == ("u", "w", "v")
+    with pytest.raises(MissingBlockLabels):
+        toy.block_codes()
+    unlabelled = Dataset(y=[0.0] * 3, d=[1, 0, 0], m=[1, 0, 0], block=["a", None, "a"])
+    with pytest.raises(MissingBlockLabels):
+        unlabelled.block_codes()
 
 
 def test_take_must_keep_both_arms(toy):
