@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Analysis, Dataset, validate_for
+from .data import Analysis, Dataset, _wmean, validate_for
 from .errors import (
     EmptyCell,
     EmptyInput,
@@ -113,9 +113,9 @@ def _ordered_interval(lo: float, hi: float, kind: BoundKind) -> Interval:
 def trimmed_mean(values, weights, spec: TrimSpec) -> float:
     """Weighted mean of the extreme ``spec.fraction`` share of total weight.
 
-    Sort ascending for LOWEST, descending for HIGHEST, ties keeping the
-    original row order. Weight accumulates until ``fraction`` of the
-    total is covered; the marginal observation enters with the
+    The values are sorted ascending, ties keeping the original row
+    order, and LOWEST averages the bottom share, HIGHEST the top one
+    (:func:`_slice_means`). The marginal observation enters with the
     fractional weight that exactly fills the target. With fraction 1
     this is the plain weighted mean.
     """
@@ -130,51 +130,40 @@ def trimmed_mean(values, weights, spec: TrimSpec) -> float:
     if not (w > 0).all():
         raise InvariantViolation("weights must be positive")
 
-    order = np.argsort(v if spec.side is Side.LOWEST else -v, kind="stable")
-    return _leading_mean(v[order], w[order], spec.fraction)
+    order = np.argsort(v, kind="stable")
+    low, high = _slice_means(v[order], w[order], spec.fraction)
+    return low if spec.side is Side.LOWEST else high
 
 
-def _leading_mean(vs: np.ndarray, ws: np.ndarray, fraction: float) -> float:
-    """Weighted mean of the leading ``fraction`` share of total weight of
-    ``vs`` in the order given; the marginal observation enters with the
-    fractional weight that exactly fills the target."""
-    cw = np.cumsum(ws)
-    total = cw[-1]
-    target = min(fraction * total, total)
-    k = int(np.searchsorted(cw, target, side="left"))
-    if k >= vs.size:  # float slack at fraction == 1
-        k = vs.size - 1
-    before = cw[k - 1] if k > 0 else 0.0
-    partial = target - before
-    acc = float(vs[:k] @ ws[:k]) + partial * float(vs[k])
-    return float(acc / target)
-
-
-def _descending_order(ys: np.ndarray, ascending: np.ndarray) -> np.ndarray:
-    """``np.argsort(-y, kind="stable")`` from ``ascending``, the stable
-    ascending order of ``y``, and ``ys = y[ascending]``: the runs of tied
-    values in reverse, the rows of each run kept in order. A row at
-    position i of the run [s, e) of ``ys`` moves to n - e + (i - s)."""
-    n = ys.size
-    starts = np.flatnonzero(np.concatenate(([True], ys[1:] != ys[:-1])))
-    ends = np.append(starts[1:], n)
-    to = np.repeat(n - ends - starts, ends - starts)
-    to += np.arange(n)
-    order = np.empty_like(ascending)
-    order[to] = ascending
-    return order
+def _slice_means(ys: np.ndarray, ws: np.ndarray, fraction: float) -> tuple[float, float]:
+    """Weighted means of the lowest and the highest ``fraction`` share of
+    the total weight, for ``ys`` sorted ascending; the marginal row enters
+    with the weight that fills the share. Rows of zero weight (a
+    bootstrap row not drawn) take no part. The only trimmed-slice
+    arithmetic of the package: the full-sample bounds and the replicate
+    engine both read their slices here."""
+    cum = np.cumsum(ws)
+    total = cum[-1]
+    target = fraction * total
+    k = int(np.searchsorted(cum, target, side="left"))  # marginal row from the bottom
+    below = cum[k - 1] if k else 0.0
+    low = (ys[:k] @ ws[:k] + (target - below) * ys[k]) / target
+    # weight above each row; ``total - target`` would round back to ``total``
+    # for a share below one ulp of it
+    above = total - cum
+    j = int(np.searchsorted(-above, -target, side="right"))  # marginal row from the top
+    high = (ys[j + 1 :] @ ws[j + 1 :] + (target - above[j]) * ys[j]) / target
+    return float(low), float(high)
 
 
 class SortedControl:
-    """The control arm of a dataset in both trimming orders, sorted once
-    so that :func:`no_assumption_bounds` and :func:`mt_bounds` share them.
+    """The control arm of a dataset in the stable ascending order of y,
+    sorted once so that :func:`no_assumption_bounds` and
+    :func:`mt_bounds` share it.
 
-    The orders are those of :func:`trimmed_mean`: ``argsort(y)`` for the
-    lowest slice and ``argsort(-y)`` for the highest, both stable. The
-    second is not the first reversed, which would put tied units in
-    reverse row order; it is the first with its runs of ties reversed.
-    A stable order filtered to the m = 0 pool is the pool's own stable
-    order, so the pool is never sorted apart.
+    Both ends of a slice are read off this one order, as in
+    :func:`trimmed_mean`. A stable order filtered to the m = 0 pool is
+    the pool's own stable order, so the pool is never sorted apart.
     """
 
     def __init__(self, ds: Dataset):
@@ -182,26 +171,23 @@ class SortedControl:
         self._y = ds.y[control]
         self._w = ds.weight[control]
         self._pool = ds.m[control] == 0
-        ascending = np.argsort(self._y, kind="stable")
-        self._orders = (ascending, _descending_order(self._y[ascending], ascending))
+        self._ascending = np.argsort(self._y, kind="stable")
 
     @property
     def ascending(self) -> np.ndarray:
         """Stable ascending order of y in the control arm, as positions in the arm; not a copy."""
-        return self._orders[0]
+        return self._ascending
 
     def slices(self, fraction: float, pool: bool = False) -> tuple[float, float]:
         """Means of the lowest and the highest ``fraction`` share of the
         arm's weight, or with ``pool`` of its m = 0 units' weight, each
         equal to :func:`trimmed_mean` of the same units. Raises
         :class:`EmptyCell` for a ``pool`` with no unit."""
-        low, high = (order[np.flatnonzero(self._pool[order])] if pool else order for order in self._orders)
-        if not low.size:
+        order = self._ascending
+        rows = order[np.flatnonzero(self._pool[order])] if pool else order
+        if not rows.size:
             raise EmptyCell("no control units with m=0 although the first stage implies some")
-        return (
-            _leading_mean(self._y[low], self._w[low], fraction),
-            _leading_mean(self._y[high], self._w[high], fraction),
-        )
+        return _slice_means(self._y[rows], self._w[rows], fraction)
 
 
 def no_assumption_bounds(ds: Dataset, control: SortedControl | None = None) -> Interval:
@@ -336,8 +322,7 @@ def naive_estimates(ds: Dataset) -> NaiveEstimates:
         m1 = np.flatnonzero(m == 1)
         m0 = np.flatnonzero(m == 0)
         if m1.size and m0.size:
-            w1, w0 = w[m1], w[m0]
-            as_treated = float(y[m1] @ w1 / w1.sum() - y[m0] @ w0 / w0.sum())
+            as_treated = _wmean(y[m1], w[m1]) - _wmean(y[m0], w[m0])
         try:
             per_protocol = conditional_mean(ds, 1, 1) - conditional_mean(ds, 0, 0)
         except (EmptyCell, MissingM):

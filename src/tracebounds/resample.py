@@ -7,8 +7,10 @@ The control arm and its m = 0 pool keep the order by y of
 :func:`replicate_draw` into counts with one ``bincount`` and reads
 every statistic ``analyze`` needs off count-weighted sums: the average
 effect, the reactive share, the (1, 1)-cell mean, both trimmed slices
-(one ``cumsum`` and a ``searchsorted`` from each end of the sorted
-order) and the monotone mixture. The adjusted regression is
+and the monotone mixture. The slices come from ``bounds._slice_means``,
+the kernel of the full-sample bounds too: one ``cumsum`` and a
+``searchsorted`` from each end of the ascending order, in which a row
+not drawn has weight 0. The adjusted regression is
 :func:`absorbed_wls` under the weights count·w. No resample is built
 and nothing is sorted per replicate.
 
@@ -27,32 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundKind, Interval, SortedControl, _ordered_interval, mt_interval
+from .bounds import BoundKind, Interval, SortedControl, _ordered_interval, _slice_means, mt_interval
 from .data import Dataset
 from .errors import EmptyCell, TraceBoundsError
 from .estimators import TEMethod, absorbed_wls, ols_columns, shares_from_first_stage
 from .inference import BootstrapConfig, ResampleUnit, replicate_draw
 
 _NAN_PAIR = (math.nan, math.nan)
-
-
-def _slice_means(ys: np.ndarray, ws: np.ndarray, fraction: float) -> tuple[float, float]:
-    """Weighted means of the lowest and the highest ``fraction`` share of
-    the total weight, for ``ys`` sorted ascending; the marginal row enters
-    with the weight that fills the share, as in ``trimmed_mean``. Rows
-    of zero weight (not drawn) take no part."""
-    cum = np.cumsum(ws)
-    total = cum[-1]
-    target = fraction * total
-    k = int(np.searchsorted(cum, target, side="left"))  # marginal row from the bottom
-    below = cum[k - 1] if k else 0.0
-    low = (ys[:k] @ ws[:k] + (target - below) * ys[k]) / target
-    # weight above each row; ``total - target`` would round back to ``total``
-    # for a share below one ulp of it
-    above = total - cum
-    j = int(np.searchsorted(-above, -target, side="right"))  # marginal row from the top
-    high = (ys[j + 1 :] @ ws[j + 1 :] + (target - above[j]) * ys[j]) / target
-    return float(low), float(high)
 
 
 def _pair(make: Callable[[], Interval]) -> tuple[float, float]:

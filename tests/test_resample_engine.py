@@ -29,8 +29,9 @@ from tracebounds import (
     te_point,
     trimmed_mean,
 )
+from tracebounds.bounds import _slice_means
 from tracebounds.errors import TraceBoundsError
-from tracebounds.resample import ReplicateEngine, _slice_means
+from tracebounds.resample import ReplicateEngine
 
 _KINDS = ["plain", "weighted", "ties", "blocked", "no_control_m", "weak", "flat", "rare", "tiny"]
 
