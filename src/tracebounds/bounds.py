@@ -148,11 +148,12 @@ def _slice_means(ys: np.ndarray, ws: np.ndarray, fraction: float) -> tuple[float
     k = int(np.searchsorted(cum, target, side="left"))  # marginal row from the bottom
     below = cum[k - 1] if k else 0.0
     low = (ys[:k] @ ws[:k] + (target - below) * ys[k]) / target
-    # weight above each row; ``total - target`` would round back to ``total``
-    # for a share below one ulp of it
-    above = total - cum
-    j = int(np.searchsorted(-above, -target, side="right"))  # marginal row from the top
-    high = (ys[j + 1 :] @ ws[j + 1 :] + (target - above[j]) * ys[j]) / target
+    # minus the weight above each row, ascending, in place of the running sum:
+    # ``total - target`` would round back to ``total`` for a share below one
+    # ulp of it, and ``cum - total`` is exactly ``-(total - cum)``
+    np.subtract(cum, total, out=cum)
+    j = int(np.searchsorted(cum, -target, side="right"))  # marginal row from the top
+    high = (ys[j + 1 :] @ ws[j + 1 :] + (target + cum[j]) * ys[j]) / target
     return float(low), float(high)
 
 
@@ -161,17 +162,21 @@ class SortedControl:
     sorted once so that :func:`no_assumption_bounds` and
     :func:`mt_bounds` share it.
 
-    Both ends of a slice are read off this one order, as in
-    :func:`trimmed_mean`. A stable order filtered to the m = 0 pool is
-    the pool's own stable order, so the pool is never sorted apart.
+    The arm's y, weights and m = 0 flags are stored in that order, and
+    both ends of a slice are read off it, as in :func:`trimmed_mean`. A
+    stable order filtered to the m = 0 pool is the pool's own stable
+    order, so the pool is never sorted apart.
     """
 
     def __init__(self, ds: Dataset):
-        control = np.flatnonzero(ds.d == 0)
-        self._y = ds.y[control]
-        self._w = ds.weight[control]
-        self._pool = ds.m[control] == 0
-        self._ascending = np.argsort(self._y, kind="stable")
+        rows = np.flatnonzero(ds.d == 0)
+        y = ds.y[rows]
+        self._ascending = np.argsort(y, kind="stable")
+        self._y = y[self._ascending]
+        del y
+        rows = rows[self._ascending]
+        self._w = ds.weight[rows]
+        self._pool = ds.m[rows] == 0
 
     @property
     def ascending(self) -> np.ndarray:
@@ -183,11 +188,11 @@ class SortedControl:
         arm's weight, or with ``pool`` of its m = 0 units' weight, each
         equal to :func:`trimmed_mean` of the same units. Raises
         :class:`EmptyCell` for a ``pool`` with no unit."""
-        order = self._ascending
-        rows = order[np.flatnonzero(self._pool[order])] if pool else order
-        if not rows.size:
+        if not pool:
+            return _slice_means(self._y, self._w, fraction)
+        if not self._pool.any():
             raise EmptyCell("no control units with m=0 although the first stage implies some")
-        return _slice_means(self._y[rows], self._w[rows], fraction)
+        return _slice_means(self._y[self._pool], self._w[self._pool], fraction)
 
 
 def no_assumption_bounds(ds: Dataset, control: SortedControl | None = None) -> Interval:

@@ -43,7 +43,14 @@ def _require(ok: np.ndarray, values: np.ndarray, rule: str) -> None:
     """
     if not ok.all():
         i = int(np.argmin(ok.ravel()))
-        raise InvariantViolation(f"{rule}, got {values.ravel()[i]}", unit=i // (ok.size // len(ok)))
+        raise InvariantViolation(f"{rule}, got {float(values.ravel()[i])}", unit=i // (ok.size // len(ok)))
+
+
+def _assignment(d: np.ndarray) -> np.ndarray:
+    """``d`` as int8, under the rule that every unit's d is 0 or 1, which
+    is checked on ``d`` as it comes (integers, booleans or reals)."""
+    _require((d == 0) | (d == 1), d, "d must be 0 or 1")
+    return d.astype(np.int8, copy=False)
 
 
 def _wmean(y: np.ndarray, w: np.ndarray) -> float:
@@ -90,15 +97,21 @@ class Dataset:
     blocks are computed once, on first use, and kept (:meth:`arm`,
     :meth:`block_codes`).
 
+    The public constructor copies the caller's arrays, so a dataset
+    never shares memory with them. :func:`~tracebounds.oracle.simulate`
+    and :func:`load_csv` build theirs from columns they have just made,
+    which the dataset keeps without a copy.
+
     Parameters
     ----------
     y, d, m : array-like, length n
         Outcome, assignment in {0, 1}, reaction indicator in {0, 1}
         with NaN or None marking a missing m (control arm only).
-    x : array-like of shape (n, k), optional
-        Covariate matrix. Defaults to zero columns.
+    x : array-like of shape (n, k) or (n,), optional
+        Covariate matrix, or one covariate. Defaults to zero columns.
     block : sequence of str or None, optional
-        Block label per unit.
+        Block label per unit; one str is refused, not split into
+        one-character labels.
     weight : array-like, optional
         Positive sampling weights. Defaults to 1 for every unit.
     covariate_names : sequence of str, optional
@@ -108,25 +121,53 @@ class Dataset:
     __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_arms", "_codes")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
-        yv = np.array(y, dtype=np.float64)
+        self._own(
+            np.array(y, dtype=np.float64),
+            np.array(d),
+            None if m is None else np.array(m, dtype=np.float64),  # None -> every m missing
+            None if x is None else np.array(x, dtype=np.float64),
+            block,
+            None if weight is None else np.array(weight, dtype=np.float64),
+            covariate_names,
+        )
+
+    @classmethod
+    def _adopt(cls, y, d, m, x=None, block=None, weight=None, covariate_names=None) -> "Dataset":
+        """The dataset over columns made for it, which the caller hands
+        over and no longer touches: y, m, x and weight as contiguous
+        float64 arrays are kept as they are, and d (of any integer or
+        real type) is narrowed to int8. Checked as the constructor
+        checks, with the same errors."""
+        ds = object.__new__(cls)
+        ds._own(y, d, m, x, block, weight, covariate_names)
+        return ds
+
+    def _own(self, y, d, m, x, block, weight, covariate_names) -> None:
+        """Check the columns and keep them, read-only, converting only a
+        column that is not float64 yet (d: not int8 yet)."""
+        yv = np.asarray(y, dtype=np.float64)
         if yv.ndim != 1:
             raise InvariantViolation("y must be one-dimensional")
         n = yv.shape[0]
         if n == 0:
             raise InvariantViolation("dataset must contain at least one unit")
 
-        dv = np.asarray(d, dtype=np.float64)
+        dv = np.asarray(d)
+        if dv.dtype.kind not in "biu":  # integers and booleans are checked as they are
+            dv = np.asarray(dv, dtype=np.float64)
         if dv.shape != (n,):
             raise InvariantViolation("d length does not match y")
-        mv = np.full(n, np.nan) if m is None else np.array(m, dtype=np.float64)  # None -> NaN
+        mv = np.full(n, np.nan) if m is None else np.asarray(m, dtype=np.float64)
         if mv.shape != (n,):
             raise InvariantViolation("m length does not match y")
-        wv = np.ones(n) if weight is None else np.array(weight, dtype=np.float64)
-        if wv.shape != (n,):
+        wv = None if weight is None else np.asarray(weight, dtype=np.float64)
+        if wv is not None and wv.shape != (n,):
             raise InvariantViolation("weight length does not match y")
-        xv = np.empty((n, 0)) if x is None else np.array(x, dtype=np.float64)
+        xv = np.empty((n, 0)) if x is None else np.asarray(x, dtype=np.float64)
         if xv.ndim == 1:
-            xv = xv.reshape(n, 1)
+            xv = xv.reshape(-1, 1)
+        if xv.ndim != 2:
+            raise InvariantViolation(f"covariates must be an (n, k) matrix or one column, got {xv.ndim} dimensions")
         if xv.shape[0] != n:
             raise InvariantViolation("covariate rows do not match y")
         k = xv.shape[1]
@@ -140,25 +181,29 @@ class Dataset:
 
         if block is None:
             bv = None
+        elif isinstance(block, str):
+            raise InvariantViolation("block must be a sequence of labels, one per unit, not a str")
         else:
             bv = np.array([None if b is None else str(b) for b in block], dtype=object)
             if bv.shape != (n,):
                 raise InvariantViolation("block length does not match y")
 
-        # the per-unit rules, each checked here and nowhere else
+        # the per-unit rules, each raised here and nowhere else
         _require(np.isfinite(yv), yv, "y must be finite")
-        _require((dv == 0.0) | (dv == 1.0), dv, "d must be 0 or 1")
+        dv = _assignment(dv)
         _require(np.isnan(mv) | (mv == 0.0) | (mv == 1.0), mv, "m must be 0, 1 or missing")
-        _require(np.isfinite(wv) & (wv > 0), wv, "weight must be positive and finite")
+        if wv is not None:
+            _require(np.isfinite(wv) & (wv > 0), wv, "weight must be positive and finite")
         _require(np.isfinite(xv), xv, "covariates must be finite")
 
-        treated = dv == 1.0
+        treated = dv == 1
         if not treated.any():
             raise InvariantViolation("dataset has no treated unit")
         if treated.all():
             raise InvariantViolation("dataset has no control unit")
         _require(~(treated & np.isnan(mv)), mv, "treated units must have m observed")
-        dv = dv.astype(np.int8)
+        if wv is None:
+            wv = np.ones(n)
 
         for a in (yv, dv, mv, wv, xv):
             a.setflags(write=False)
@@ -210,7 +255,9 @@ class Dataset:
         arm = self._arms[d]
         if arm is None:
             rows = np.flatnonzero(self._d == d)  # an index gathers faster than a mask of random rows
-            arm = self._arms[d] = _summarize(self._y[rows], self._m[rows], self._w[rows])
+            y, m, w = self._y[rows], self._m[rows], self._w[rows]
+            del rows  # not held while the cells are gathered
+            arm = self._arms[d] = _summarize(y, m, w)
         return arm
 
     def block_codes(self) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -379,8 +426,9 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
 def _plan(schema: Mapping[str, object] | None):
     """The (column, parser) roles of ``schema`` in the order a row's cells
     are checked (y, d, m, covariates, block, weight), and the builder of
-    its :class:`Dataset` from a table of the real columns (y, d,
-    covariates, weight), the m column and the block labels."""
+    its :class:`Dataset` from the real columns (y, d, covariates, weight)
+    and the m column, each an array of its own that the dataset keeps,
+    and the block labels."""
     eff = dict(_DEFAULT_SCHEMA)
     if schema:
         eff.update(schema)
@@ -400,14 +448,14 @@ def _plan(schema: Mapping[str, object] | None):
         roles.append((weight_col, float))
     k = len(cov_cols)
 
-    def build(table: np.ndarray, m: np.ndarray, blocks: list | None) -> Dataset:
-        return Dataset(
-            y=table[:, 0],
-            d=table[:, 1],
+    def build(reals: list[np.ndarray], m: np.ndarray, blocks: list | None) -> Dataset:
+        return Dataset._adopt(
+            y=reals[0],
+            d=reals[1],
             m=m,
-            x=table[:, 2 : 2 + k] if k else None,
+            x=np.column_stack(reals[2 : 2 + k]) if k else None,
             block=blocks,
-            weight=table[:, -1] if weight_col is not None else None,
+            weight=reals[-1] if weight_col is not None else None,
             covariate_names=cov_cols if k else None,
         )
 
@@ -446,7 +494,11 @@ def _load_columns(path, roles, build) -> Dataset | None:
     """The dataset parsed by one ``np.loadtxt`` call, or None when the
     row reader must decide: no data row follows the header, loadtxt
     fails, an m cell reads as NaN (a literal ``nan``, which the row
-    reader refuses), or :class:`Dataset` refuses the values."""
+    reader refuses), or :class:`Dataset` refuses the values.
+
+    The needed columns are copied out of loadtxt's table, d narrowed
+    to int8 on the way, and the table is dropped before the dataset
+    makes its unit weights."""
     if _has_separator(path):
         return None
     with open(path, newline="", encoding="utf-8") as fh:
@@ -464,11 +516,16 @@ def _load_columns(path, roles, build) -> Dataset | None:
             )
         except (ValueError, csv.Error):  # UnicodeDecodeError included
             return None
-    m = table[:, -1]
-    if np.isnan(m).any():
+    if np.isnan(table[:, -1]).any():
         return None
     try:
-        return build(table[:, :-1], m, None)
+        d = _assignment(table[:, 1])  # narrowed here, so that it is never copied as reals
+    except InvariantViolation:
+        return None
+    *reals, m = [d if j == 1 else table[:, j].copy() for j in range(table.shape[1])]
+    del table
+    try:
+        return build(reals, m, None)
     except InvariantViolation:
         return None
 
@@ -511,8 +568,9 @@ def _load_rows(path, roles, build) -> Dataset:
             raise ParseError(rownum + 1, None, str(exc)) from None
 
     table = np.frombuffer(flat).reshape(-1, len(reals))
+    columns = [table[:, j].copy() for j in range(len(reals))]
     try:
-        return build(table, np.frombuffer(ms), None if block_at is None else blocks)
+        return build(columns, np.frombuffer(ms), None if block_at is None else blocks)
     except InvariantViolation as exc:
         if exc.unit is not None:
             exc.row = exc.unit + 1
@@ -615,7 +673,6 @@ def write_csv(ds: Dataset, path) -> None:
     for name in header:
         if header.count(name) > 1:
             raise InvariantViolation(f"the header would name column {name!r} {header.count(name)} times")
-    dm_codes = np.where(np.isnan(ds.m), 2, ds.m).astype(np.int8) + 3 * ds.d
     if "block" in schema:
         codes, blocks = ds._numbered_blocks()
         labels = np.array(["" if b is None else _quote(b) for b in blocks], dtype=object)
@@ -625,7 +682,9 @@ def write_csv(ds: Dataset, path) -> None:
         fh.write(",".join(map(_quote, header)) + "\r\n")
         for start in range(0, ds.n, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            columns = [ds.y[rows].tolist(), _DM_TEXT[dm_codes[rows]].tolist()]
+            m = ds.m[rows]
+            dm_codes = np.where(np.isnan(m), 2, m).astype(np.int8) + 3 * ds.d[rows]
+            columns = [ds.y[rows].tolist(), _DM_TEXT[dm_codes].tolist()]
             columns += [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
             if "block" in schema:
                 columns.append(labels[codes[rows]].tolist())

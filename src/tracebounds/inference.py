@@ -8,6 +8,7 @@ and threaded runs, and reruns of a single replicate, agree bit for bit.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -161,6 +162,28 @@ def percentile_ci(
     return BootstrapResult(lo=lo, hi=hi, values=flat, n_failed=n_failed)
 
 
+def _linear_quantile(values: np.ndarray, q: float):
+    """``np.quantile(values, q, axis=0, method="linear")`` for a float
+    ``q`` in [0, 1], bit for bit: the same partition of a copy, the same
+    neighbouring order statistics and numpy's ``_lerp``, which takes a
+    weight of 1/2 or more from the upper neighbour. A column holding a
+    NaN gives NaN. numpy reaches its partition through ``np.unique``,
+    which imports ``numpy.ma``; this path imports nothing.
+
+    1-D values give a 0-d array, 2-D values one quantile per column."""
+    n = values.shape[0]
+    virtual = (n - 1) * q
+    below = -1 if virtual >= n - 1 else math.floor(virtual)  # -1: the largest value
+    above = -1 if below == -1 else below + 1
+    t = virtual - below
+    arr = values.copy()
+    arr.partition(np.array(sorted({0, -1, below, above}), dtype=np.intp), axis=0)
+    a, b = arr[below], arr[above]
+    diff = b - a
+    result = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return np.where(np.isnan(arr[-1]), arr[-1], result)  # NaNs partition last
+
+
 def percentile_band(lo_values, hi_values, level: float):
     """Lower ``(1 - level) / 2`` quantile of ``lo_values`` and upper one of
     ``hi_values``, interpolating linearly between order statistics. An end
@@ -173,8 +196,8 @@ def percentile_band(lo_values, hi_values, level: float):
     lo_values = np.asarray(lo_values, dtype=np.float64)
     hi_values = np.asarray(hi_values, dtype=np.float64)
     with np.errstate(invalid="ignore"):  # a column holding an infinity interpolates to NaN, replaced below
-        ci_lo = np.quantile(lo_values, tail, axis=0, method="linear")
-        ci_hi = np.quantile(hi_values, 1.0 - tail, axis=0, method="linear")
+        ci_lo = _linear_quantile(lo_values, tail)
+        ci_hi = _linear_quantile(hi_values, 1.0 - tail)
     ci_lo = np.where(np.isinf(lo_values).any(axis=0), -np.inf, ci_lo)
     ci_hi = np.where(np.isinf(hi_values).any(axis=0), np.inf, ci_hi)
     if ci_lo.ndim == 0:

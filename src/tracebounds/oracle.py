@@ -161,21 +161,20 @@ def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
     """
     truth = true_estimands(cfg)
     rng = np.random.default_rng(cfg.seed)
-    strata = rng.choice(4, size=cfg.n, p=cfg.strata.as_tuple())
-    d = rng.integers(0, 2, size=cfg.n)
+    cell = rng.choice(4, size=cfg.n, p=cfg.strata.as_tuple())  # the stratum
+    d = rng.integers(0, 2, size=cfg.n).astype(np.int8)
+    cell *= 2
+    cell += d  # now the flat index of (stratum, arm) in a (4, 2) table
 
-    m_tab = np.array([_M_TABLE[s] for s in _STRATA], dtype=np.int8)
-    m = m_tab[strata, d]
-    mu = cfg.means.table()[strata, d]
+    m = np.array([_M_TABLE[s] for s in _STRATA], dtype=np.float64).ravel()[cell]
+    y = cfg.means.table().ravel()[cell]  # the stratum-by-arm means, noise added in place
+    del cell
     if cfg.noise_sd > 0:
-        y = mu + rng.normal(0.0, cfg.noise_sd, size=cfg.n)
-    else:
-        y = mu.copy()
+        y += rng.normal(0.0, cfg.noise_sd, size=cfg.n)
     if cfg.type3:
         y[m == 0] = 0.0
 
-    ds = Dataset(y=y, d=d, m=m.astype(np.float64))
-    return ds, truth
+    return Dataset._adopt(y, d, m), truth
 
 
 # -- brute-force references ---------------------------------------------------

@@ -417,14 +417,17 @@ def test_missing_file_is_an_io_error(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
 
-def _loaded_by_cli_import(modules: tuple[str, ...]) -> str:
-    """Those of ``modules`` that a fresh ``import tracebounds.cli`` loads, as printed."""
+def _loaded_by_cli_import(modules: tuple[str, ...], argv: tuple[str, ...] = ()) -> str:
+    """Those of ``modules`` that a fresh ``import tracebounds.cli`` loads,
+    and then a run of the CLI on ``argv`` when given, as printed."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import tracebounds.cli; "
-        f"print([m for m in {modules!r} if m in sys.modules])"
+        + (f"assert tracebounds.cli.main({list(argv)!r}) == 0; " if argv else "")
+        + f"print([m for m in {modules!r} if m in sys.modules])"
     )
-    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout.strip()
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
+    return out.strip().splitlines()[-1]
 
 
 def test_cli_import_pulls_in_no_network_modules():
@@ -440,6 +443,14 @@ def test_cli_import_loads_no_thread_pool():
 def test_cli_import_loads_no_spelling_helper():
     # a misspelt config section is found by an edit distance of its own, on the error path only
     assert _loaded_by_cli_import(("difflib",)) == "[]"
+
+
+def test_analyze_loads_no_masked_arrays(tmp_path, toy_path):
+    # np.quantile imports numpy.ma through np.unique; the percentile bands do without it
+    argv = ("analyze", "--input", str(toy_path), "--preset", "zero", "--replicates", "20")
+    for kind, name in (("report", "r.json"), ("table", "c.csv"), ("chart", "c.svg")):
+        argv += (f"--out-{kind}", str(tmp_path / name))
+    assert _loaded_by_cli_import(("numpy.ma",), argv) == "[]"
 
 
 def test_console_script_runs():

@@ -213,6 +213,21 @@ def test_dataset_rejects_empty():
         Dataset(y=[], d=[], m=[])
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(x=np.float64(3.0)),
+        dict(x=np.zeros((3, 2, 2))),
+        dict(x=[1.0, 2.0]),
+        dict(block="abc"),
+    ],
+    ids=["0-D covariates", "3-D covariates", "short covariate column", "block as one str"],
+)
+def test_dataset_rejects_malformed_covariates_and_blocks(kwargs):
+    with pytest.raises(InvariantViolation, match="covariate" if "x" in kwargs else "block"):
+        Dataset(y=[1.0, 2.0, 3.0], d=[1, 0, 1], m=[1, 0, 0], **kwargs)
+
+
 def test_dataset_requires_both_arms():
     with pytest.raises(InvariantViolation, match="control"):
         Dataset(y=[1.0, 2.0], d=[1, 1], m=[1, 0])

@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracebounds import (
     BootstrapConfig,
@@ -19,7 +21,7 @@ from tracebounds.errors import (
     MissingBlockLabels,
     TraceBoundsError,
 )
-from tracebounds.inference import percentile_band, replicate_draw
+from tracebounds.inference import _linear_quantile, percentile_band, replicate_draw
 
 
 class ResampleFailure(TraceBoundsError):
@@ -217,6 +219,29 @@ def test_percentile_band_columns_match_one_column_at_a_time():
     assert ci_hi.tolist() == [b for _, b in want]
     assert ci_lo[1] == -np.inf and ci_hi[4] == np.inf
     assert np.isfinite(ci_lo[[0, 2, 3, 4, 5]]).all() and np.isfinite(ci_hi[[0, 1, 2, 3, 5]]).all()
+
+
+# few distinct values, so that order statistics tie, and both infinities
+_TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300, np.inf, -np.inf])
+_QUANTILE_VALUES = _TIED | st.floats(-1e3, 1e3) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 30),
+    columns=st.sampled_from([None, 1, 2, 5]),  # None: 1-D values
+    q=st.sampled_from([0.0, 0.025, 0.05, 0.5, 0.95, 0.975, 1.0]) | st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_linear_quantile_is_numpys_bit_for_bit(rows, columns, q, data):
+    shape = (rows,) if columns is None else (rows, columns)
+    size = rows * (columns or 1)
+    values = np.array(data.draw(st.lists(_QUANTILE_VALUES, min_size=size, max_size=size))).reshape(shape)
+    with np.errstate(invalid="ignore", over="ignore"):  # infinities and the widest gaps, as in numpy
+        got = _linear_quantile(values, q)
+        want = np.quantile(values, q, axis=0, method="linear")
+    assert np.shape(got) == np.shape(want)
+    assert np.atleast_1d(got).view(np.uint64).tolist() == np.atleast_1d(want).view(np.uint64).tolist()
 
 
 _DRAW_KEYS = [(seed, r) for seed in (0, 1, 13, 2**63 + 5, 2**64 - 1) for r in (0, 1, 2**40, 2**64 - 1)]
