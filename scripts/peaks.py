@@ -4,16 +4,15 @@
 Runs the stages the CLI runs, one after another in one process, on N
 rows of the ingest_bounds data (perfbench/workloads.py, seed 1): the
 simulate command's draw and write, then the bounds command's read, arm
-summaries, full-sample bounds and naive estimates, then the replicate
-engine of analyze (built and run for 2 replicates). Each stage's row
-gives the highest traced total while it ran and the total still live
-when it ended, in MiB, under tracemalloc, which numpy reports its
-buffers to: the figures repeat exactly. They leave out the interpreter
-and the imports, which come before tracemalloc starts, but not what the
-first calls import or cache, which matters only at small N. The
-simulated dataset is dropped once written, as the two commands run
-apart; the sorted control arm is kept for the engine, as analyze keeps
-it.
+summaries, naive estimates, the dataset's arm layout and full-sample
+bounds, then the replicate engine of analyze (built and run for 2
+replicates). Each stage's row gives the highest traced total while it
+ran and the total still live when it ended, in MiB, under tracemalloc,
+which numpy reports its buffers to: the figures repeat exactly. They
+leave out the interpreter and the imports, which come before
+tracemalloc starts, but not what the first calls import or cache,
+which matters only at small N. The simulated dataset is dropped once
+written, as the two commands run apart.
 
 Usage: python scripts/peaks.py N
 """
@@ -72,11 +71,12 @@ def main(argv=None) -> int:
             del ds
             ds = stage("load_csv", lambda: load_csv(path))
             stage("arm summaries", lambda: (ds.arm(1), ds.arm(0)))
-            control, _, mt = stage("full_sample_bounds", lambda: full_sample_bounds(ds))
             stage("naive_estimates", lambda: naive_estimates(ds))
+            stage("layout", ds.layout)
+            _, mt = stage("full_sample_bounds", lambda: full_sample_bounds(ds))
             boot = BootstrapConfig(replicates=REPLICATES, seed=SEED)
             with_mt = isinstance(mt, Interval)
-            stage("ReplicateEngine.run", lambda: ReplicateEngine(ds, TEMethod.DIFF_IN_MEANS, boot, with_mt, control).run())
+            stage("ReplicateEngine.run", lambda: ReplicateEngine(ds, TEMethod.DIFF_IN_MEANS, boot, with_mt).run())
         finally:
             tracemalloc.stop()
 

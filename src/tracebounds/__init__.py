@@ -8,7 +8,6 @@ from .bounds import (
     Interval,
     NaiveEstimates,
     Side,
-    SortedControl,
     TrimSpec,
     dim_m1,
     mt_bounds,

@@ -157,71 +157,47 @@ def _slice_means(ys: np.ndarray, ws: np.ndarray, fraction: float) -> tuple[float
     return float(low), float(high)
 
 
-class SortedControl:
-    """The control arm of a dataset in the stable ascending order of y,
-    sorted once so that :func:`no_assumption_bounds` and
-    :func:`mt_bounds` share it.
-
-    The arm's y, weights and m = 0 flags are stored in that order, and
-    both ends of a slice are read off it, as in :func:`trimmed_mean`. A
-    stable order filtered to the m = 0 pool is the pool's own stable
-    order, so the pool is never sorted apart.
-    """
-
-    def __init__(self, ds: Dataset):
-        rows = np.flatnonzero(ds.d == 0)
-        y = ds.y[rows]
-        self._ascending = np.argsort(y, kind="stable")
-        self._y = y[self._ascending]
-        del y
-        rows = rows[self._ascending]
-        self._w = ds.weight[rows]
-        self._pool = ds.m[rows] == 0
-
-    @property
-    def ascending(self) -> np.ndarray:
-        """Stable ascending order of y in the control arm, as positions in the arm; not a copy."""
-        return self._ascending
-
-    def slices(self, fraction: float, pool: bool = False) -> tuple[float, float]:
-        """Means of the lowest and the highest ``fraction`` share of the
-        arm's weight, or with ``pool`` of its m = 0 units' weight, each
-        equal to :func:`trimmed_mean` of the same units. Raises
-        :class:`EmptyCell` for a ``pool`` with no unit."""
-        if not pool:
-            return _slice_means(self._y, self._w, fraction)
-        if not self._pool.any():
+def _control_slices(ds: Dataset, fraction: float, pool: bool = False) -> tuple[float, float]:
+    """Means of the lowest and the highest ``fraction`` share of the
+    control arm's weight, or with ``pool`` of its m = 0 units' weight,
+    each equal to :func:`trimmed_mean` of the same units: both are read
+    off the control rows of :meth:`Dataset.layout`, which filtered to
+    the m = 0 units are in the pool's own stable order. Raises
+    :class:`EmptyCell` for a ``pool`` with no unit."""
+    order, _, b = ds.layout()
+    rows = order[b:]
+    if pool:
+        rows = rows[ds.m[rows] == 0]
+        if not rows.size:
             raise EmptyCell("no control units with m=0 although the first stage implies some")
-        return _slice_means(self._y[self._pool], self._w[self._pool], fraction)
+    return _slice_means(ds.y[rows], ds.weight[rows], fraction)
 
 
-def no_assumption_bounds(ds: Dataset, control: SortedControl | None = None) -> Interval:
+def no_assumption_bounds(ds: Dataset) -> Interval:
     """Bounds on the reactive-group effect from trimming alone.
 
     The treated-arm mean over reactive units minus the highest/lowest
     share-p slice of the whole control arm, where p is the estimated
     reactive share. Sharp without further assumptions: on integer-count
     trims the endpoints equal the exact subset-mean extremes.
-    ``control``, when given, is ``SortedControl(ds)``.
     """
     validate_for(ds, Analysis.NO_ASSUMPTION_BOUNDS)
     p = estimate_p_m1(ds)
     if p == 0.0:
         raise NoReactiveTreated("no treated unit reacted; the target group is empty in-sample")
     y1m1 = conditional_mean(ds, 1, 1)
-    low_slice, high_slice = (control or SortedControl(ds)).slices(p)
+    low_slice, high_slice = _control_slices(ds, p)
     return _ordered_interval(float(y1m1 - high_slice), float(y1m1 - low_slice), BoundKind.NO_ASSUMPTION)
 
 
-def mt_bounds(ds: Dataset, control: SortedControl | None = None) -> Interval:
+def mt_bounds(ds: Dataset) -> Interval:
     """Bounds under monotone reaction.
 
     The control-side counterfactual for the reactive group is a mixture
     of always-reactors, identified exactly by control units with m = 1,
     and treatment-only reactors, bounded by trimming the control m = 0
     pool at the share they occupy within it. Requires m observed in
-    both arms and an empirically monotone first stage. ``control``,
-    when given, is ``SortedControl(ds)``.
+    both arms and an empirically monotone first stage.
     """
     validate_for(ds, Analysis.MT_BOUNDS)
     shares = strata_shares_monotone(ds)
@@ -229,12 +205,10 @@ def mt_bounds(ds: Dataset, control: SortedControl | None = None) -> Interval:
     if p1 == 0.0:
         raise NoReactiveTreated("no treated unit reacted; the target group is empty in-sample")
 
-    def pool_slices(pi: float) -> tuple[float, float]:
-        # the control units showing m = 0; EmptyCell when there are none
-        return (control or SortedControl(ds)).slices(pi, pool=True)
-
-    # conditional_mean(ds, 0, 1) raises EmptyCell when the data contradict alpha > 0
-    return mt_interval(conditional_mean(ds, 1, 1), p1, shares, lambda: conditional_mean(ds, 0, 1), pool_slices)
+    # conditional_mean(ds, 0, 1) raises EmptyCell when the data contradict alpha > 0,
+    # and the pool's slices when no control unit shows m = 0
+    y1m1 = conditional_mean(ds, 1, 1)
+    return mt_interval(y1m1, p1, shares, lambda: conditional_mean(ds, 0, 1), lambda pi: _control_slices(ds, pi, pool=True))
 
 
 def mt_interval(

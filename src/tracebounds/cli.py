@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import Interval, naive_estimates, type3_dim_bounds
+from .bounds import Interval, NaiveEstimates, naive_estimates, type3_dim_bounds
 from .chart import render_chart
 from .data import Dataset, atomic_open, load_csv
 from .errors import InvariantViolation, TraceBoundsError
@@ -348,7 +348,7 @@ def _read_config(path: str) -> configparser.ConfigParser:
         raw = fh.read()
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_file(io.StringIO(raw.decode("utf-8"), newline=None), source=path)
+        cp.read_file(io.StringIO(raw.decode("utf-8").removeprefix("\ufeff"), newline=None), source=path)
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise InvariantViolation(f"config {path}, line {line}: byte {exc.start} is not UTF-8") from None
@@ -408,7 +408,9 @@ def _mt_json(ds: Dataset, p_hat: float, mt: Interval | TraceBoundsError) -> dict
     return entry
 
 
-def _dataset_report(input_path: str, ds: Dataset, estimates: dict, trim: Interval, mt_entry: dict, derived: dict) -> dict:
+def _dataset_report(
+    input_path: str, ds: Dataset, estimates: dict, trim: Interval, mt_entry: dict, derived: dict, naive: NaiveEstimates
+) -> dict:
     """Report body shared by ``analyze`` and ``bounds``; its key order is
     part of the byte-stable output."""
     return {
@@ -422,7 +424,7 @@ def _dataset_report(input_path: str, ds: Dataset, estimates: dict, trim: Interva
         "mt_bounds": mt_entry,
         **derived,
         "naive": {
-            **asdict(naive_estimates(ds)),
+            **asdict(naive),
             "note": "as_treated and per_protocol condition on the post-treatment reaction and are not causal estimands",
         },
     }
@@ -453,6 +455,7 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
             "preset_interval": _interval_json(res.preset),
             "combined": "INFEASIBLE" if res.combined is None else _interval_json(res.combined),
         },
+        naive_estimates(ds),
     )
     report["threshold_trace0"] = {
         "target_trace": 0.0,
@@ -504,13 +507,14 @@ def cmd_bounds(
             raise InvariantViolation("bounds needs --input or --from-moments")
         ds = load_csv(input_path, schema)
         p_hat = estimate_p_m1(ds)
-        trim, mt = full_sample_bounds(ds)[1:]  # the sorted arm is freed before the naive statistics
+        naive = naive_estimates(ds)  # its gathers before the layout that the bounds make and keep
+        trim, mt = full_sample_bounds(ds)
         mt_entry = _mt_json(ds, p_hat, mt)
         derived = {}
         if type3:
             t3 = type3_dim_bounds(conditional_mean(ds, 1, 1), conditional_mean(ds, 0, 1))
             derived["type3_bounds"] = _interval_json(t3)
-        report = _dataset_report(input_path, ds, {"p_hat": p_hat}, trim, mt_entry, derived)
+        report = _dataset_report(input_path, ds, {"p_hat": p_hat}, trim, mt_entry, derived, naive)
 
     _write_report(report, out_report)
     return report

@@ -93,9 +93,9 @@ class Dataset:
     offending unit); estimators then treat the arrays as trusted values.
     Row order is preserved and meaningful (trimming ties break by
     original position). Since nothing about a dataset changes after
-    construction, the summary of each arm and the numbering of the
-    blocks are computed once, on first use, and kept (:meth:`arm`,
-    :meth:`block_codes`).
+    construction, the summary of each arm, the arm layout and the
+    numbering of the blocks are computed once, on first use, and kept
+    (:meth:`arm`, :meth:`layout`, :meth:`block_codes`).
 
     The public constructor copies the caller's arrays, so a dataset
     never shares memory with them. :func:`~tracebounds.oracle.simulate`
@@ -118,7 +118,7 @@ class Dataset:
         Names for the k covariate columns. Defaults to x1..xk.
     """
 
-    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_arms", "_codes")
+    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_arms", "_layout", "_codes")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
         self._own(
@@ -218,6 +218,7 @@ class Dataset:
         self._w = wv
         self._names = names
         self._arms: list[Arm | None] = [None, None]
+        self._layout: tuple[np.ndarray, int, int] | None = None
         self._codes: tuple[np.ndarray, tuple] | None = None
 
     # -- resampling --------------------------------------------------------
@@ -243,6 +244,7 @@ class Dataset:
         new._w = self._w[idx]
         new._names = self._names
         new._arms = [None, None]
+        new._layout = None
         new._codes = None
         return new
 
@@ -259,6 +261,25 @@ class Dataset:
             del rows  # not held while the cells are gathered
             arm = self._arms[d] = _summarize(y, m, w)
         return arm
+
+    def layout(self) -> tuple[np.ndarray, int, int]:
+        """The rows in the order the bounds and the replicate engine read
+        them, and two offsets ``a`` and ``b``: ``order[:a]`` are the
+        treated m = 1 rows and ``order[a:b]`` the treated m = 0 rows, each
+        in row order, and ``order[b:]`` the control rows in the stable
+        ascending order of y, so that a slice of the control arm, or of
+        its m = 0 units, is read off either end as in
+        :func:`~tracebounds.bounds.trimmed_mean`. Made on the first call
+        and kept for this dataset; ``order`` is read-only."""
+        if self._layout is None:
+            treated = self._d == 1
+            control = np.flatnonzero(~treated)
+            control = control[np.argsort(self._y[control], kind="stable")]
+            t1 = np.flatnonzero(treated & (self._m == 1))
+            order = np.concatenate([t1, np.flatnonzero(treated & (self._m == 0)), control])
+            order.setflags(write=False)
+            self._layout = order, t1.size, order.size - control.size
+        return self._layout
 
     def block_codes(self) -> tuple[np.ndarray, tuple[str, ...]]:
         """Each unit's block as an integer code, and the block labels in
@@ -501,7 +522,7 @@ def _load_columns(path, roles, build) -> Dataset | None:
     makes its unit weights."""
     if _has_separator(path):
         return None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             cells = _header_cells(fh, roles)
             # y, d, covariates, weight, then m last
@@ -535,7 +556,7 @@ def _load_rows(path, roles, build) -> Dataset:
     ``_m_value``), locating each error by row and column. A byte that is
     not UTF-8 and a field over ``csv.field_size_limit()`` are
     :class:`ParseError` too, located by row."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rownum = -1  # the header
         try:
             cells = _header_cells(fh, roles)
@@ -596,7 +617,7 @@ def _decode_error(path, exc: UnicodeDecodeError) -> Exception:
         at = found.start
     else:
         return exc  # the file changed since it was read
-    head = data[:at].decode("utf-8") + "?"  # "?" stands for the undecodable byte
+    head = data[:at].decode("utf-8-sig") + "?"  # "?" stands for the undecodable byte
     header: list[str] = []
     row, record = -1, []
     try:

@@ -2,17 +2,17 @@
 
 A bootstrap replicate is a multinomial count vector over the sample
 (Efron & Tibshirani 1993): drawing a row k times gives it weight k·w.
-The control arm and its m = 0 pool keep the order by y of
-``SortedControl``. Each replicate turns the ``(seed, r)`` draw of
-:func:`replicate_draw` into counts with one ``bincount`` and reads
-every statistic ``analyze`` needs off count-weighted sums: the average
-effect, the reactive share, the (1, 1)-cell mean, both trimmed slices
-and the monotone mixture. The slices come from ``bounds._slice_means``,
-the kernel of the full-sample bounds too: one ``cumsum`` and a
-``searchsorted`` from each end of the ascending order, in which a row
-not drawn has weight 0. The adjusted regression is
-:func:`absorbed_wls` under the weights count·w. No resample is built
-and nothing is sorted per replicate.
+The rows are read in the order of :meth:`Dataset.layout`, in which
+the control arm and its m = 0 pool ascend in y. Each replicate turns
+the ``(seed, r)`` draw of :func:`replicate_draw` into counts with one
+``bincount`` and reads every statistic ``analyze`` needs off
+count-weighted sums: the average effect, the reactive share, the
+(1, 1)-cell mean, both trimmed slices and the monotone mixture. The
+slices come from ``bounds._slice_means``, the kernel of the
+full-sample bounds too: one ``cumsum`` and a ``searchsorted`` from
+each end of the ascending order, in which a row not drawn has weight
+0. The adjusted regression is :func:`absorbed_wls` under the weights
+count·w. No resample is built and nothing is sorted per replicate.
 
 Each entry equals the per-``Dataset`` function on ``Dataset.take`` of
 the same draw up to summation order (the reference adds duplicates in
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundKind, Interval, SortedControl, _ordered_interval, _slice_means, mt_interval
+from .bounds import BoundKind, Interval, _ordered_interval, _slice_means, mt_interval
 from .data import Dataset
 from .errors import EmptyCell, TraceBoundsError
 from .estimators import TEMethod, absorbed_wls, ols_columns, shares_from_first_stage
@@ -51,22 +51,14 @@ def _pair(make: Callable[[], Interval]) -> tuple[float, float]:
 class ReplicateEngine:
     """Replicate rows of ``analyze`` for one dataset: trimming bounds
     (lo, hi), (te, p) and, ``with_mt``, monotone bounds (lo, hi), NaN
-    where the per-``Dataset`` route fails on the same resample.
-    ``control``, when given, is ``SortedControl(ds)``."""
+    where the per-``Dataset`` route fails on the same resample."""
 
-    def __init__(self, ds: Dataset, te_method: TEMethod, cfg: BootstrapConfig, with_mt: bool, control: SortedControl | None = None):
+    def __init__(self, ds: Dataset, te_method: TEMethod, cfg: BootstrapConfig, with_mt: bool):
         self._te_method = te_method
         self._cfg = cfg
         self._with_mt = with_mt
-        y, m = ds.y, ds.m
-        treated = ds.d == 1
-        control = np.flatnonzero(~treated)[(control or SortedControl(ds)).ascending]
-        t1 = np.flatnonzero(treated & (m == 1))
-        self._a = t1.size
-        self._b = int(treated.sum())
-        # engine order: treated m=1 | treated m=0 | control by y
-        rows = np.concatenate([t1, np.flatnonzero(treated & (m == 0)), control])
-        self._y = y[rows]
+        rows, self._a, self._b = ds.layout()  # treated m=1 | treated m=0 | control by y
+        self._y = ds.y[rows]
         self._w = ds.weight[rows]
         self._yc = self._y[self._b :]
         if cfg.resample_unit is ResampleUnit.BLOCK:
@@ -79,7 +71,7 @@ class ReplicateEngine:
             self._X, self._codes = X[rows], codes[rows]
             self._unit_rows = np.bincount(self._unit_of, minlength=self._units)  # rows a drawn unit brings
         if with_mt:
-            cm = m[control]
+            cm = ds.m[rows[self._b :]]
             self._c1 = (cm == 1).astype(np.float64)
             self._c1y = self._c1 * self._yc
             self._pool = np.flatnonzero(cm == 0)  # still sorted by y

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundKind, Interval, SortedControl, mt_bounds, no_assumption_bounds
+from .bounds import BoundKind, Interval, mt_bounds, no_assumption_bounds
 from .data import Analysis, Dataset, validate_for
 from .errors import (
     AllReplicatesFailed,
@@ -383,19 +383,17 @@ class AnalysisResult:
     failed_replicates: dict[str, int | None]
 
 
-def full_sample_bounds(ds: Dataset) -> tuple[SortedControl, Interval, Interval | TraceBoundsError]:
-    """The control arm sorted once, the trimming bounds, and the monotone
-    bounds or the error that stops them, without its traceback, whose
-    frames would keep the sorted arm alive. The control arm's summary
-    (:meth:`Dataset.arm`) is made first, so that the arrays gathered for
-    it and the sorted arm are never held at once."""
+def full_sample_bounds(ds: Dataset) -> tuple[Interval, Interval | TraceBoundsError]:
+    """The trimming bounds, and the monotone bounds or the error that
+    stops them. The control arm's summary (:meth:`Dataset.arm`) is made
+    first, so that the arrays gathered for it and the dataset's layout
+    (:meth:`Dataset.layout`) are never held at once."""
     ds.arm(0)
-    control = SortedControl(ds)
-    trim = no_assumption_bounds(ds, control)
+    trim = no_assumption_bounds(ds)
     try:
-        return control, trim, mt_bounds(ds, control)
+        return trim, mt_bounds(ds)
     except TraceBoundsError as exc:
-        return control, trim, exc.with_traceback(None)
+        return trim, exc
 
 
 def _with_band(iv: Interval, lo_r: np.ndarray, hi_r: np.ndarray, level: float) -> Interval:
@@ -443,10 +441,10 @@ def analyze(ds: Dataset, assumption: AssumptionSpec, te_method: TEMethod, boot: 
     writes no file."""
     te = te_estimate(ds, te_method)
     p_hat = estimate_p_m1(ds)
-    control, trim, mt = full_sample_bounds(ds)
+    trim, mt = full_sample_bounds(ds)
     with_mt = isinstance(mt, Interval)
 
-    values = ReplicateEngine(ds, te_method, boot, with_mt, control).run()
+    values = ReplicateEngine(ds, te_method, boot, with_mt).run()
     te_r, p_r = values[:, 2], values[:, 3]
     failed = np.isnan(values[:, ::2]).sum(axis=0).tolist()  # trim, core, mt
 

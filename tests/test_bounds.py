@@ -8,7 +8,6 @@ from tracebounds import (
     Dataset,
     Interval,
     Side,
-    SortedControl,
     TrimSpec,
     brute_force_trim_extremes,
     dim_m1,
@@ -18,13 +17,13 @@ from tracebounds import (
     trimmed_mean,
     type3_dim_bounds,
 )
+from tracebounds.bounds import _control_slices
 from tracebounds.errors import (
     EmptyInput,
     InvariantViolation,
     NegativeControlMean,
     NoReactiveTreated,
     RequirementUnmet,
-    TraceBoundsError,
     ZeroFraction,
 )
 
@@ -120,7 +119,7 @@ def test_trimmed_mean_brackets_and_is_monotone(values, f1, f2):
 # -- interval type ------------------------------------------------------------
 
 
-# -- one pair of sorts shared by the trimming and monotone bounds -----------
+# -- one layout shared by the trimming and monotone bounds ------------------
 
 
 @st.composite
@@ -151,31 +150,11 @@ def test_shared_orders_match_trimmed_mean(case):
     control = ds.d == 0
     cy, cw = ds.y[control], ds.weight[control]
     pool = ds.m[control] == 0
-    sorted_control = SortedControl(ds)
     populations = [(False, cy, cw)] + ([(True, cy[pool], cw[pool])] if pool.any() else [])
     for in_pool, y, w in populations:
-        low, high = sorted_control.slices(fraction, pool=in_pool)
+        low, high = _control_slices(ds, fraction, pool=in_pool)
         assert low.hex() == trimmed_mean(y, w, TrimSpec(fraction, Side.LOWEST)).hex()
         assert high.hex() == trimmed_mean(y, w, TrimSpec(fraction, Side.HIGHEST)).hex()
-
-
-def test_bounds_with_shared_orders_equal_the_bounds_alone():
-    rng = np.random.default_rng(16)
-    checked = 0
-    while checked < 100:
-        ds = make_random_dataset(rng, weighted=checked % 2 == 0)
-        if ds is None or not ds.m[ds.d == 1].any():
-            continue
-        checked += 1
-        control = SortedControl(ds)
-        assert no_assumption_bounds(ds, control) == no_assumption_bounds(ds)
-        try:
-            alone = mt_bounds(ds)
-        except TraceBoundsError as exc:
-            with pytest.raises(type(exc)):
-                mt_bounds(ds, control)
-        else:
-            assert mt_bounds(ds, control) == alone
 
 
 def test_interval_invariants():

@@ -850,9 +850,10 @@ def test_analyze_by_flags_and_by_config_write_the_same_bytes(capsys, toy_path, t
         (b"[bootstrap]\nseed = 1\nseed = 2\n", 3),
         (b"seed = 1\n[bootstrap]\n", 1),
         (b"[input]\npath = \xff.csv\n", 2),
+        (b"\xef\xbb\xbf[input]\npath = \xff.csv\n", 2),
         (b"[bootstrap]\nseed = 1\n[bootstrap]\n", 3),
     ],
-    ids=["duplicate key", "no section header", "invalid UTF-8", "duplicate section"],
+    ids=["duplicate key", "no section header", "invalid UTF-8", "invalid UTF-8 after a byte order mark", "duplicate section"],
 )
 @pytest.mark.parametrize("command", ["analyze", "bounds", "simulate", "threshold"])
 def test_malformed_config_file_is_a_validation_error(capsys, tmp_path, command, text, line):
@@ -963,6 +964,16 @@ def test_config_default_section_feeds_every_section(monkeypatch, capsys, tmp_pat
     code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", flags, config)
     assert code == 0, out
     assert (got["cfg"].bootstrap.seed, got["cfg"].bootstrap.replicates) == (4, 30)
+
+
+def test_config_with_a_byte_order_mark_resolves(monkeypatch, capsys, tmp_path):
+    # Notepad and Excel's "CSV UTF-8" start a UTF-8 file with U+FEFF
+    cfg = tmp_path / "bom.ini"
+    cfg.write_bytes(b"\xef\xbb\xbf" + _ini({"input": {"path": "in.csv"}, "bootstrap": {"seed": "4"}}).encode())
+    flags = {f: v for f, v in _BASE_FLAGS["analyze"].items() if f != "--input"}
+    code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", {**flags, "--config": str(cfg)}, None)
+    assert code == 0, out
+    assert (got["cfg"].input_path, got["cfg"].bootstrap.seed) == ("in.csv", 4)
 
 
 @pytest.mark.parametrize("dgp, flags", [({"seed": "-3"}, {}), ({}, {"--seed": "-1"})], ids=["config", "flag"])

@@ -424,6 +424,26 @@ def test_clean_file_takes_the_loadtxt_path(tmp_path, monkeypatch):
     assert ds.y.tolist() == [1.0, 2.0] and ds.x[:, 0].tolist() == [0.5, -2.0]
 
 
+@pytest.mark.parametrize("schema", [None, {"block": "block"}], ids=["loadtxt path", "row reader"])
+def test_a_byte_order_mark_loads_as_the_file_without_it(tmp_path, monkeypatch, schema):
+    # Excel's "CSV UTF-8" and Notepad start a UTF-8 file with U+FEFF
+    text = b'y,d,m,block\r\n1.5,1,1,a\r\n-2,0,1,"b,c"\r\n0,0,0,a\r\n'
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    if schema is None:  # the loadtxt path reads it rather than handing it on
+        monkeypatch.setattr(data_module, "_load_rows", mock.Mock(side_effect=AssertionError("row reader used")))
+    _assert_same(load_csv(marked, schema), load_csv(plain, schema))
+
+
+def test_invalid_utf8_after_a_byte_order_mark_names_its_row_and_byte(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,d,m\n1,1,1\n2,\xff,0\n")
+    with pytest.raises(ParseError) as ei:
+        load_csv(path)
+    assert str(ei.value) == "row 2, column 'd': byte 17 (0xff) is not valid UTF-8"
+
+
 def _fmt_reference(v: float) -> str:
     """The writer's earlier formatter, with its own branch for integers."""
     if v and v == int(v) and abs(v) < 1e16:

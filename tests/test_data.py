@@ -174,6 +174,52 @@ def test_block_codes_number_blocks_in_order_of_first_appearance(toy):
         unlabelled.block_codes()
 
 
+@st.composite
+def _layout_cases(draw):
+    """A dataset with tied outcomes and signed zeros, weights, m missing
+    in the control arm as a whole or in part, and a control arm of one
+    unit or more, its rows in any order."""
+    n_treated = draw(st.integers(1, 8))
+    n_control = draw(st.integers(1, 8))
+    n = n_treated + n_control
+    y = draw(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.5]) | st.floats(-3, 3), min_size=n, max_size=n))
+    w = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    m_treated = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n_treated, max_size=n_treated))
+    m_control = draw(st.lists(st.sampled_from([0.0, 1.0, math.nan]), min_size=n_control, max_size=n_control))
+    rows = draw(st.permutations(range(n)))
+    d = np.array([1] * n_treated + [0] * n_control)[rows]
+    m = np.array(m_treated + m_control)[rows]
+    return Dataset(y=y, d=d, m=m, weight=w)
+
+
+def _assert_layout(ds: Dataset) -> None:
+    order, a, b = ds.layout()
+    treated = ds.d == 1
+    t1 = np.flatnonzero(treated & (ds.m == 1))
+    t0 = np.flatnonzero(treated & (ds.m == 0))
+    control = np.flatnonzero(~treated)
+    assert (a, b) == (t1.size, t1.size + t0.size)
+    assert sorted(order.tolist()) == list(range(ds.n))
+    assert order[:a].tolist() == t1.tolist()
+    assert order[a:b].tolist() == t0.tolist()
+    assert order[b:].tolist() == control[np.argsort(ds.y[control], kind="stable")].tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ds=_layout_cases(), data=st.data())
+def test_layout_lists_the_treated_by_reaction_then_the_control_arm_by_outcome(ds, data):
+    _assert_layout(ds)
+    assert ds.layout() is ds.layout()  # made once and kept
+    assert not ds.layout()[0].flags.writeable
+    picks = data.draw(st.lists(st.integers(0, ds.n - 1), min_size=2, max_size=2 * ds.n))
+    try:
+        resample = ds.take(picks)
+    except InvariantViolation:  # the draw lost an arm
+        return
+    assert resample._layout is None  # a resample orders its own rows
+    _assert_layout(resample)
+
+
 def test_take_must_keep_both_arms(toy):
     with pytest.raises(InvariantViolation):
         toy.take([0, 1, 2])

@@ -9,7 +9,9 @@ chunk's own memory does not count against its budget. Each budget is the
 present figure, given beside it, plus a margin: about 10%, or about 1
 byte per unit for the writer, whose figure is small, and for the
 weighted read, whose figure is bound by loadtxt's table and the columns
-copied out of it.
+copied out of it. A step that makes the dataset's arm layout
+(:meth:`Dataset.layout`), which the dataset keeps, is given a fresh
+dataset on each run, so that the untraced run does not make it.
 """
 
 import tracemalloc
@@ -18,9 +20,12 @@ import numpy as np
 import pytest
 
 import tracebounds.data as data_module
+from tracebounds import cli
 from tracebounds.data import Dataset, load_csv, write_csv
+from tracebounds.estimators import TEMethod
+from tracebounds.inference import BootstrapConfig
 from tracebounds.oracle import DGPConfig, OutcomeMeans, StrataProbs, simulate
-from tracebounds.sensitivity import full_sample_bounds
+from tracebounds.sensitivity import AssumptionSpec, analyze, full_sample_bounds
 
 N = 100_000
 CHUNK_ROWS = 1024
@@ -76,8 +81,32 @@ def test_load_csv_drops_the_table_for_its_columns(tmp_path, dataset, weighted, b
     assert _peak_per_unit(lambda: load_csv(path, schema)) < budget
 
 
-def test_full_sample_bounds_gathers_the_control_arm_once(dataset):
-    # the sorted arm, its order and the gathers that make it (22.2)
-    dataset.arm(0)
-    dataset.arm(1)
-    assert _peak_per_unit(lambda: full_sample_bounds(dataset)) < 24
+def _fresh_datasets() -> list[Dataset]:
+    """Datasets as ``simulate`` makes them, none with a layout, one for
+    each run of :func:`_peak_per_unit` to pop."""
+    return [simulate(_DGP)[0] for _ in range(2)]
+
+
+def test_full_sample_bounds_gathers_the_control_arm_once():
+    # the layout and the gathers that make it, then the control arm's y and
+    # weights through it, beside the layout (20.9)
+    fresh = _fresh_datasets()
+    for ds in fresh:  # the arm summaries made, as the bounds command has them
+        ds.arm(0)
+        ds.arm(1)
+    assert _peak_per_unit(lambda: full_sample_bounds(fresh.pop())) < 23
+
+
+def test_analyze_keeps_one_copy_of_the_layout():
+    # the dataset, its layout, and the engine's columns in layout order (88.1)
+    boot = BootstrapConfig(replicates=2, seed=1)
+    assert _peak_per_unit(lambda: analyze(simulate(_DGP)[0], AssumptionSpec.zero(), TEMethod.DIFF_IN_MEANS, boot)) < 97
+
+
+def test_bounds_command_makes_the_layout_after_the_naive_statistics(tmp_path, monkeypatch):
+    # the naive statistics' gathers come before the layout, which the dataset
+    # keeps; the other way round they come beside it (21.6, against 26.4)
+    fresh = _fresh_datasets()
+    monkeypatch.setattr(cli, "load_csv", lambda path, schema: fresh.pop())
+    report = tmp_path / "report.json"
+    assert _peak_per_unit(lambda: cli.cmd_bounds("trial.csv", {}, True, None, str(report))) < 24

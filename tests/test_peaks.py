@@ -8,8 +8,9 @@ STAGES = [
     "write_csv",
     "load_csv",
     "arm summaries",
-    "full_sample_bounds",
     "naive_estimates",
+    "layout",
+    "full_sample_bounds",
     "ReplicateEngine.run",
 ]
 

@@ -1,7 +1,5 @@
-import gc
 import math
 import re
-import weakref
 
 import numpy as np
 import pytest
@@ -25,14 +23,11 @@ from tracebounds import (
     trace0_from_trace,
     trace_from_trace0,
 )
-from tracebounds import sensitivity
-from tracebounds.bounds import SortedControl
 from tracebounds.errors import (
     DegenerateP,
     DegenerateShare,
     InvariantViolation,
     OutOfSupportWarning,
-    RequirementUnmet,
     SignUndefined,
 )
 
@@ -294,22 +289,3 @@ def test_curve_needs_grid(toy):
     with pytest.raises(InvariantViolation):
         build_curve(toy, AssumptionSpec.zero())
 
-
-# -- the whole analysis -------------------------------------------------------
-
-
-def test_skipped_monotone_bounds_keep_no_sorted_arm(monkeypatch):
-    # the error's traceback would hold the frame that holds the sorted arm
-    made = []
-
-    class Recorded(SortedControl):
-        def __init__(self, ds):
-            super().__init__(ds)
-            made.append(weakref.ref(self))
-
-    monkeypatch.setattr(sensitivity, "SortedControl", Recorded)
-    ds = Dataset(y=[2.0, 3.0, 1.0, 0.0, 1.0, 2.0], d=[1, 1, 1, 0, 0, 0], m=[1.0, 1.0, 0.0, math.nan, 0.0, 0.0])
-    trim, mt = sensitivity.full_sample_bounds(ds)[1:]
-    gc.collect()
-    assert isinstance(mt, RequirementUnmet)
-    assert len(made) == 1 and made[0]() is None
