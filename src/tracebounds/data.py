@@ -65,24 +65,24 @@ def reaction_rate(m: np.ndarray, w: np.ndarray) -> float:
 
 
 class Arm(NamedTuple):
-    """The statistics of one arm that the estimators read, as Python
-    scalars: its unit count, its weighted mean outcome, its weighted
-    reaction rate and its m = 0 and m = 1 cell means (None for a cell
-    with no unit). ``rate`` and ``cells`` are None when the arm misses
-    an m."""
+    """The reaction statistics of one arm, as Python scalars: its
+    weighted reaction rate and its m = 0 and m = 1 cell means (None for
+    a cell with no unit). Both are None when the arm misses an m."""
 
-    n: int
-    mean: float
     rate: float | None
     cells: tuple[float | None, float | None] | None
 
 
-def _summarize(y: np.ndarray, m: np.ndarray, w: np.ndarray) -> Arm:
-    """The :class:`Arm` of the gathered columns of one arm."""
+def _summarize(rows: np.ndarray, y: np.ndarray, m: np.ndarray, w: np.ndarray) -> Arm:
+    """The :class:`Arm` of the units at ``rows`` of the columns y, m and
+    w: the arm's m and w are gathered for the rate, and each cell's y and
+    w straight through ``rows``, so y is never gathered for the whole arm."""
+    m = m[rows]
     if np.isnan(m).any():
-        return Arm(y.size, _wmean(y, w), None, None)
-    cells = tuple(_wmean(y[c], w[c]) if (c := np.flatnonzero(m == value)).size else None for value in (0, 1))
-    return Arm(y.size, _wmean(y, w), reaction_rate(m, w), cells)
+        return Arm(None, None)
+    rate = reaction_rate(m, w[rows])
+    cells = tuple(_wmean(y[c], w[c]) if (c := rows[m == value]).size else None for value in (0, 1))
+    return Arm(rate, cells)
 
 
 class Dataset:
@@ -93,9 +93,9 @@ class Dataset:
     offending unit); estimators then treat the arrays as trusted values.
     Row order is preserved and meaningful (trimming ties break by
     original position). Since nothing about a dataset changes after
-    construction, the summary of each arm, the arm layout and the
-    numbering of the blocks are computed once, on first use, and kept
-    (:meth:`arm`, :meth:`layout`, :meth:`block_codes`).
+    construction, the reaction statistics of each arm, the arm layout
+    and the numbering of the blocks are computed once, on first use, and
+    kept (:meth:`arm`, :meth:`layout`, :meth:`block_codes`).
 
     The public constructor copies the caller's arrays, so a dataset
     never shares memory with them. :func:`~tracebounds.oracle.simulate`
@@ -224,12 +224,13 @@ class Dataset:
     # -- resampling --------------------------------------------------------
 
     def take(self, indices) -> "Dataset":
-        """Row subset/resample preserving all columns.
-
-        Used heavily by the bootstrap; skips re-parsing but still
-        enforces the both-arms invariant.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
+        """Row subset/resample preserving all columns. ``indices`` are row
+        numbers of any integer type, repeats allowed; booleans and reals
+        are refused, not cast. Used heavily by the bootstrap; skips
+        re-parsing but still enforces the both-arms invariant."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            raise InvariantViolation(f"row indices must be integers, got an array of {idx.dtype}")
         d = self._d[idx]
         if not d.any():
             raise InvariantViolation("selection has no treated unit")
@@ -249,17 +250,14 @@ class Dataset:
         return new
 
     def arm(self, d: int) -> Arm:
-        """The summary of the arm assigned ``d``, from one gather of its
-        columns on the first call and kept for this dataset, whose arrays
-        are read-only."""
+        """The reaction statistics of the arm assigned ``d``, made on the
+        first call and kept for this dataset, whose arrays are read-only."""
         if d not in (0, 1):
             raise InvariantViolation(f"arm must be 0 or 1, got {d!r}")
         arm = self._arms[d]
         if arm is None:
-            rows = np.flatnonzero(self._d == d)  # an index gathers faster than a mask of random rows
-            y, m, w = self._y[rows], self._m[rows], self._w[rows]
-            del rows  # not held while the cells are gathered
-            arm = self._arms[d] = _summarize(y, m, w)
+            # an index gathers faster than a mask of random rows
+            arm = self._arms[d] = _summarize(np.flatnonzero(self._d == d), self._y, self._m, self._w)
         return arm
 
     def layout(self) -> tuple[np.ndarray, int, int]:
@@ -342,11 +340,11 @@ class Dataset:
 
     @property
     def n_treated(self) -> int:
-        return self.arm(1).n
+        return int(np.count_nonzero(self._d))
 
     @property
     def n_control(self) -> int:
-        return self.arm(0).n
+        return self.n - self.n_treated
 
     @property
     def m_observed_in_control(self) -> bool:
@@ -376,7 +374,6 @@ def validate_for(ds: Dataset, analysis: Analysis) -> None:
         raise RequirementUnmet(
             f"{analysis.value} requires the reaction indicator to be observed in the control arm"
         )
-    return None
 
 
 # -- CSV codec -----------------------------------------------------------
@@ -431,10 +428,11 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
     :class:`InvariantViolation` (with the row of the offending unit when
     a per-unit rule of :class:`Dataset` fails).
 
-    Without a block column the numeric columns are parsed in one
-    ``np.loadtxt`` call; any file that call refuses, or whose values
-    :class:`Dataset` refuses, is read again row by row, so every error
-    comes from the row reader.
+    Without a block column the numeric columns are parsed by
+    ``np.loadtxt``, once more with the m cells through the row reader's
+    parser when a blank m fails the first parse; any file both refuse,
+    or whose values :class:`Dataset` refuses, is read again row by row,
+    so every error comes from the row reader.
     """
     roles, build = _plan(schema)
     if all(parse is not str for _, parse in roles):
@@ -503,49 +501,50 @@ def _header_cells(fh: TextIO, roles) -> list:
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 
-def _has_separator(path) -> bool:
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if len(chunk.translate(None, _SEPARATORS)) != len(chunk):
-                return True
-    return False
-
-
-def _load_columns(path, roles, build) -> Dataset | None:
-    """The dataset parsed by one ``np.loadtxt`` call, or None when the
-    row reader must decide: no data row follows the header, loadtxt
-    fails, an m cell reads as NaN (a literal ``nan``, which the row
-    reader refuses), or :class:`Dataset` refuses the values.
-
-    The needed columns are copied out of loadtxt's table, d narrowed
-    to int8 on the way, and the table is dropped before the dataset
-    makes its unit weights."""
-    if _has_separator(path):
-        return None
+def _table(path, roles, parse_m=None) -> np.ndarray | None:
+    """``np.loadtxt``'s table of y, d, covariates, weight and m, in that
+    order, each m cell through ``parse_m`` when given; None when no data
+    row follows the header or loadtxt fails."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             cells = _header_cells(fh, roles)
-            # y, d, covariates, weight, then m last
-            order = [i for _, i, parse in cells if parse is float] + [cells[2][1]]
+            columns = [i for _, i, parse in cells if parse is float] + [cells[2][1]]
             # loadtxt skips blank lines, and warns when nothing else is left
             first = next((line for line in fh if line.strip("\r\n")), None)
             if first is None:
                 return None
-            lines = itertools.chain((first,), fh)
-            table = np.loadtxt(
-                lines, delimiter=",", quotechar='"', comments=None, usecols=order, ndmin=2, encoding="utf-8"
+            converters = None if parse_m is None else {columns[-1]: parse_m}
+            return np.loadtxt(
+                itertools.chain((first,), fh), delimiter=",", quotechar='"', comments=None, usecols=columns,
+                converters=converters, ndmin=2, encoding="utf-8",
             )
         except (ValueError, csv.Error):  # UnicodeDecodeError included
             return None
-    if np.isnan(table[:, -1]).any():
+
+
+def _load_columns(path, roles, build) -> Dataset | None:
+    """The dataset parsed by ``np.loadtxt``, or None when the row reader
+    must decide: the file holds a byte of ``_SEPARATORS``, no data row
+    follows the header, loadtxt fails (it refuses a blank cell, so a
+    refused file is parsed once more with m through ``_m_value``), an m
+    cell is a literal ``nan``, or :class:`Dataset` refuses the values.
+
+    The needed columns are copied out of loadtxt's table, d narrowed
+    to int8 on the way, and the table is dropped before the dataset
+    makes its unit weights."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if len(chunk.translate(None, _SEPARATORS)) != len(chunk):
+                return None
+    table = _table(path, roles)
+    if table is not None and np.isnan(table[:, -1]).any():  # a literal nan, since a blank m fails this read
+        return None
+    if table is None and (table := _table(path, roles, _m_value)) is None:  # not a blank m either
         return None
     try:
         d = _assignment(table[:, 1])  # narrowed here, so that it is never copied as reals
-    except InvariantViolation:
-        return None
-    *reals, m = [d if j == 1 else table[:, j].copy() for j in range(table.shape[1])]
-    del table
-    try:
+        *reals, m = [d if j == 1 else table[:, j].copy() for j in range(table.shape[1])]
+        del table
         return build(reals, m, None)
     except InvariantViolation:
         return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _wmean
 from .errors import (
     EmptyCell,
     InvariantViolation,
@@ -72,8 +72,11 @@ def arm_reaction_rate(ds: Dataset, d: int) -> float:
 
 
 def estimate_te_dim(ds: Dataset) -> TEEstimate:
-    """Weighted difference in mean outcomes, treated minus control."""
-    return TEEstimate(te_hat=ds.arm(1).mean - ds.arm(0).mean, se=None, method=TEMethod.DIFF_IN_MEANS)
+    """Weighted difference in mean outcomes, treated minus control. Each
+    arm's y and w are gathered through its own index (faster than a mask
+    of random rows), one arm at a time; no arm summary is made."""
+    treated, control = (_wmean(ds.y[rows], ds.weight[rows]) for rows in map(np.flatnonzero, (ds.d == 1, ds.d == 0)))
+    return TEEstimate(te_hat=treated - control, se=None, method=TEMethod.DIFF_IN_MEANS)
 
 
 def estimate_p_m1(ds: Dataset) -> float:
@@ -221,12 +224,8 @@ def te_estimate(ds: Dataset, method: TEMethod) -> TEEstimate:
 
 
 def te_point(ds: Dataset, method: TEMethod) -> float:
-    """Point value of the average effect under the chosen route; the
-    adjusted regression skips its standard error."""
-    if method is TEMethod.DIFF_IN_MEANS:
-        return estimate_te_dim(ds).te_hat
-    X, codes = ols_columns(ds, True, ds.block is not None)
-    return absorbed_wls(ds.y, X, ds.weight, codes, ds.n)[0]
+    """Point value of the average effect under the chosen route."""
+    return te_estimate(ds, method).te_hat
 
 
 # -- published-moment back-out -----------------------------------------------

@@ -214,7 +214,7 @@ def test_single_pass_matches_one_pass_per_statistic(
 
 @pytest.mark.parametrize("te_method", list(TEMethod))
 def test_analyze_sorts_the_control_arm_once(monkeypatch, te_method):
-    # the full-sample bounds and the replicate engine share one SortedControl
+    # the full-sample bounds and the replicate engine read one Dataset.layout()
     calls = []
     argsort = np.argsort
 

@@ -436,6 +436,26 @@ def test_a_byte_order_mark_loads_as_the_file_without_it(tmp_path, monkeypatch, s
     _assert_same(load_csv(marked, schema), load_csv(plain, schema))
 
 
+def test_a_blank_control_m_takes_the_loadtxt_path(tmp_path, monkeypatch):
+    # loadtxt refuses a blank cell; the m column is read again as the row reader reads it
+    path = tmp_path / "in.csv"
+    path.write_text('y,d,m\n1.5,1,1\n-2,0,\n0,0,0\n2,0, \n3,0,""\n')
+    monkeypatch.setattr(data_module, "_load_rows", mock.Mock(side_effect=AssertionError("row reader used")))
+    ds = load_csv(path)
+    assert np.isnan(ds.m).tolist() == [False, True, False, True, True]
+    assert not ds.m_observed_in_control
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "-NAN", '"nan"'])
+@pytest.mark.parametrize("blank", [False, True], ids=["every m observed", "a blank m"])
+def test_a_literal_nan_in_m_is_a_parse_error_of_the_row_reader(tmp_path, text, blank):
+    path = tmp_path / "in.csv"
+    path.write_text(f"y,d,m\n1,1,1\n2,0,{'' if blank else 0}\n3,0,{text}\n")
+    with pytest.raises(ParseError) as ei:
+        load_csv(path)
+    assert (ei.value.row, ei.value.column) == (3, "m")
+
+
 def test_invalid_utf8_after_a_byte_order_mark_names_its_row_and_byte(tmp_path):
     path = tmp_path / "in.csv"
     path.write_bytes(b"\xef\xbb\xbfy,d,m\n1,1,1\n2,\xff,0\n")

@@ -225,6 +225,43 @@ def test_take_must_keep_both_arms(toy):
         toy.take([0, 1, 2])
 
 
+ALTERNATING = dict(y=[1.0, 2.0, 3.0, 4.0], d=[1, 0, 1, 0], m=[1, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        [True, True, False, True],
+        np.array([True, True, False, True]),
+        [0.7, 1.0, 3.0],
+        np.array([0.0, 1.0]),
+        np.array(["0", "1"]),
+        np.array([0, 1], dtype=object),
+        [],
+    ],
+    ids=["bool list", "bool mask", "float list", "float array", "str", "object", "empty"],
+)
+def test_take_refuses_indices_that_are_not_integers(indices):
+    # a mask is not read as the row numbers 1, 1, 0, 1, nor 0.7 truncated to row 0
+    with pytest.raises(InvariantViolation, match="row indices must be integers"):
+        Dataset(**ALTERNATING).take(indices)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[3, 0, 0], np.array([3, 0, 0], dtype=np.int8), np.array([3, 0, 0], dtype=np.uint64), (np.int64(3), 0, 0)],
+    ids=["list", "int8", "uint64", "tuple of numpy and Python ints"],
+)
+def test_take_reads_integer_indices_of_any_type_as_row_numbers(indices):
+    sub = Dataset(**ALTERNATING).take(indices)
+    assert sub.y.tolist() == [4.0, 1.0, 1.0] and sub.d.tolist() == [0, 1, 1]
+
+
+def test_take_of_no_row_is_refused():
+    with pytest.raises(InvariantViolation, match="no treated unit"):
+        Dataset(**ALTERNATING).take(np.array([], dtype=np.intp))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -40,7 +40,7 @@ from tracebounds.errors import (
 )
 from tracebounds import data as data_module
 from tracebounds.data import Arm
-from tracebounds.estimators import shares_from_first_stage
+from tracebounds.estimators import shares_from_first_stage, te_estimate
 
 
 def test_te_dim_toy(toy):
@@ -363,6 +363,23 @@ def test_te_point_dispatch(toy):
     assert te_point(toy, TEMethod.OLS_ADJUSTED) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("blocks", [False, True], ids=["one intercept", "block intercepts"])
+@pytest.mark.parametrize("method", list(TEMethod), ids=lambda m: m.value)
+def test_te_point_is_the_estimate_to_the_bit(method, blocks):
+    rng = np.random.default_rng(7)
+    n = 40
+    d = rng.permutation(np.arange(n) % 2)
+    ds = Dataset(
+        y=rng.normal(size=n) + 0.5 * d,
+        d=d,
+        m=d.astype(float),
+        x=rng.normal(size=(n, 2)),
+        block=[f"b{j}" for j in np.arange(n) % 4] if blocks else None,
+        weight=rng.uniform(0.5, 2.0, n),
+    )
+    assert te_point(ds, method).hex() == te_estimate(ds, method).te_hat.hex()
+
+
 # -- remembered statistics against inline masks ------------------------------
 
 
@@ -512,8 +529,6 @@ def _summaries_hold_python_scalars(ds):
         arm is None
         or (
             type(arm) is Arm
-            and type(arm.n) is int
-            and type(arm.mean) is float
             and scalar(arm.rate, float)
             and (arm.cells is None or (type(arm.cells) is tuple and all(scalar(c, float) for c in arm.cells)))
         )
@@ -537,6 +552,17 @@ def test_remembered_statistics_match_inline_masks(seed):
     for package, reference in pairs:
         assert _outcome(package, sub) == _outcome(reference, sub)
     assert _summaries_hold_python_scalars(sub), sub._arms
+
+
+def test_the_difference_in_means_and_the_arm_sizes_make_no_summary():
+    # the reference path of every bootstrap: a resample read for its
+    # difference in means never builds the reaction statistics
+    ds = _random_dataset(0)
+    sub = ds.take(np.arange(ds.n)[::-1])
+    assert estimate_te_dim(sub).te_hat == _ref_te(sub)
+    assert (sub.n_treated, sub.n_control) == (int((sub.d == 1).sum()), int((sub.d == 0).sum()))
+    assert type(sub.n_treated) is int and type(sub.n_control) is int
+    assert sub._arms == [None, None]
 
 
 def test_a_cell_error_raises_the_same_on_every_call():
@@ -579,7 +605,9 @@ def test_each_arm_is_gathered_once(monkeypatch, control_m):
     # the statistics of `bounds --type3`, then every arm statistic and cell, in three orders
     gathered = []
     summarize = data_module._summarize
-    monkeypatch.setattr(data_module, "_summarize", lambda y, m, w: gathered.append(y.tolist()) or summarize(y, m, w))
+    monkeypatch.setattr(
+        data_module, "_summarize", lambda rows, y, m, w: gathered.append(y[rows].tolist()) or summarize(rows, y, m, w)
+    )
     statistics = [
         estimate_p_m1,
         estimate_te_dim,
