@@ -3,7 +3,9 @@
 
 Runs the stages the CLI runs, one after another in one process, on N
 rows of the ingest_bounds data (perfbench/workloads.py, seed 1): the
-simulate command's draw and write, then the bounds command's read, arm
+simulate command's draw and write, a read of the same rows with a
+column of 100 block labels (written beside the first file, outside any
+stage, and dropped once read), then the bounds command's read, arm
 summaries, naive estimates, the dataset's arm layout and full-sample
 bounds, then the replicate engine of analyze (built and run for 2
 replicates). Each stage's row gives the highest traced total while it
@@ -28,6 +30,7 @@ import tracemalloc
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1
 REPLICATES = 2
+BLOCKS = 100
 MIB = 1 << 20
 
 
@@ -44,8 +47,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import numpy as np
+
     from tracebounds.bounds import Interval, naive_estimates
-    from tracebounds.data import load_csv, write_csv
+    from tracebounds.data import Dataset, load_csv, write_csv
     from tracebounds.estimators import TEMethod
     from tracebounds.inference import BootstrapConfig
     from tracebounds.oracle import simulate
@@ -64,11 +69,15 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         path = pathlib.Path(work) / "trial.csv"
+        block_path = pathlib.Path(work) / "blocks.csv"
         tracemalloc.start()
         try:
             ds = stage("simulate", lambda: simulate(ingest_dgp(args.n, SEED))[0])
             stage("write_csv", lambda: write_csv(ds, path))
-            del ds
+            blocks = np.random.default_rng(SEED).permutation(np.arange(args.n) % BLOCKS)
+            write_csv(Dataset(ds.y, ds.d, ds.m, block=[f"b{b:03d}" for b in blocks]), block_path)
+            del ds, blocks
+            stage("load_csv (blocks)", lambda: load_csv(block_path, {"block": "block"}))
             ds = stage("load_csv", lambda: load_csv(path))
             stage("arm summaries", lambda: (ds.arm(1), ds.arm(0)))
             stage("naive_estimates", lambda: naive_estimates(ds))

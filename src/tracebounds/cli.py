@@ -268,7 +268,7 @@ _OPTIONS = {
     "type3": _Option("--type3", None, bool, False, "add outcome-through-reaction bounds", argparse={"action": "store_true"}),
     "from_moments": _Option(
         "--from-moments", None, lambda texts: tuple(map(_number("--from-moments"), texts)), None,
-        "work from two published cell means instead of unit data", argparse={"nargs": 2, "metavar": ("MEAN_D1M1", "MEAN_D0M1")},
+        "work from two published cell means instead of unit data", "input", {"nargs": 2, "metavar": ("MEAN_D1M1", "MEAN_D0M1")},
     ),
     "target": _Option("--target", None, _number("target"), 0.0, "target reactive-group effect (default 0)"),
     # simulate's options are named section.key
@@ -618,7 +618,8 @@ def _run_analyze(v: dict) -> int:
 
 
 def _run_bounds(v: dict) -> int:
-    cmd_bounds(v["input"], _schema(v), v["type3"], v["from_moments"], v["out_report"])
+    moments = v["input"] if isinstance(v["input"], tuple) else None  # --from-moments shares --input's dest
+    cmd_bounds(None if moments else v["input"], _schema(v), v["type3"], moments, v["out_report"])
     return 0
 
 

@@ -85,6 +85,27 @@ def _summarize(rows: np.ndarray, y: np.ndarray, m: np.ndarray, w: np.ndarray) ->
     return Arm(rate, cells)
 
 
+def _numbered(block) -> tuple[np.ndarray, tuple]:
+    """Block labels as int32 codes in order of first appearance, a missing
+    label (None) as one more block, and the labels in code order."""
+    if isinstance(block, str):
+        raise InvariantViolation("block must be a sequence of labels, one per unit, not a str")
+    number: dict = {}
+    codes = np.fromiter((number.setdefault(None if b is None else str(b), len(number)) for b in block), np.int32)
+    return codes, tuple(number)
+
+
+def _renumbered(codes: np.ndarray, labels: tuple, idx: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The :func:`_numbered` pair of the rows ``idx``, from the codes alone."""
+    codes = codes[idx]
+    first = np.full(len(labels), codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))  # each block's first row; size for an absent one
+    order = np.argsort(first)
+    codes = np.argsort(order).astype(np.int32)[codes]
+    codes.setflags(write=False)
+    return codes, tuple(labels[i] for i in order[: np.count_nonzero(first < codes.size)])
+
+
 class Dataset:
     """Immutable column-oriented collection of units.
 
@@ -93,9 +114,9 @@ class Dataset:
     offending unit); estimators then treat the arrays as trusted values.
     Row order is preserved and meaningful (trimming ties break by
     original position). Since nothing about a dataset changes after
-    construction, the reaction statistics of each arm, the arm layout
-    and the numbering of the blocks are computed once, on first use, and
-    kept (:meth:`arm`, :meth:`layout`, :meth:`block_codes`).
+    construction, the reaction statistics of each arm and the arm layout
+    are computed once, on first use, and kept (:meth:`arm`,
+    :meth:`layout`); blocks are held as codes (:meth:`block_codes`).
 
     The public constructor copies the caller's arrays, so a dataset
     never shares memory with them. :func:`~tracebounds.oracle.simulate`
@@ -110,15 +131,15 @@ class Dataset:
     x : array-like of shape (n, k) or (n,), optional
         Covariate matrix, or one covariate. Defaults to zero columns.
     block : sequence of str or None, optional
-        Block label per unit; one str is refused, not split into
-        one-character labels.
+        Block label per unit, numbered in order of first appearance; one
+        str is refused, not split into one-character labels.
     weight : array-like, optional
         Positive sampling weights. Defaults to 1 for every unit.
     covariate_names : sequence of str, optional
         Names for the k covariate columns. Defaults to x1..xk.
     """
 
-    __slots__ = ("_y", "_d", "_m", "_x", "_block", "_w", "_names", "_arms", "_layout", "_codes")
+    __slots__ = ("_y", "_d", "_m", "_x", "_blocks", "_w", "_names", "_arms", "_layout")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
         self._own(
@@ -126,7 +147,7 @@ class Dataset:
             np.array(d),
             None if m is None else np.array(m, dtype=np.float64),  # None -> every m missing
             None if x is None else np.array(x, dtype=np.float64),
-            block,
+            None if block is None else _numbered(block),
             None if weight is None else np.array(weight, dtype=np.float64),
             covariate_names,
         )
@@ -135,9 +156,9 @@ class Dataset:
     def _adopt(cls, y, d, m, x=None, block=None, weight=None, covariate_names=None) -> "Dataset":
         """The dataset over columns made for it, which the caller hands
         over and no longer touches: y, m, x and weight as contiguous
-        float64 arrays are kept as they are, and d (of any integer or
-        real type) is narrowed to int8. Checked as the constructor
-        checks, with the same errors."""
+        float64 arrays and ``block`` as :func:`_numbered` makes it are kept
+        as they are, and d (of any integer or real type) is narrowed to
+        int8. Checked as the constructor checks, with the same errors."""
         ds = object.__new__(cls)
         ds._own(y, d, m, x, block, weight, covariate_names)
         return ds
@@ -179,14 +200,8 @@ class Dataset:
             if len(names) != k:
                 raise InvariantViolation("covariate_names length does not match covariate columns")
 
-        if block is None:
-            bv = None
-        elif isinstance(block, str):
-            raise InvariantViolation("block must be a sequence of labels, one per unit, not a str")
-        else:
-            bv = np.array([None if b is None else str(b) for b in block], dtype=object)
-            if bv.shape != (n,):
-                raise InvariantViolation("block length does not match y")
+        if block is not None and block[0].shape != (n,):
+            raise InvariantViolation("block length does not match y")
 
         # the per-unit rules, each raised here and nowhere else
         _require(np.isfinite(yv), yv, "y must be finite")
@@ -207,19 +222,18 @@ class Dataset:
 
         for a in (yv, dv, mv, wv, xv):
             a.setflags(write=False)
-        if bv is not None:
-            bv.setflags(write=False)
+        if block is not None:
+            block[0].setflags(write=False)
 
         self._y = yv
         self._d = dv
         self._m = mv
         self._x = xv
-        self._block = bv
+        self._blocks = block
         self._w = wv
         self._names = names
         self._arms: list[Arm | None] = [None, None]
         self._layout: tuple[np.ndarray, int, int] | None = None
-        self._codes: tuple[np.ndarray, tuple] | None = None
 
     # -- resampling --------------------------------------------------------
 
@@ -241,12 +255,11 @@ class Dataset:
         new._d = d
         new._m = self._m[idx]
         new._x = self._x[idx]
-        new._block = None if self._block is None else self._block[idx]
+        new._blocks = None if self._blocks is None else _renumbered(*self._blocks, idx)
         new._w = self._w[idx]
         new._names = self._names
         new._arms = [None, None]
         new._layout = None
-        new._codes = None
         return new
 
     def arm(self, d: int) -> Arm:
@@ -280,28 +293,14 @@ class Dataset:
         return self._layout
 
     def block_codes(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Each unit's block as an integer code, and the block labels in
-        code order: blocks are numbered in order of first appearance.
+        """Each unit's block as a read-only int32 code, numbered in order of
+        first appearance (in a take too), and the labels in code order.
         Raises :class:`MissingBlockLabels` unless every unit has a label."""
-        if self._block is None:
+        if self._blocks is None:
             raise MissingBlockLabels("the units carry no block label")
-        codes, blocks = self._numbered_blocks()
-        if None in blocks:
+        if None in self._blocks[1]:
             raise MissingBlockLabels("a unit carries no block label")
-        return codes, blocks
-
-    def _numbered_blocks(self) -> tuple[np.ndarray, tuple]:
-        """:meth:`block_codes` with a missing label numbered as one more
-        block, from one pass over the labels on the first call, kept for
-        this dataset."""
-        if self._codes is None:
-            labels = self._block.tolist()
-            blocks = tuple(dict.fromkeys(labels))
-            number = {b: i for i, b in enumerate(blocks)}
-            codes = np.fromiter(map(number.__getitem__, labels), dtype=np.intp, count=len(labels))
-            codes.setflags(write=False)
-            self._codes = codes, blocks
-        return self._codes
+        return self._blocks
 
     # -- accessors ---------------------------------------------------------
 
@@ -328,7 +327,12 @@ class Dataset:
 
     @property
     def block(self) -> np.ndarray | None:
-        return self._block
+        """Each unit's block label (None if missing), made on each call and not kept."""
+        return None if self._blocks is None else np.array(self._blocks[1], dtype=object)[self._blocks[0]]
+
+    @property
+    def has_blocks(self) -> bool:
+        return self._blocks is not None
 
     @property
     def weight(self) -> np.ndarray:
@@ -447,7 +451,7 @@ def _plan(schema: Mapping[str, object] | None):
     are checked (y, d, m, covariates, block, weight), and the builder of
     its :class:`Dataset` from the real columns (y, d, covariates, weight)
     and the m column, each an array of its own that the dataset keeps,
-    and the block labels."""
+    and the block codes with their label table."""
     eff = dict(_DEFAULT_SCHEMA)
     if schema:
         eff.update(schema)
@@ -467,7 +471,7 @@ def _plan(schema: Mapping[str, object] | None):
         roles.append((weight_col, float))
     k = len(cov_cols)
 
-    def build(reals: list[np.ndarray], m: np.ndarray, blocks: list | None) -> Dataset:
+    def build(reals: list[np.ndarray], m: np.ndarray, blocks: tuple[np.ndarray, tuple] | None) -> Dataset:
         return Dataset._adopt(
             y=reals[0],
             d=reals[1],
@@ -552,9 +556,9 @@ def _load_columns(path, roles, build) -> Dataset | None:
 
 def _load_rows(path, roles, build) -> Dataset:
     """Row-by-row reader: every cell through ``float`` (m through
-    ``_m_value``), locating each error by row and column. A byte that is
-    not UTF-8 and a field over ``csv.field_size_limit()`` are
-    :class:`ParseError` too, located by row."""
+    ``_m_value``), each block label numbered as it is read, locating each
+    error by row and column. A byte that is not UTF-8 and a field over
+    ``csv.field_size_limit()`` are :class:`ParseError` too, by row."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rownum = -1  # the header
         try:
@@ -569,7 +573,8 @@ def _load_rows(path, roles, build) -> Dataset:
             block_at = next((i for _, i, parse in cells if parse is str), None)
             flat = array("d")
             ms = array("d")
-            blocks: list[str | None] = []
+            codes = array("i")
+            number: dict[str | None, int] = {}  # block label -> code, in order of first appearance
             blank_rows: list[int] = []
             for rownum, fields in enumerate(reader, start=1):
                 if not fields:
@@ -579,7 +584,7 @@ def _load_rows(path, roles, build) -> Dataset:
                     flat.extend(map(float, get_reals(fields)))
                     ms.append(_m_value(fields[m_at]))
                     if block_at is not None:
-                        blocks.append(fields[block_at] or None)
+                        codes.append(number.setdefault(fields[block_at] or None, len(number)))
                 except (ValueError, IndexError):
                     raise _cell_error(fields, rownum, cells) from None
         except UnicodeDecodeError as exc:
@@ -590,7 +595,7 @@ def _load_rows(path, roles, build) -> Dataset:
     table = np.frombuffer(flat).reshape(-1, len(reals))
     columns = [table[:, j].copy() for j in range(len(reals))]
     try:
-        return build(columns, np.frombuffer(ms), None if block_at is None else blocks)
+        return build(columns, np.frombuffer(ms), None if block_at is None else (np.frombuffer(codes, np.intc), tuple(number)))
     except InvariantViolation as exc:
         if exc.unit is not None:
             exc.row = exc.unit + 1
@@ -694,8 +699,8 @@ def write_csv(ds: Dataset, path) -> None:
         if header.count(name) > 1:
             raise InvariantViolation(f"the header would name column {name!r} {header.count(name)} times")
     if "block" in schema:
-        codes, blocks = ds._numbered_blocks()
-        labels = np.array(["" if b is None else _quote(b) for b in blocks], dtype=object)
+        codes, labels = ds._blocks
+        labels = np.array(["" if b is None else _quote(b) for b in labels], dtype=object)
     row = _row_format(ds.x.shape[1], "block" in schema, "weight" in schema)
 
     with atomic_open(path) as fh:
@@ -722,7 +727,7 @@ def schema_for(ds: Dataset) -> dict:
     schema: dict = {"y": "y", "d": "d", "m": "m"}
     if ds.x.shape[1]:
         schema["covariates"] = list(ds.covariate_names)
-    if ds.block is not None:
+    if ds.has_blocks:
         schema["block"] = "block"
     if bool((ds.weight != 1.0).any()):
         schema["weight"] = "weight"

@@ -220,7 +220,7 @@ def te_estimate(ds: Dataset, method: TEMethod) -> TEEstimate:
     every covariate and, when units carry them, block fixed effects."""
     if method is TEMethod.DIFF_IN_MEANS:
         return estimate_te_dim(ds)
-    return estimate_te_ols(ds, use_block_fe=ds.block is not None)
+    return estimate_te_ols(ds, use_block_fe=ds.has_blocks)
 
 
 def te_point(ds: Dataset, method: TEMethod) -> float:

@@ -83,13 +83,6 @@ def replicate_draw(seed: int, r: int, size: int) -> np.ndarray:
     return gen.integers(0, size, size)
 
 
-def _block_index(ds: Dataset) -> list[np.ndarray]:
-    """The rows of each block, blocks in the order of ``Dataset.block_codes``."""
-    codes, _ = ds.block_codes()
-    order = np.argsort(codes, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(codes[order])) + 1)
-
-
 def bootstrap_replicates(
     statistic: Callable[[Dataset], object],
     ds: Dataset,
@@ -109,15 +102,15 @@ def bootstrap_replicates(
     Returns ``(values, n_failed)`` where ``values`` has shape
     (replicates, width) and ``n_failed`` counts the NaNs in column 0.
     """
-    base = np.atleast_1d(np.asarray(statistic(ds), dtype=np.float64))
-    width = base.shape[0]
-    n = ds.n
-
-    block_rows = _block_index(ds) if cfg.resample_unit is ResampleUnit.BLOCK else None
+    width = np.atleast_1d(np.asarray(statistic(ds), dtype=np.float64)).shape[0]
+    block_rows = None
+    if cfg.resample_unit is ResampleUnit.BLOCK:  # the rows of each block, in code order
+        codes, _ = ds.block_codes()
+        block_rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
 
     def run_one(r: int) -> np.ndarray:
         if block_rows is None:
-            idx = replicate_draw(cfg.seed, r, n)
+            idx = replicate_draw(cfg.seed, r, ds.n)
         else:
             idx = np.concatenate([block_rows[j] for j in replicate_draw(cfg.seed, r, len(block_rows))])
         try:

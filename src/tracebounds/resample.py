@@ -67,7 +67,7 @@ class ReplicateEngine:
         else:
             self._units, self._unit_of = ds.n, rows
         if te_method is TEMethod.OLS_ADJUSTED:
-            X, codes = ols_columns(ds, True, ds.block is not None)
+            X, codes = ols_columns(ds, True, ds.has_blocks)
             self._X, self._codes = X[rows], codes[rows]
             self._unit_rows = np.bincount(self._unit_of, minlength=self._units)  # rows a drawn unit brings
         if with_mt:

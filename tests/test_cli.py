@@ -242,6 +242,24 @@ def test_bounds_from_moments(capsys):
     assert round(rep["type3_bounds"]["hi"], 4) == 0.2334
 
 
+def test_bounds_refuses_an_input_flag_beside_moments(capsys, tmp_path):
+    # the input does not exist: reading it would exit 3, ignoring it exits 0
+    code, out = run(capsys, "bounds", "--input", str(tmp_path / "absent.csv"), "--from-moments", "1", "0.5")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "InvariantViolation", "message": "give either --input or --from-moments, not both"
+    }
+
+
+def test_bounds_from_moments_ignores_an_input_path_key(capsys, tmp_path):
+    # one config serves every command, so its [input] path does not stop moments mode
+    cfg = tmp_path / "shared.ini"
+    cfg.write_text(f"[input]\npath = {tmp_path / 'absent.csv'}\n")
+    code, out = run(capsys, "bounds", "--config", str(cfg), "--from-moments", "1", "0.5")
+    assert code == 0
+    assert json.loads(out)["dim_m1"] == 0.5
+
+
 def test_bounds_reports_skipped_mt(capsys, tmp_path):
     p = tmp_path / "no_ctrl_m.csv"
     p.write_text("y,d,m\n2,1,1\n3,1,1\n1,1,0\n0,0,\n1,0,\n2,0,\n")

@@ -174,6 +174,50 @@ def test_block_codes_number_blocks_in_order_of_first_appearance(toy):
         unlabelled.block_codes()
 
 
+# a missing label, an empty one, text beyond ASCII, and texts with a comma
+# or a quote; drawn from few, so that labels repeat
+_BLOCK_LABELS = st.sampled_from([None, "", "a", "b", "é", "名", "x,y", 'say "hi"', '"'])
+
+
+def _numbering(labels: list) -> tuple[list[int], tuple]:
+    """Codes and label table by first appearance, the rule of ``dict.fromkeys``."""
+    table = tuple(dict.fromkeys(labels))
+    return [table.index(b) for b in labels], table
+
+
+def _assert_blocks(ds: Dataset, labels: list) -> None:
+    assert ds.block.tolist() == labels
+    if None in labels:
+        with pytest.raises(MissingBlockLabels):
+            ds.block_codes()
+        return
+    codes, table = ds.block_codes()
+    assert (codes.tolist(), table) == _numbering(labels)
+    assert codes.dtype == np.int32
+    with pytest.raises(ValueError):
+        codes[0] = 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_take_numbers_its_blocks_as_its_labels_would_be(tmp_path_factory, data):
+    n = data.draw(st.integers(2, 10))
+    one = data.draw(st.booleans())  # every unit in a single block
+    labels = [data.draw(_BLOCK_LABELS)] * n if one else data.draw(st.lists(_BLOCK_LABELS, min_size=n, max_size=n))
+    ds = Dataset(y=np.arange(n, dtype=float), d=[1, 0] * (n // 2) + [0] * (n % 2), m=[0] * n, block=labels)
+    _assert_blocks(ds, labels)
+    path = tmp_path_factory.mktemp("blocks") / "ds.csv"
+    write_csv(ds, path)  # read back by the row reader, an empty label as a missing one
+    _assert_blocks(load_csv(path, schema_for(ds)), [b or None for b in labels])
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * n))  # repeated rows too
+    try:
+        resample = ds.take(picks)
+    except InvariantViolation:  # the draw lost an arm
+        return
+    _assert_blocks(resample, [labels[i] for i in picks])
+    _assert_blocks(resample.take(np.arange(resample.n)[::-1]), [labels[i] for i in picks[::-1]])
+
+
 @st.composite
 def _layout_cases(draw):
     """A dataset with tied outcomes and signed zeros, weights, m missing

@@ -81,6 +81,16 @@ def test_load_csv_drops_the_table_for_its_columns(tmp_path, dataset, weighted, b
     assert _peak_per_unit(lambda: load_csv(path, schema)) < budget
 
 
+def test_load_csv_numbers_the_block_labels_as_it_reads(tmp_path, dataset):
+    # the row reader's buffers of y, d and m and its block codes beside the
+    # columns copied out of them (55.5; each label text made per unit and kept,
+    # 120.3)
+    path = tmp_path / "blocks.csv"
+    blocks = np.random.default_rng(0).permutation(np.arange(N) % 100)
+    write_csv(Dataset(dataset.y, dataset.d, dataset.m, block=[f"b{b:03d}" for b in blocks]), path)
+    assert _peak_per_unit(lambda: load_csv(path, {"block": "block"})) < 61
+
+
 def _fresh_datasets() -> list[Dataset]:
     """Datasets as ``simulate`` makes them, none with a layout, one for
     each run of :func:`_peak_per_unit` to pop."""

@@ -6,6 +6,7 @@ SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "peaks.py"
 STAGES = [
     "simulate",
     "write_csv",
+    "load_csv (blocks)",
     "load_csv",
     "arm summaries",
     "naive_estimates",
