@@ -5,8 +5,8 @@ Runs the stages the CLI runs, one after another in one process, on N
 rows of the ingest_bounds data (perfbench/workloads.py, seed 1): the
 simulate command's draw and write, a read of the same rows with a
 column of 100 block labels (written beside the first file, outside any
-stage, and dropped once read), then the bounds command's read, arm
-summaries, naive estimates, the dataset's arm layout and full-sample
+stage, and dropped once read), then the bounds command's read, cell
+table, naive estimates, the dataset's arm layout and full-sample
 bounds, then the replicate engine of analyze (built and run for 2
 replicates). Each stage's row gives the highest traced total while it
 ran and the total still live when it ended, in MiB, under tracemalloc,
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
             del ds, blocks
             stage("load_csv (blocks)", lambda: load_csv(block_path, {"block": "block"}))
             ds = stage("load_csv", lambda: load_csv(path))
-            stage("arm summaries", lambda: (ds.arm(1), ds.arm(0)))
+            stage("cell table", ds.cells)
             stage("naive_estimates", lambda: naive_estimates(ds))
             stage("layout", ds.layout)
             _, mt = stage("full_sample_bounds", lambda: full_sample_bounds(ds))

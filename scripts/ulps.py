@@ -5,7 +5,9 @@ BASE and HEAD are the OUT directories of two runs of scripts/digests.py
 at one size, for example of two commits. Every JSON file (the reports)
 is compared field by field and every curve.csv cell by cell. Each
 number that differs is printed with its distance in ulps (the count of
-float64 values between the two) and in absolute terms; each
+float64 values between the two) and in absolute terms, after a table
+that groups the moved numbers by file and field (a curve.csv column,
+or a report field with its list indices left out); each
 ``within_trim_bounds`` cell that differs is listed as a flip. A file
 present on one side only, a field of one report only or a differing
 row count is listed too.
@@ -66,6 +68,15 @@ def _cells(path: pathlib.Path):
     yield "rows", len(body)
 
 
+def _field(key: str) -> str:
+    """The field a value belongs to: a curve.csv column without its row,
+    or a report field without its list indices."""
+    if key.startswith("row "):
+        return key.split(" ", 2)[2]
+    head, *rest = key.split("[")
+    return "[".join([head, *(part[part.index("]") :] for part in rest)])
+
+
 def _values(path: pathlib.Path) -> dict:
     if path.suffix == ".json":
         return dict(_leaves(json.loads(path.read_text(encoding="utf-8"))))
@@ -110,6 +121,15 @@ def main(argv=None) -> int:
 
     print(f"{len(moved)} values moved, {len(flips)} {FLAG} flips, {len(other)} other differences")
     if moved:
+        groups: dict = {}
+        for rel, key, x, y in moved:
+            group = rel, _field(key)
+            count, ulps, diff = groups.get(group, (0, 0, 0.0))
+            groups[group] = count + 1, max(ulps, abs(_ordinal(x) - _ordinal(y))), max(diff, abs(x - y))
+        print("\n| file | field | values moved | max ulps | max abs |")
+        print("|---|---|---|---|---|")
+        for (rel, field), (count, ulps, diff) in groups.items():
+            print(f"| {rel.as_posix()} | {field} | {count} | {ulps} | {diff:.3g} |")
         print("\n| file | field | base | head | ulps | abs |")
         print("|---|---|---|---|---|---|")
         for rel, key, x, y in moved:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Analysis, Dataset, _wmean, validate_for
+from .data import Analysis, Dataset, validate_for
 from .errors import (
     EmptyCell,
     EmptyInput,
@@ -293,15 +293,11 @@ def naive_estimates(ds: Dataset) -> NaiveEstimates:
     dim = None
     wald = None
 
-    y = ds.y
-    w = ds.weight
-    m = ds.m
-
     if ds.m_observed_in_control:
-        m1 = np.flatnonzero(m == 1)
-        m0 = np.flatnonzero(m == 0)
-        if m1.size and m0.size:
-            as_treated = _wmean(y[m1], w[m1]) - _wmean(y[m0], w[m0])
+        w, s = ds.cells()
+        w1, w0 = w[1] + w[4], w[0] + w[3]  # the weight with m = 1 and with m = 0, arms pooled
+        if w1 and w0:
+            as_treated = (s[1] + s[4]) / w1 - (s[0] + s[3]) / w0
         try:
             per_protocol = conditional_mean(ds, 1, 1) - conditional_mean(ds, 0, 0)
         except (EmptyCell, MissingM):

@@ -507,7 +507,7 @@ def cmd_bounds(
             raise InvariantViolation("bounds needs --input or --from-moments")
         ds = load_csv(input_path, schema)
         p_hat = estimate_p_m1(ds)
-        naive = naive_estimates(ds)  # its gathers before the layout that the bounds make and keep
+        naive = naive_estimates(ds)
         trim, mt = full_sample_bounds(ds)
         mt_entry = _mt_json(ds, p_hat, mt)
         derived = {}

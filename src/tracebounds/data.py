@@ -20,7 +20,7 @@ import os
 import tempfile
 from array import array
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -53,36 +53,13 @@ def _assignment(d: np.ndarray) -> np.ndarray:
     return d.astype(np.int8, copy=False)
 
 
-def _wmean(y: np.ndarray, w: np.ndarray) -> float:
-    return float(y @ w / w.sum())
-
-
-def reaction_rate(m: np.ndarray, w: np.ndarray) -> float:
-    """Weighted share of units with m = 1, clamped at 1: when every unit
-    reacts, ``m @ w`` and ``w.sum()`` can round apart under weights that
-    are not dyadic, putting the share an ulp above 1."""
-    return min(float(m @ w / w.sum()), 1.0)
-
-
-class Arm(NamedTuple):
-    """The reaction statistics of one arm, as Python scalars: its
-    weighted reaction rate and its m = 0 and m = 1 cell means (None for
-    a cell with no unit). Both are None when the arm misses an m."""
-
-    rate: float | None
-    cells: tuple[float | None, float | None] | None
-
-
-def _summarize(rows: np.ndarray, y: np.ndarray, m: np.ndarray, w: np.ndarray) -> Arm:
-    """The :class:`Arm` of the units at ``rows`` of the columns y, m and
-    w: the arm's m and w are gathered for the rate, and each cell's y and
-    w straight through ``rows``, so y is never gathered for the whole arm."""
-    m = m[rows]
-    if np.isnan(m).any():
-        return Arm(None, None)
-    rate = reaction_rate(m, w[rows])
-    cells = tuple(_wmean(y[c], w[c]) if (c := rows[m == value]).size else None for value in (0, 1))
-    return Arm(rate, cells)
+def _cell_codes(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Each unit's (d, m) cell as the code ``3 * d + m``, with m = 2 standing
+    for a missing m: ``fmin`` reads a NaN as the 2, and its result is cast
+    to integers a buffer at a time, so no n-length float array is made."""
+    codes = np.fmin(m, 2.0, out=np.empty(m.shape, np.intp), casting="unsafe")
+    codes += 3 * d
+    return codes
 
 
 def _numbered(block) -> tuple[np.ndarray, tuple]:
@@ -102,7 +79,6 @@ def _renumbered(codes: np.ndarray, labels: tuple, idx: np.ndarray) -> tuple[np.n
     np.minimum.at(first, codes, np.arange(codes.size))  # each block's first row; size for an absent one
     order = np.argsort(first)
     codes = np.argsort(order).astype(np.int32)[codes]
-    codes.setflags(write=False)
     return codes, tuple(labels[i] for i in order[: np.count_nonzero(first < codes.size)])
 
 
@@ -114,8 +90,8 @@ class Dataset:
     offending unit); estimators then treat the arrays as trusted values.
     Row order is preserved and meaningful (trimming ties break by
     original position). Since nothing about a dataset changes after
-    construction, the reaction statistics of each arm and the arm layout
-    are computed once, on first use, and kept (:meth:`arm`,
+    construction, the table of its (d, m) cells and its arm layout are
+    computed once, on first use, and kept (:meth:`cells`,
     :meth:`layout`); blocks are held as codes (:meth:`block_codes`).
 
     The public constructor copies the caller's arrays, so a dataset
@@ -139,7 +115,7 @@ class Dataset:
         Names for the k covariate columns. Defaults to x1..xk.
     """
 
-    __slots__ = ("_y", "_d", "_m", "_x", "_blocks", "_w", "_names", "_arms", "_layout")
+    __slots__ = ("_y", "_d", "_m", "_x", "_blocks", "_w", "_names", "_cells", "_layout")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
         self._own(
@@ -220,19 +196,23 @@ class Dataset:
         if wv is None:
             wv = np.ones(n)
 
-        for a in (yv, dv, mv, wv, xv):
-            a.setflags(write=False)
-        if block is not None:
-            block[0].setflags(write=False)
+        self._keep(yv, dv, mv, xv, block, wv, names)
 
-        self._y = yv
-        self._d = dv
-        self._m = mv
-        self._x = xv
-        self._blocks = block
-        self._w = wv
+    def _keep(self, y, d, m, x, blocks, w, names) -> None:
+        """Hold checked columns, each made read-only, with no cell table
+        or layout made yet."""
+        for a in (y, d, m, x, w):
+            a.setflags(write=False)
+        if blocks is not None:
+            blocks[0].setflags(write=False)
+        self._y = y
+        self._d = d
+        self._m = m
+        self._x = x
+        self._blocks = blocks
+        self._w = w
         self._names = names
-        self._arms: list[Arm | None] = [None, None]
+        self._cells: tuple[list[float], list[float]] | None = None
         self._layout: tuple[np.ndarray, int, int] | None = None
 
     # -- resampling --------------------------------------------------------
@@ -251,27 +231,20 @@ class Dataset:
         if d.all():
             raise InvariantViolation("selection has no control unit")
         new = object.__new__(Dataset)
-        new._y = self._y[idx]
-        new._d = d
-        new._m = self._m[idx]
-        new._x = self._x[idx]
-        new._blocks = None if self._blocks is None else _renumbered(*self._blocks, idx)
-        new._w = self._w[idx]
-        new._names = self._names
-        new._arms = [None, None]
-        new._layout = None
+        blocks = None if self._blocks is None else _renumbered(*self._blocks, idx)
+        new._keep(self._y[idx], d, self._m[idx], self._x[idx], blocks, self._w[idx], self._names)
         return new
 
-    def arm(self, d: int) -> Arm:
-        """The reaction statistics of the arm assigned ``d``, made on the
-        first call and kept for this dataset, whose arrays are read-only."""
-        if d not in (0, 1):
-            raise InvariantViolation(f"arm must be 0 or 1, got {d!r}")
-        arm = self._arms[d]
-        if arm is None:
-            # an index gathers faster than a mask of random rows
-            arm = self._arms[d] = _summarize(np.flatnonzero(self._d == d), self._y, self._m, self._w)
-        return arm
+    def cells(self) -> tuple[list[float], list[float]]:
+        """The weight and the weighted y-sum of each (d, m) cell, at index
+        ``3 * d + m`` with m = 2 for a missing m, as two lists of six Python
+        floats. Each sum adds its cell's units in row order, by two
+        ``np.bincount`` passes, so no sum depends on the BLAS thread count.
+        Made on the first call and kept for this dataset."""
+        if self._cells is None:
+            codes = _cell_codes(self._d, self._m)
+            self._cells = np.bincount(codes, self._w, 6).tolist(), np.bincount(codes, self._w * self._y, 6).tolist()
+        return self._cells
 
     def layout(self) -> tuple[np.ndarray, int, int]:
         """The rows in the order the bounds and the replicate engine read
@@ -353,7 +326,7 @@ class Dataset:
     @property
     def m_observed_in_control(self) -> bool:
         # treated units always carry m, so the control arm decides
-        return self.arm(0).cells is not None
+        return self.cells()[0][2] == 0.0
 
     def __len__(self) -> int:
         return self.n
@@ -657,8 +630,7 @@ def atomic_open(path) -> Iterator[TextIO]:
 
 _CHUNK = 1 << 14  # rows formatted at a time
 
-# The d and m cells of a row as one text, indexed by 3 * d + the m code
-# (m itself, or 2 for a missing m).
+# The d and m cells of a row as one text, indexed by the row's _cell_codes.
 _DM_TEXT = np.array(["0,0", "0,1", "0,", "1,0", "1,1", "1,"], dtype=object)
 
 
@@ -707,9 +679,7 @@ def write_csv(ds: Dataset, path) -> None:
         fh.write(",".join(map(_quote, header)) + "\r\n")
         for start in range(0, ds.n, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            m = ds.m[rows]
-            dm_codes = np.where(np.isnan(m), 2, m).astype(np.int8) + 3 * ds.d[rows]
-            columns = [ds.y[rows].tolist(), _DM_TEXT[dm_codes].tolist()]
+            columns = [ds.y[rows].tolist(), _DM_TEXT[_cell_codes(ds.d[rows], ds.m[rows])].tolist()]
             columns += [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
             if "block" in schema:
                 columns.append(labels[codes[rows]].tolist())

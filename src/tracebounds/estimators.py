@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _wmean
+from .data import Dataset
 from .errors import (
     EmptyCell,
     InvariantViolation,
@@ -60,22 +60,31 @@ class StrataShares:
             raise InvariantViolation(f"shares must sum to 1, got {total}")
 
 
+def _observed(ds: Dataset, d: int) -> tuple[list[float], list[float]]:
+    """The cell table of ``ds`` (:meth:`Dataset.cells`), once every unit
+    of the arm assigned ``d`` is known to carry m; else :class:`MissingM`."""
+    w, s = ds.cells()
+    if w[3 * d + 2]:
+        raise MissingM(f"m is not observed for every unit with d={d}")
+    return w, s
+
+
 def arm_reaction_rate(ds: Dataset, d: int) -> float:
     """Weighted share of units with m = 1 in the arm assigned ``d``.
 
     Raises :class:`MissingM` when the arm has unobserved m.
     """
-    rate = ds.arm(d).rate
-    if rate is None:
-        raise MissingM(f"m is not observed for every unit with d={d}")
-    return rate
+    if d not in (0, 1):
+        raise InvariantViolation(f"arm must be 0 or 1, got {d!r}")
+    w, _ = _observed(ds, d)
+    return w[3 * d + 1] / (w[3 * d] + w[3 * d + 1])
 
 
 def estimate_te_dim(ds: Dataset) -> TEEstimate:
-    """Weighted difference in mean outcomes, treated minus control. Each
-    arm's y and w are gathered through its own index (faster than a mask
-    of random rows), one arm at a time; no arm summary is made."""
-    treated, control = (_wmean(ds.y[rows], ds.weight[rows]) for rows in map(np.flatnonzero, (ds.d == 1, ds.d == 0)))
+    """Weighted difference in mean outcomes, treated minus control, each
+    arm's mean the sum of its three cells (:meth:`Dataset.cells`)."""
+    w, s = ds.cells()
+    treated, control = ((s[i] + s[i + 1] + s[i + 2]) / (w[i] + w[i + 1] + w[i + 2]) for i in (3, 0))
     return TEEstimate(te_hat=treated - control, se=None, method=TEMethod.DIFF_IN_MEANS)
 
 
@@ -96,12 +105,10 @@ def conditional_mean(ds: Dataset, d: int, m: int) -> float:
     """
     if d not in (0, 1) or m not in (0, 1):
         raise InvariantViolation("cell indices must be 0 or 1")
-    cells = ds.arm(d).cells
-    if cells is None:
-        raise MissingM(f"m is not observed for every unit with d={d}")
-    if cells[m] is None:
+    w, s = _observed(ds, d)
+    if not w[3 * d + m]:
         raise EmptyCell(f"no units with d={d}, m={m}")
-    return cells[m]
+    return s[3 * d + m] / w[3 * d + m]
 
 
 def strata_shares_monotone(ds: Dataset) -> StrataShares:

@@ -385,10 +385,7 @@ class AnalysisResult:
 
 def full_sample_bounds(ds: Dataset) -> tuple[Interval, Interval | TraceBoundsError]:
     """The trimming bounds, and the monotone bounds or the error that
-    stops them. The control arm's summary (:meth:`Dataset.arm`) is made
-    first, so that the arrays gathered for it and the dataset's layout
-    (:meth:`Dataset.layout`) are never held at once."""
-    ds.arm(0)
+    stops them."""
     trim = no_assumption_bounds(ds)
     try:
         return trim, mt_bounds(ds)

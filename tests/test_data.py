@@ -148,6 +148,19 @@ def test_written_file_gets_the_default_mode(tmp_path, toy):
     assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
+def test_the_columns_of_a_take_are_read_only(toy):
+    with_x = Dataset(y=[1.0, 2.0, 3.0, 4.0], d=[1, 1, 0, 0], m=[1, 0, 1, 0], x=[0.5, 1.5, 2.5, 3.5], block=["a", "b", "a", "b"])
+    for ds in (toy, with_x):
+        sub = ds.take([0, 1, 3, 3, 2])
+        for resample in (sub, sub.take([4, 0, 2])):
+            columns = [resample.y, resample.d, resample.m, resample.x, resample.weight]
+            if resample.has_blocks:
+                columns.append(resample.block_codes()[0])
+            for column in columns:
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 1
+
+
 def test_take(toy):
     sub = toy.take([0, 1, 3, 4])
     assert sub.n == 4

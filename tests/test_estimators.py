@@ -38,8 +38,6 @@ from tracebounds.errors import (
     RequirementUnmet,
     TraceBoundsError,
 )
-from tracebounds import data as data_module
-from tracebounds.data import Arm
 from tracebounds.estimators import shares_from_first_stage, te_estimate
 
 
@@ -383,28 +381,39 @@ def test_te_point_is_the_estimate_to_the_bit(method, blocks):
 # -- remembered statistics against inline masks ------------------------------
 
 
-def _ref_rate(ds, d):
-    arm = ds.d == d
-    if np.isnan(ds.m[arm]).any():
+def _ref_table(ds):
+    """The weight and the weighted y-sum of each (d, m) cell, at 3 * d + m
+    with m = 2 for a missing m, each unit added in row order."""
+    w, s = [0.0] * 6, [0.0] * 6
+    for y, d, m, wt in zip(ds.y.tolist(), ds.d.tolist(), ds.m.tolist(), ds.weight.tolist()):
+        cell = 3 * d + (2 if np.isnan(m) else int(m))
+        w[cell] += wt
+        s[cell] += wt * y
+    return w, s
+
+
+def _ref_arm(ds, d):
+    w, s = _ref_table(ds)
+    if w[3 * d + 2] > 0:
         raise MissingM("reference")
-    return min(float(ds.m[arm] @ ds.weight[arm] / ds.weight[arm].sum()), 1.0)
+    return w[3 * d :], s[3 * d :]
+
+
+def _ref_rate(ds, d):
+    w, _ = _ref_arm(ds, d)
+    return w[1] / (w[0] + w[1])
 
 
 def _ref_cell(ds, d, m):
-    arm = ds.d == d
-    if np.isnan(ds.m[arm]).any():
-        raise MissingM("reference")
-    mask = arm & (ds.m == m)
-    if not mask.any():
+    w, s = _ref_arm(ds, d)
+    if w[m] == 0:
         raise EmptyCell("reference")
-    ww = ds.weight[mask]
-    return float(ds.y[mask] @ ww / ww.sum())
+    return s[m] / w[m]
 
 
 def _ref_te(ds):
-    t = ds.d == 1
-    w = ds.weight
-    return float(ds.y[t] @ w[t] / w[t].sum() - ds.y[~t] @ w[~t] / w[~t].sum())
+    w, s = _ref_table(ds)
+    return (s[3] + s[4] + s[5]) / (w[3] + w[4] + w[5]) - (s[0] + s[1] + s[2]) / (w[0] + w[1] + w[2])
 
 
 def _ref_shares(ds):
@@ -453,10 +462,9 @@ def _ref_naive(ds):
     itt = _ref_te(ds)
     as_treated = per_protocol = dim = wald = None
     if ds.m_observed_in_control:
-        y, w, m = ds.y, ds.weight, ds.m
-        m1, m0 = m == 1, m == 0
-        if m1.any() and m0.any():
-            as_treated = float(y[m1] @ w[m1] / w[m1].sum() - y[m0] @ w[m0] / w[m0].sum())
+        w, s = _ref_table(ds)
+        if w[1] + w[4] > 0 and w[0] + w[3] > 0:
+            as_treated = (s[1] + s[4]) / (w[1] + w[4]) - (s[0] + s[3]) / (w[0] + w[3])
         per_protocol = cells((1, 1), (0, 0))
         dim = cells((1, 1), (0, 1))
         p1, p0 = _ref_rate(ds, 1), _ref_rate(ds, 0)
@@ -519,20 +527,15 @@ def _random_dataset(seed):
     return Dataset(y=y, d=d, m=m, weight=w)
 
 
-def _summaries_hold_python_scalars(ds):
-    """Whether each kept arm summary is an :class:`Arm` of Python scalars
-    (no ndarray, which would hold its memory for the dataset's lifetime)."""
-    def scalar(v, *types):
-        return v is None or type(v) in types
-
-    return all(
-        arm is None
-        or (
-            type(arm) is Arm
-            and scalar(arm.rate, float)
-            and (arm.cells is None or (type(arm.cells) is tuple and all(scalar(c, float) for c in arm.cells)))
-        )
-        for arm in ds._arms
+def _table_holds_python_floats(ds):
+    """Whether the kept cell table, if any, is two lists of six Python
+    floats (no ndarray, which would hold its memory for the dataset's
+    lifetime)."""
+    table = ds._cells
+    return table is None or (
+        type(table) is tuple
+        and len(table) == 2
+        and all(type(part) is list and len(part) == 6 and all(type(v) is float for v in part) for part in table)
     )
 
 
@@ -541,28 +544,34 @@ def _summaries_hold_python_scalars(ds):
 def test_remembered_statistics_match_inline_masks(seed):
     ds = _random_dataset(seed)
     pairs = _statistics(ds)
-    for _ in range(2):  # the second pass reads the kept summaries
+    for _ in range(2):  # the second pass reads the kept table
         for package, reference in pairs:
             assert _outcome(package, ds) == _outcome(reference, ds)
-    assert len(ds._arms) == 2 and _summaries_hold_python_scalars(ds), ds._arms
+    assert ds._cells is not None and _table_holds_python_floats(ds), ds._cells
 
-    # a resample starts with no summary and never sees its parent's
+    # a resample starts with no table and never sees its parent's
     sub = ds.take(np.r_[np.flatnonzero(ds.d == 1)[:1], np.flatnonzero(ds.d == 0)[-1:], np.arange(ds.n)[::2]])
-    assert sub._arms == [None, None] and sub._arms is not ds._arms
+    assert sub._cells is None
     for package, reference in pairs:
         assert _outcome(package, sub) == _outcome(reference, sub)
-    assert _summaries_hold_python_scalars(sub), sub._arms
+    assert sub._cells is not ds._cells and _table_holds_python_floats(sub), sub._cells
 
 
-def test_the_difference_in_means_and_the_arm_sizes_make_no_summary():
-    # the reference path of every bootstrap: a resample read for its
-    # difference in means never builds the reaction statistics
+def test_the_cell_table_adds_each_unit_in_row_order():
+    for seed in range(200):
+        ds = _random_dataset(seed)
+        assert _bits(ds.cells()) == _bits(_ref_table(ds)), seed
+
+
+def test_a_take_starts_with_no_table_and_the_arm_sizes_make_none():
     ds = _random_dataset(0)
+    ds.cells()
     sub = ds.take(np.arange(ds.n)[::-1])
-    assert estimate_te_dim(sub).te_hat == _ref_te(sub)
+    assert sub._cells is None
     assert (sub.n_treated, sub.n_control) == (int((sub.d == 1).sum()), int((sub.d == 0).sum()))
     assert type(sub.n_treated) is int and type(sub.n_control) is int
-    assert sub._arms == [None, None]
+    assert sub._cells is None
+    assert estimate_te_dim(sub).te_hat.hex() == _ref_te(sub).hex()
 
 
 def test_a_cell_error_raises_the_same_on_every_call():
@@ -577,7 +586,7 @@ def test_a_cell_error_raises_the_same_on_every_call():
             with pytest.raises(error) as ei:
                 conditional_mean(ds, *cell)
             assert str(ei.value) == message
-            estimate_te_dim(ds)  # the arm's summary is kept between the calls
+            estimate_te_dim(ds)  # the cell table is kept between the calls
 
 
 def test_the_control_reaction_rate_needs_m_in_every_control_unit():
@@ -601,13 +610,8 @@ CONTROL_Y = [0.5, 1.5, 2.5, 3.5]
     [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, np.nan, 0]],
     ids=["every cell", "no control reactor", "m missing in control"],
 )
-def test_each_arm_is_gathered_once(monkeypatch, control_m):
+def test_the_cell_table_is_built_once(control_m):
     # the statistics of `bounds --type3`, then every arm statistic and cell, in three orders
-    gathered = []
-    summarize = data_module._summarize
-    monkeypatch.setattr(
-        data_module, "_summarize", lambda rows, y, m, w: gathered.append(y[rows].tolist()) or summarize(rows, y, m, w)
-    )
     statistics = [
         estimate_p_m1,
         estimate_te_dim,
@@ -622,12 +626,13 @@ def test_each_arm_is_gathered_once(monkeypatch, control_m):
     ]
     rng = np.random.default_rng(0)
     for order in (statistics, statistics[::-1], [statistics[i] for i in rng.permutation(len(statistics))]):
-        gathered.clear()
         ds = Dataset(y=TREATED_Y + CONTROL_Y, d=[1, 1, 1, 1, 0, 0, 0, 0], m=[1, 0, 1, 0, *control_m])
+        tables = []
         for _ in range(2):
             for statistic in order:
                 try:
                     statistic(ds)
                 except TraceBoundsError:
                     pass
-        assert sorted(gathered) == [CONTROL_Y, TREATED_Y]
+                tables.append(ds._cells)
+        assert tables[0] is not None and all(table is tables[0] for table in tables)

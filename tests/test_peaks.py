@@ -8,7 +8,7 @@ STAGES = [
     "write_csv",
     "load_csv (blocks)",
     "load_csv",
-    "arm summaries",
+    "cell table",
     "naive_estimates",
     "layout",
     "full_sample_bounds",

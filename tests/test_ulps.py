@@ -33,3 +33,25 @@ def test_lists_moved_values_and_flips(tmp_path, capsys):
     assert "| run/report.json | bounds.lo | 0.8234910813834045 | 0.8234910813834048 | 2 | 2.22e-16 |" in out
     assert "| run/curve.csv | row 1 trace_hat |" in out
     assert "| run/curve.csv | row 1 within_trim_bounds | true | false |" in out
+
+
+def test_groups_the_moved_values_by_file_and_field_above_the_rows(tmp_path, capsys):
+    def up(v):
+        return float(np.nextafter(v, 9.0))
+
+    sides = {"base": ([0.5, 1.5, 2.5], [0.1, 0.2, 0.3]), "head": ([0.5, up(1.5), up(up(2.5))], [0.1, 0.2, up(0.3)])}
+    for side, (band, column) in sides.items():
+        root = tmp_path / side / "run"
+        root.mkdir(parents=True)
+        (root / "report.json").write_text(json.dumps({"bands": [[v] for v in band]}))
+        (root / "curve.csv").write_bytes(("trace_hat\r\n" + "".join(f"{v!r}\r\n" for v in column)).encode())
+    assert ulps.main([str(tmp_path / "base"), str(tmp_path / "head")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "3 values moved, 0 within_trim_bounds flips, 0 other differences"
+    grouped = lines.index("| file | field | values moved | max ulps | max abs |")
+    rows = lines.index("| file | field | base | head | ulps | abs |")
+    assert lines[grouped + 2 : rows - 1] == [
+        "| run/curve.csv | trace_hat | 1 | 1 | 5.55e-17 |",
+        "| run/report.json | bands[][] | 2 | 2 | 8.88e-16 |",
+    ]
+    assert len(lines) == rows + 2 + 3
