@@ -129,6 +129,8 @@ def trimmed_mean(values, weights, spec: TrimSpec) -> float:
         raise ZeroFraction("trim fraction must be positive")
     if not (w > 0).all():
         raise InvariantViolation("weights must be positive")
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise InvariantViolation("values and weights must be finite")
 
     order = np.argsort(v, kind="stable")
     low, high = _slice_means(v[order], w[order], spec.fraction)

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -126,24 +126,6 @@ def _assumption_json(spec: AssumptionSpec) -> dict:
 # -- configuration -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    input_path: str
-    schema: dict
-    assumption: AssumptionSpec
-    te_method: TEMethod
-    bootstrap: BootstrapConfig
-    out_table: str
-    out_report: str
-    out_chart: str | None = None
-
-    def __post_init__(self):
-        if not self.input_path:
-            raise InvariantViolation("an input path is required")
-        if not self.out_table or not self.out_report:
-            raise InvariantViolation("table and report output paths are required")
-
-
 def _number(what: str, kind: type = float) -> Callable:
     """Parser of text as a ``kind`` (float, or int for exact counts and
     seeds); malformed text is a validation error."""
@@ -214,7 +196,6 @@ def _pair(key: str) -> Callable:
     return parse
 
 
-_REQUIRED = object()  # the default of an option that must be given
 _DGP_STRATA = ("at", "c", "nt", "def")
 
 
@@ -273,36 +254,40 @@ _OPTIONS = {
     "target": _Option("--target", None, _number("target"), 0.0, "target reactive-group effect (default 0)"),
     # simulate's options are named section.key
     "dgp.seed": _Option("--seed", ("dgp", "seed"), _number("[dgp] seed", int), 0, "simulation seed"),
-    "dgp.n": _Option(None, ("dgp", "n"), _number("[dgp] n", int), _REQUIRED),
+    "dgp.n": _Option(None, ("dgp", "n"), _number("[dgp] n", int)),
     "dgp.noise_sd": _Option(None, ("dgp", "noise_sd"), _number("[dgp] noise_sd"), 0.0),
     "dgp.type3": _Option(None, ("dgp", "type3"), _parse_type3, False),
     **{
-        f"dgp.strata.{k}": _Option(None, ("dgp.strata", k), _number(f"[dgp.strata] {k}"), 0.0 if k == "def" else _REQUIRED)
+        f"dgp.strata.{k}": _Option(None, ("dgp.strata", k), _number(f"[dgp.strata] {k}"), 0.0 if k == "def" else None)
         for k in _DGP_STRATA
     },
-    **{f"dgp.means.{k}": _Option(None, ("dgp.means", k), _pair(k), (0.0, 0.0) if k == "def" else _REQUIRED) for k in _DGP_STRATA},
-    "data_out": _Option("--out-table", None, str, _REQUIRED, "dataset CSV output path", "out_table"),
-    "truth_out": _Option("--out-report", None, str, _REQUIRED, "truth JSON output path", "out_report"),
+    **{f"dgp.means.{k}": _Option(None, ("dgp.means", k), _pair(k), (0.0, 0.0) if k == "def" else None) for k in _DGP_STRATA},
+    "data_out": _Option("--out-table", None, str, None, "dataset CSV output path", "out_table"),
+    "truth_out": _Option("--out-report", None, str, None, "truth JSON output path", "out_report"),
 }
 
 _SCHEMA = ("y", "d", "m", "block", "weight", "covariates")
 
-# each subcommand's help line and its options, in --help order
+# each subcommand's help line, its options in --help order, and the dests
+# it needs: a needed dest that none of its flags and keys gives is an error
 _COMMANDS = {
     "analyze": (
         "bounds, sensitivity curve, combined region, report and chart",
         ("input", "config", *_SCHEMA, "preset", "grid", "point", "interval", "te_method",
          "seed", "replicates", "level", "resample_unit", "out_table", "out_report", "out_chart"),
+        ("input", "assumption", "out_table", "out_report"),
     ),
-    "bounds": ("bounds and naive contrasts only", ("input", "config", *_SCHEMA, "type3", "from_moments", "out_report")),
+    "bounds": ("bounds and naive contrasts only", ("input", "config", *_SCHEMA, "type3", "from_moments", "out_report"), ("input",)),
     "simulate": (
         "draw a synthetic dataset with known estimands",
         ("config", "dgp.seed", "dgp.n", "dgp.noise_sd", "dgp.type3", *(f"dgp.strata.{k}" for k in _DGP_STRATA),
          *(f"dgp.means.{k}" for k in _DGP_STRATA), "data_out", "truth_out"),
+        ("dgp.n", *(f"dgp.{part}.{k}" for part in ("strata", "means") for k in ("at", "c", "nt")), "out_table", "out_report"),
     ),
     "threshold": (
         "non-reactive effect needed to reach a target",
         ("input", "config", *_SCHEMA, "target", "te_method", "out_report"),
+        ("input",),
     ),
 }
 
@@ -368,8 +353,11 @@ def _read_config(path: str) -> configparser.ConfigParser:
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Value of every option of ``command``, by dest: the flag if given,
-    else its config key, else its default. An empty text is not given."""
+    else its config key, else its default. An empty text is not given; a
+    dest the command needs that is not given is an error naming each flag
+    and key that would give it."""
     cp = _read_config(args.config) if args.config else configparser.ConfigParser()
+    needs = _COMMANDS[command][2]
     groups: dict[str, list[str]] = {}
     for name in _COMMANDS[command][1]:
         groups.setdefault(_OPTIONS[name].dest or name, []).append(name)
@@ -386,9 +374,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if flags or keys:
             option, text = (flags or keys)[0]
             values[dest] = option.parse(text)
-        elif options[0].default is _REQUIRED:
-            section, key = options[0].key
-            raise InvariantViolation(f"config is missing {key!r} in [{section}]")
+        elif dest in needs:
+            ways = [o.flag for o in options if o.flag] + [f"[{o.key[0]}] {o.key[1]}" for o in options if o.key]
+            raise InvariantViolation(f"{command} needs {' or '.join(ways)}")
         else:
             values[dest] = options[0].default
     return values
@@ -430,24 +418,26 @@ def _dataset_report(
     }
 
 
-def cmd_analyze(cfg: AnalysisConfig) -> dict:
+def cmd_analyze(
+    input_path: str, schema: dict, assumption: AssumptionSpec, te_method: TEMethod, bootstrap: BootstrapConfig,
+    out_table: str, out_report: str, out_chart: str | None = None,
+) -> dict:
     """Full pipeline: load the input, :func:`analyze` it, and write the
     curve table, the report and the chart if asked for.
 
     Returns the report dictionary after writing all requested outputs.
     """
-    boot = cfg.bootstrap
-    ds = load_csv(cfg.input_path, cfg.schema)
-    res = analyze(ds, cfg.assumption, cfg.te_method, boot)
+    ds = load_csv(input_path, schema)
+    res = analyze(ds, assumption, te_method, bootstrap)
     report = _dataset_report(
-        cfg.input_path,
+        input_path,
         ds,
         {
-            "te_method": cfg.te_method.name,
+            "te_method": te_method.name,
             "te_hat": res.te.te_hat,
             "te_se": res.te.se,
             "p_hat": res.p_hat,
-            "assumption": _assumption_json(cfg.assumption),
+            "assumption": _assumption_json(assumption),
         },
         res.trim,
         _mt_json(ds, res.p_hat, res.mt),
@@ -465,21 +455,21 @@ def cmd_analyze(cfg: AnalysisConfig) -> dict:
     report["curve"] = {
         "grid": _assumption_json(res.grid),
         "rows": len(res.curve.rows),
-        "table": str(cfg.out_table),
+        "table": str(out_table),
     }
     report["bootstrap"] = {
-        "seed": boot.seed,
-        "replicates": boot.replicates,
-        "level": boot.level,
-        "resample_unit": boot.resample_unit.name,
+        "seed": bootstrap.seed,
+        "replicates": bootstrap.replicates,
+        "level": bootstrap.level,
+        "resample_unit": bootstrap.resample_unit.name,
         "failed_replicates": dict(res.failed_replicates),
     }
 
-    with atomic_open(cfg.out_table) as fh:
+    with atomic_open(out_table) as fh:
         fh.write(_curve_csv(res.curve))
-    _write_report(report, cfg.out_report)
-    if cfg.out_chart:
-        with atomic_open(cfg.out_chart) as fh:
+    _write_report(report, out_report)
+    if out_chart:
+        with atomic_open(out_chart) as fh:
             fh.write(render_chart(res.curve, res.combined))
     return report
 
@@ -503,8 +493,6 @@ def cmd_bounds(
             "type3_bounds": _interval_json(iv),
         }
     else:
-        if not input_path:
-            raise InvariantViolation("bounds needs --input or --from-moments")
         ds = load_csv(input_path, schema)
         p_hat = estimate_p_m1(ds)
         naive = naive_estimates(ds)
@@ -581,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Point and partial identification of effects among treatment-reactive units.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, names) in _COMMANDS.items():
+    for command, (summary, names, _) in _COMMANDS.items():
         options = [(name, _OPTIONS[name]) for name in names]
         keys_only = ", ".join(f"[{o.key[0]}] {o.key[1]}" for _, o in options if o.flag is None)
         p = sub.add_parser(command, help=summary, epilog=keys_only and f"config keys without a flag: {keys_only}")
@@ -590,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 continue
             text = o.help + (f"; config [{o.key[0]}] {o.key[1]}" if o.key else "")
             shape = o.argparse or {"metavar": o.flag[2:].upper().replace("-", "_")}
-            p.add_argument(o.flag, dest=name, default=None, required=o.default is _REQUIRED, help=text, **shape)
+            p.add_argument(o.flag, dest=name, default=None, help=text, **shape)
     return parser
 
 
@@ -599,20 +587,12 @@ def _schema(v: dict) -> dict:
 
 
 def _run_analyze(v: dict) -> int:
-    if v["assumption"] is None:
-        raise InvariantViolation("analyze needs an assumption: --preset, --grid, or [assumption] in the config")
     boot = BootstrapConfig(v["replicates"], v["seed"], v["level"], v["resample_unit"])
-    cfg = AnalysisConfig(
+    report = cmd_analyze(
         v["input"], _schema(v), v["assumption"], v["te_method"], boot, v["out_table"], v["out_report"], v["out_chart"]
     )
-    report = cmd_analyze(cfg)
-    status = {
-        "status": "ok",
-        "combined": report["combined"] if isinstance(report["combined"], str) else "FEASIBLE",
-        "report": str(cfg.out_report),
-        "table": str(cfg.out_table),
-        "chart": None if cfg.out_chart is None else str(cfg.out_chart),
-    }
+    combined = report["combined"] if isinstance(report["combined"], str) else "FEASIBLE"
+    status = {"status": "ok", "combined": combined, "report": v["out_report"], "table": v["out_table"], "chart": v["out_chart"]}
     sys.stdout.write(_json_dumps(status) + "\n")
     return 0
 
@@ -633,8 +613,6 @@ def _run_simulate(v: dict) -> int:
 
 
 def _run_threshold(v: dict) -> int:
-    if not v["input"]:
-        raise InvariantViolation("threshold needs an input dataset")
     cmd_threshold(v["input"], _schema(v), v["target"], v["te_method"], v["out_report"])
     return 0
 

@@ -218,17 +218,24 @@ class Dataset:
     # -- resampling --------------------------------------------------------
 
     def take(self, indices) -> "Dataset":
-        """Row subset/resample preserving all columns. ``indices`` are row
-        numbers of any integer type, repeats allowed; booleans and reals
-        are refused, not cast. Used heavily by the bootstrap; skips
-        re-parsing but still enforces the both-arms invariant."""
+        """Row subset/resample preserving all columns. ``indices`` is a 1-D
+        array of row numbers in [0, n) of any integer type, repeats allowed;
+        booleans and reals are refused, not cast, and a negative row is not
+        read from the end. Used heavily by the bootstrap; skips re-parsing
+        but still enforces the both-arms invariant."""
         idx = np.asarray(indices)
         if idx.dtype.kind not in "iu":
             raise InvariantViolation(f"row indices must be integers, got an array of {idx.dtype}")
+        if idx.ndim != 1:
+            raise InvariantViolation(f"row indices must be a 1-D array, got a {idx.ndim}-D one")
+        # one pass finds both ends: as unsigned, a negative row lies past the last
+        if idx.size and idx.astype(np.intp, copy=False).view(np.uintp).max() >= self.n:
+            raise InvariantViolation(f"row index {idx[(idx < 0) | (idx >= self.n)][0]} is outside [0, {self.n})")
         d = self._d[idx]
-        if not d.any():
+        treated = np.count_nonzero(d)
+        if not treated:
             raise InvariantViolation("selection has no treated unit")
-        if d.all():
+        if treated == d.size:
             raise InvariantViolation("selection has no control unit")
         new = object.__new__(Dataset)
         blocks = None if self._blocks is None else _renumbered(*self._blocks, idx)

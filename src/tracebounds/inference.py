@@ -34,6 +34,10 @@ class BootstrapConfig:
     resample_unit: ResampleUnit = ResampleUnit.ROW
 
     def __post_init__(self):
+        for name in ("replicates", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvariantViolation(f"{name} must be an integer, got {value!r}")
         if self.replicates < 2:
             raise InvariantViolation(f"need at least 2 replicates, got {self.replicates}")
         if not (0.0 < self.level < 1.0):

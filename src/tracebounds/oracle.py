@@ -90,6 +90,10 @@ class DGPConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvariantViolation(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise InvariantViolation(f"n must be at least 1, got {self.n}")
         if not (self.noise_sd >= 0 and math.isfinite(self.noise_sd)):

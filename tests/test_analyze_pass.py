@@ -38,7 +38,7 @@ from tracebounds import (
     trace0_from_trace,
     write_csv,
 )
-from tracebounds.cli import AnalysisConfig, cmd_analyze
+from tracebounds.cli import cmd_analyze
 from tracebounds.errors import TraceBoundsError
 from tracebounds.sensitivity import curve_from_replicates
 
@@ -129,7 +129,7 @@ def test_single_pass_matches_one_pass_per_statistic(
         generated = _dataset(kind, data_seed)
         write_csv(generated, tmp / "data.csv")
         schema = schema_for(generated)
-        cfg = AnalysisConfig(
+        report = cmd_analyze(
             input_path=str(tmp / "data.csv"),
             schema=schema,
             assumption=assumption,
@@ -138,7 +138,6 @@ def test_single_pass_matches_one_pass_per_statistic(
             out_table=str(tmp / "curve.csv"),
             out_report=str(tmp / "report.json"),
         )
-        report = cmd_analyze(cfg)
         with open(tmp / "curve.csv", newline="") as fh:
             table = list(csv.reader(fh))[1:]
         ds = load_csv(tmp / "data.csv", schema)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,23 @@ def test_trimmed_mean_errors():
         TrimSpec(1.5, Side.LOWEST)
     with pytest.raises(InvariantViolation):
         trimmed_mean([1.0, 2.0], [1.0, 0.0], TrimSpec(0.5, Side.LOWEST))
+
+
+@pytest.mark.parametrize(
+    "values, weights",
+    [
+        ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, math.inf, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, -math.inf, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0]),
+    ],
+    ids=["nan value", "inf value", "-inf value", "inf weight"],
+)
+@pytest.mark.parametrize("side", [Side.LOWEST, Side.HIGHEST])
+def test_trimmed_mean_refuses_non_finite_values_and_weights(values, weights, side):
+    # a NaN sorts last and would come back as the HIGHEST mean; an infinite weight warns
+    with pytest.raises(InvariantViolation, match="values and weights must be finite"):
+        trimmed_mean(values, weights, TrimSpec(0.5, side))
 
 
 @given(

@@ -548,7 +548,7 @@ REQUIRED = "required"  # neither source given: a validation error, exit 2
 # what each subcommand needs to reach its cmd_* function
 _BASE_FLAGS = {
     "analyze": {"--input": "in.csv", "--preset": "zero", "--out-table": "t.csv", "--out-report": "r.json"},
-    "bounds": {},
+    "bounds": {"--input": "in.csv"},
     "threshold": {"--input": "in.csv"},
     "simulate": {"--out-table": "t.csv", "--out-report": "r.json"},
 }
@@ -611,39 +611,37 @@ def _option_rows():
     # config text (None: no text is malformed), config set alongside the key
     rows = []
     for command in ("analyze", "bounds", "threshold"):
-        at = "cfg." if command == "analyze" else ""
         rows += [
-            (command, "--input", "input path", at + "input_path", "fa.csv", "cb.csv", "fa.csv", "cb.csv",
-             None if command == "bounds" else REQUIRED, None, {}),
+            (command, "--input", "input path", "input_path", "fa.csv", "cb.csv", "fa.csv", "cb.csv", REQUIRED, None, {}),
             *[
-                (command, f"--{role}", f"schema {role}", f"{at}schema.{role}", "fa", "cb", "fa", "cb", None, None, {})
+                (command, f"--{role}", f"schema {role}", f"schema.{role}", "fa", "cb", "fa", "cb", None, None, {})
                 for role in ("y", "d", "m", "block", "weight")
             ],
-            (command, "--covariates", "schema covariates", f"{at}schema.covariates", "x1,x2", "x3, x4",
+            (command, "--covariates", "schema covariates", "schema.covariates", "x1,x2", "x3, x4",
              ["x1", "x2"], ["x3", "x4"], None, None, {}),
-            (command, "--out-report", "outputs report", at + "out_report", "fa.json", "cb.json", "fa.json", "cb.json",
+            (command, "--out-report", "outputs report", "out_report", "fa.json", "cb.json", "fa.json", "cb.json",
              REQUIRED if command == "analyze" else None, None, {}),
         ]
-    for command, at in (("analyze", "cfg."), ("threshold", "")):
-        rows.append((command, "--te-method", "estimation te_method", at + "te_method", "dim", "ols",
+    for command in ("analyze", "threshold"):
+        rows.append((command, "--te-method", "estimation te_method", "te_method", "dim", "ols",
                      TEMethod.DIFF_IN_MEANS, TEMethod.OLS_ADJUSTED, TEMethod.DIFF_IN_MEANS, "lasso", {}))
     rows += [
-        ("analyze", "--preset", "assumption preset", "cfg.assumption", "equal", "same-sign-smaller",
+        ("analyze", "--preset", "assumption preset", "assumption", "equal", "same-sign-smaller",
          A.equal_effects(), A.same_sign_smaller(), REQUIRED, "bogus", {}),
-        ("analyze", "--grid", "assumption grid", "cfg.assumption", "0:1:0.5", "-1:1:1",
+        ("analyze", "--grid", "assumption grid", "assumption", "0:1:0.5", "-1:1:1",
          A.grid(0.0, 1.0, 0.5), A.grid(-1.0, 1.0, 1.0), REQUIRED, "1:2", {}),
-        ("analyze", None, "assumption point", "cfg.assumption", None, "0.25", None, A.point(0.25), REQUIRED, "x", {}),
-        ("analyze", None, "assumption interval", "cfg.assumption", None, "-0.5:0.5", None,
+        ("analyze", None, "assumption point", "assumption", None, "0.25", None, A.point(0.25), REQUIRED, "x", {}),
+        ("analyze", None, "assumption interval", "assumption", None, "-0.5:0.5", None,
          A.interval(-0.5, 0.5), REQUIRED, "1", {}),
-        ("analyze", "--seed", "bootstrap seed", "cfg.bootstrap.seed", "9", "5", 9, 5, 0, "1.9", {}),
-        ("analyze", "--replicates", "bootstrap replicates", "cfg.bootstrap.replicates", "23", "50", 23, 50, 2000, "20.7", {}),
-        ("analyze", None, "bootstrap level", "cfg.bootstrap.level", None, "0.9", None, 0.9, 0.95, "most", {}),
-        ("analyze", None, "bootstrap resample_unit", "cfg.bootstrap.resample_unit", None, "block",
+        ("analyze", "--seed", "bootstrap seed", "bootstrap.seed", "9", "5", 9, 5, 0, "1.9", {}),
+        ("analyze", "--replicates", "bootstrap replicates", "bootstrap.replicates", "23", "50", 23, 50, 2000, "20.7", {}),
+        ("analyze", None, "bootstrap level", "bootstrap.level", None, "0.9", None, 0.9, 0.95, "most", {}),
+        ("analyze", None, "bootstrap resample_unit", "bootstrap.resample_unit", None, "block",
          None, ResampleUnit.BLOCK, ResampleUnit.ROW, "rows", {}),
-        ("analyze", "--out-table", "outputs table", "cfg.out_table", "fa.csv", "cb.csv", "fa.csv", "cb.csv", REQUIRED, None, {}),
-        ("analyze", "--out-chart", "outputs chart", "cfg.out_chart", "fa.svg", "cb.svg", "fa.svg", "cb.svg", None, None, {}),
+        ("analyze", "--out-table", "outputs table", "out_table", "fa.csv", "cb.csv", "fa.csv", "cb.csv", REQUIRED, None, {}),
+        ("analyze", "--out-chart", "outputs chart", "out_chart", "fa.svg", "cb.svg", "fa.svg", "cb.svg", None, None, {}),
         ("bounds", "--type3", None, "type3", True, None, True, None, False, None, {}),
-        ("bounds", "--from-moments", None, "from_moments", ["0.2", "0.1"], None, (0.2, 0.1), None, None, None, {}),
+        ("bounds", "--from-moments", None, "from_moments", ["0.2", "0.1"], None, (0.2, 0.1), None, REQUIRED, None, {}),
         ("threshold", "--target", None, "target", "1.5", None, 1.5, None, 0.0, None, {}),
         ("simulate", "--seed", "dgp seed", "dgp.seed", "12", "11", 12, 11, 0, "11.5", {}),
         ("simulate", None, "dgp n", "dgp.n", None, "60", None, 60, REQUIRED, "1e4", {}),
@@ -687,7 +685,9 @@ def _option_cases():
 @pytest.mark.parametrize("row, case", list(_option_cases()))
 def test_option_resolution(monkeypatch, capsys, tmp_path, row, case):
     command, flag, key, path, flag_text, config_text, from_flag, from_config, default, bad, extra = row
+    # a flag of the base run that gives the same value would win over the row's own key, or clash with its flag
     drop = {flag} | ({"--preset"} if key and key.startswith("assumption") else set())
+    drop |= {"--input"} if flag == "--from-moments" else set()
     flags = {f: v for f, v in _BASE_FLAGS[command].items() if f not in drop}
     config = {s: dict(keys) for s, keys in _BASE_CONFIG.get(command, {}).items()}
     if key:
@@ -710,6 +710,56 @@ def test_option_resolution(monkeypatch, capsys, tmp_path, row, case):
     else:
         assert code == 0, out
         assert _pick(got, path) == want
+
+
+# -- what each subcommand needs -------------------------------------------------
+#
+# The one error that each needed value gives when it is not given, or is
+# given as an empty text, by (subcommand, dest).
+
+_NEEDS = {
+    ("analyze", "input"): "analyze needs --input or [input] path",
+    ("analyze", "assumption"): (
+        "analyze needs --preset or --grid or [assumption] preset or [assumption] grid"
+        " or [assumption] point or [assumption] interval"
+    ),
+    ("analyze", "out_table"): "analyze needs --out-table or [outputs] table",
+    ("analyze", "out_report"): "analyze needs --out-report or [outputs] report",
+    ("bounds", "input"): "bounds needs --input or --from-moments or [input] path",
+    ("simulate", "dgp.n"): "simulate needs [dgp] n",
+    **{
+        ("simulate", f"dgp.{part}.{k}"): f"simulate needs [dgp.{part}] {k}"
+        for part in ("strata", "means")
+        for k in ("at", "c", "nt")
+    },
+    ("simulate", "out_table"): "simulate needs --out-table",
+    ("simulate", "out_report"): "simulate needs --out-report",
+    ("threshold", "input"): "threshold needs --input or [input] path",
+}
+
+
+def test_every_needed_value_has_its_error():
+    assert set(_NEEDS) == {(command, dest) for command, (_, _, needs) in cli._COMMANDS.items() for dest in needs}
+
+
+@pytest.mark.parametrize("command, dest", list(_NEEDS), ids=[f"{c}-{d}" for c, d in _NEEDS])
+def test_a_needed_value_not_given_exits_2_naming_each_way_to_give_it(monkeypatch, capsys, tmp_path, command, dest):
+    group = [o for name in cli._COMMANDS[command][1] if ((o := cli._OPTIONS[name]).dest or name) == dest]
+    base_config = _BASE_CONFIG.get(command, {})
+    assert _resolved(monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], base_config)[0] == 0
+    flags = {f: v for f, v in _BASE_FLAGS[command].items() if f not in {o.flag for o in group}}
+    config = {s: {k: v for k, v in keys.items() if (s, k) not in {o.key for o in group}} for s, keys in base_config.items()}
+    empty_keys = {s: dict(keys) for s, keys in config.items()}
+    for o in group:
+        if o.key:
+            empty_keys.setdefault(o.key[0], {})[o.key[1]] = ""
+    runs = [(flags, config), (flags, empty_keys)]
+    if all(o.key is None for o in group):
+        runs = [(flags, config), ({**flags, **{o.flag: "" for o in group}}, config)]
+    for run_flags, run_config in runs:
+        code, got, out = _resolved(monkeypatch, capsys, tmp_path, command, run_flags, run_config)
+        assert (code, got) == (2, None)
+        assert json.loads(out)["error"] == {"type": "InvariantViolation", "message": _NEEDS[command, dest]}
 
 
 def test_preset_and_grid_flags_conflict(monkeypatch, capsys, tmp_path):
@@ -737,7 +787,7 @@ def test_an_assumption_flag_beats_every_assumption_key(monkeypatch, capsys, tmp_
     flags["--grid"] = "0:1:0.5"
     code, got, _ = _resolved(monkeypatch, capsys, tmp_path, "analyze", flags, {"assumption": {"preset": "zero"}})
     assert code == 0
-    assert got["cfg"].assumption == AssumptionSpec.grid(0.0, 1.0, 0.5)
+    assert got["assumption"] == AssumptionSpec.grid(0.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -754,8 +804,7 @@ def test_config_te_method_aliases(monkeypatch, capsys, tmp_path, command, text, 
         monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], {"estimation": {"te_method": text}}
     )
     assert code == 0
-    te_method = got["cfg"].te_method if command == "analyze" else got["te_method"]
-    assert te_method.name == method
+    assert got["te_method"].name == method
 
 
 @pytest.mark.parametrize("text, unit", [("ROW", "ROW"), ("Block", "BLOCK"), ("BLOCK", "BLOCK")])
@@ -764,7 +813,7 @@ def test_config_resample_unit_ignores_case(monkeypatch, capsys, tmp_path, text, 
         monkeypatch, capsys, tmp_path, "analyze", _BASE_FLAGS["analyze"], {"bootstrap": {"resample_unit": text}}
     )
     assert code == 0
-    assert got["cfg"].bootstrap.resample_unit.name == unit
+    assert got["bootstrap"].resample_unit.name == unit
 
 
 @pytest.mark.parametrize("command", ["analyze", "bounds", "threshold"])
@@ -773,17 +822,16 @@ def test_config_covariates_of_commas_only_mean_none(monkeypatch, capsys, tmp_pat
         monkeypatch, capsys, tmp_path, command, _BASE_FLAGS[command], {"schema": {"y": "out", "covariates": ","}}
     )
     assert code == 0
-    schema = got["cfg"].schema if command == "analyze" else got["schema"]
-    assert schema == {"y": "out"}
+    assert got["schema"] == {"y": "out"}
 
 
 @pytest.mark.parametrize(
     "command, section, key, path, default",
     [
-        ("analyze", "schema", "y", "cfg.schema.y", None),
-        ("analyze", "schema", "covariates", "cfg.schema.covariates", None),
-        ("analyze", "outputs", "chart", "cfg.out_chart", None),
-        ("bounds", "input", "path", "input_path", None),
+        ("analyze", "schema", "y", "schema.y", None),
+        ("analyze", "schema", "covariates", "schema.covariates", None),
+        ("analyze", "outputs", "chart", "out_chart", None),
+        ("bounds", "schema", "block", "schema.block", None),
         ("bounds", "outputs", "report", "out_report", None),
         ("threshold", "schema", "weight", "schema.weight", None),
         ("simulate", "dgp", "seed", "dgp.seed", 0),
@@ -805,9 +853,9 @@ def test_empty_config_value_counts_as_absent(monkeypatch, capsys, tmp_path, comm
 @pytest.mark.parametrize(
     "command, flag, section, key, path",
     [
-        ("analyze", "--input", "input", "path", "cfg.input_path"),
-        ("analyze", "--y", "schema", "y", "cfg.schema.y"),
-        ("analyze", "--out-report", "outputs", "report", "cfg.out_report"),
+        ("analyze", "--input", "input", "path", "input_path"),
+        ("analyze", "--y", "schema", "y", "schema.y"),
+        ("analyze", "--out-report", "outputs", "report", "out_report"),
         ("bounds", "--covariates", "schema", "covariates", "schema.covariates"),
         ("threshold", "--out-report", "outputs", "report", "out_report"),
     ],
@@ -973,7 +1021,7 @@ def test_other_unknown_config_sections_are_allowed(monkeypatch, capsys, tmp_path
     config = {section: {"replicates": "5"}, "bootstrap": {"replicates": "30"}}
     code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", _BASE_FLAGS["analyze"], config)
     assert code == 0, out
-    assert got["cfg"].bootstrap.replicates == 30
+    assert got["bootstrap"].replicates == 30
 
 
 def test_config_default_section_feeds_every_section(monkeypatch, capsys, tmp_path):
@@ -981,7 +1029,7 @@ def test_config_default_section_feeds_every_section(monkeypatch, capsys, tmp_pat
     flags = {f: v for f, v in _BASE_FLAGS["analyze"].items() if f != "--input"}
     code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", flags, config)
     assert code == 0, out
-    assert (got["cfg"].bootstrap.seed, got["cfg"].bootstrap.replicates) == (4, 30)
+    assert (got["bootstrap"].seed, got["bootstrap"].replicates) == (4, 30)
 
 
 def test_config_with_a_byte_order_mark_resolves(monkeypatch, capsys, tmp_path):
@@ -991,7 +1039,7 @@ def test_config_with_a_byte_order_mark_resolves(monkeypatch, capsys, tmp_path):
     flags = {f: v for f, v in _BASE_FLAGS["analyze"].items() if f != "--input"}
     code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", {**flags, "--config": str(cfg)}, None)
     assert code == 0, out
-    assert (got["cfg"].input_path, got["cfg"].bootstrap.seed) == ("in.csv", 4)
+    assert (got["input_path"], got["bootstrap"].seed) == ("in.csv", 4)
 
 
 @pytest.mark.parametrize("dgp, flags", [({"seed": "-3"}, {}), ({}, {"--seed": "-1"})], ids=["config", "flag"])

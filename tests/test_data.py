@@ -320,6 +320,25 @@ def test_take_of_no_row_is_refused():
 
 
 @pytest.mark.parametrize(
+    "indices, message",
+    [
+        (np.array([[0, 1], [2, 3]]), "row indices must be a 1-D array, got a 2-D one"),
+        (np.int64(1), "row indices must be a 1-D array, got a 0-D one"),
+        ([0, 1, -1, -2], "row index -1 is outside [0, 4)"),
+        ([3, 0, 4, 5], "row index 4 is outside [0, 4)"),
+        (np.array([0, 1, 2**64 - 1], dtype=np.uint64), f"row index {2**64 - 1} is outside [0, 4)"),
+        (np.array([-128, 0, 1], dtype=np.int8), "row index -128 is outside [0, 4)"),
+    ],
+    ids=["2-D", "0-D", "negative", "past the end", "uint64 past the end", "int8 negative"],
+)
+def test_take_refuses_indices_that_are_not_row_numbers(indices, message):
+    # a negative index is not read from the end, and a 2-D one makes no dataset
+    with pytest.raises(InvariantViolation) as info:
+        Dataset(**ALTERNATING).take(indices)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         dict(y=1.0, d=2, m=1),

@@ -43,6 +43,22 @@ def test_config_validation():
         BootstrapConfig(seed=2**64)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(replicates=3.0), dict(replicates=True), dict(seed=1.5), dict(seed=False), dict(seed="7")],
+    ids=["float replicates", "bool replicates", "float seed", "bool seed", "str seed"],
+)
+def test_config_refuses_counts_and_seeds_that_are_not_integers(kwargs):
+    (name, value), = kwargs.items()
+    with pytest.raises(InvariantViolation, match=f"{name} must be an integer, got {value!r}"):
+        BootstrapConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    cfg = BootstrapConfig(replicates=np.int32(50), seed=np.uint64(2**64 - 1))
+    assert (cfg.replicates, cfg.seed) == (50, 2**64 - 1)
+
+
 def test_constant_statistic_gives_point_interval(toy):
     res = percentile_ci(lambda ds: 3.25, toy, BootstrapConfig(replicates=50, seed=0))
     assert res.lo == res.hi == 3.25

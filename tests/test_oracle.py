@@ -115,6 +115,22 @@ def test_dgp_validation():
         _config(type3=True)  # nt means default to (1.0, 0.5) here
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(n=10.5), dict(n=10.0), dict(n=True), dict(seed=1.5), dict(seed=True), dict(n="10")],
+    ids=["float n", "integral float n", "bool n", "float seed", "bool seed", "str n"],
+)
+def test_dgp_refuses_counts_and_seeds_that_are_not_integers(kwargs):
+    (name, value), = kwargs.items()
+    with pytest.raises(InvariantViolation, match=f"{name} must be an integer, got {value!r}"):
+        _config(**kwargs)
+
+
+def test_dgp_takes_numpy_integers():
+    ds, _ = simulate(_config(n=np.int64(40), seed=np.uint32(3)))
+    assert ds.n == 40
+
+
 # -- simulation ---------------------------------------------------------------
 
 
