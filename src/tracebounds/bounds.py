@@ -169,7 +169,7 @@ def _control_slices(ds: Dataset, fraction: float, pool: bool = False) -> tuple[f
     order, _, b = ds.layout()
     rows = order[b:]
     if pool:
-        rows = rows[ds.m[rows] == 0]
+        rows = rows[ds.cell_codes()[rows] == 0]  # control, m = 0
         if not rows.size:
             raise EmptyCell("no control units with m=0 although the first stage implies some")
     return _slice_means(ds.y[rows], ds.weight[rows], fraction)

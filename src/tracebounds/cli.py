@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+import textwrap
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
@@ -351,13 +352,20 @@ def _read_config(path: str) -> configparser.ConfigParser:
     return cp
 
 
+def _needs(command: str, dest: str) -> str:
+    """The error, and the --help line, of a value that ``command`` needs:
+    each flag and then each key that gives ``dest``."""
+    options = [o for name in _COMMANDS[command][1] if ((o := _OPTIONS[name]).dest or name) == dest]
+    ways = [o.flag for o in options if o.flag] + [f"[{o.key[0]}] {o.key[1]}" for o in options if o.key]
+    return f"{command} needs {' or '.join(ways)}"
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Value of every option of ``command``, by dest: the flag if given,
     else its config key, else its default. An empty text is not given; a
     dest the command needs that is not given is an error naming each flag
     and key that would give it."""
     cp = _read_config(args.config) if args.config else configparser.ConfigParser()
-    needs = _COMMANDS[command][2]
     groups: dict[str, list[str]] = {}
     for name in _COMMANDS[command][1]:
         groups.setdefault(_OPTIONS[name].dest or name, []).append(name)
@@ -374,9 +382,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if flags or keys:
             option, text = (flags or keys)[0]
             values[dest] = option.parse(text)
-        elif dest in needs:
-            ways = [o.flag for o in options if o.flag] + [f"[{o.key[0]}] {o.key[1]}" for o in options if o.key]
-            raise InvariantViolation(f"{command} needs {' or '.join(ways)}")
+        elif dest in _COMMANDS[command][2]:
+            raise InvariantViolation(_needs(command, dest))
         else:
             values[dest] = options[0].default
     return values
@@ -522,18 +529,8 @@ def cmd_simulate(dgp: DGPConfig, out_table: str, out_report: str) -> dict:
             "seed": dgp.seed,
             "noise_sd": dgp.noise_sd,
             "type3": dgp.type3,
-            "strata": {
-                "at": dgp.strata.at,
-                "c": dgp.strata.c,
-                "nt": dgp.strata.nt,
-                "def": dgp.strata.defier,
-            },
-            "means": {
-                "at": list(dgp.means.at),
-                "c": list(dgp.means.c),
-                "nt": list(dgp.means.nt),
-                "def": list(dgp.means.defier),
-            },
+            "strata": dict(zip(_DGP_STRATA, dgp.strata.as_tuple())),
+            "means": dict(zip(_DGP_STRATA, map(list, (dgp.means.at, dgp.means.c, dgp.means.nt, dgp.means.defier)))),
         },
         "data": str(out_table),
     }
@@ -569,10 +566,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Point and partial identification of effects among treatment-reactive units.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, names, _) in _COMMANDS.items():
+    for command, (summary, names, needs) in _COMMANDS.items():
         options = [(name, _OPTIONS[name]) for name in names]
         keys_only = ", ".join(f"[{o.key[0]}] {o.key[1]}" for _, o in options if o.flag is None)
-        p = sub.add_parser(command, help=summary, epilog=keys_only and f"config keys without a flag: {keys_only}")
+        lines = [_needs(command, dest) for dest in needs]  # one line each, as its error words it
+        lines += [f"config keys without a flag: {keys_only}"] if keys_only else []
+        epilog = "\n".join(textwrap.fill(line, 79, subsequent_indent="  ", break_on_hyphens=False) for line in lines)
+        p = sub.add_parser(command, help=summary, epilog=epilog, formatter_class=argparse.RawDescriptionHelpFormatter)
         for name, o in options:
             if o.flag is None:
                 continue

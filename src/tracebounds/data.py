@@ -53,13 +53,16 @@ def _assignment(d: np.ndarray) -> np.ndarray:
     return d.astype(np.int8, copy=False)
 
 
-def _cell_codes(d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Each unit's (d, m) cell as the code ``3 * d + m``, with m = 2 standing
-    for a missing m: ``fmin`` reads a NaN as the 2, and its result is cast
-    to integers a buffer at a time, so no n-length float array is made."""
-    codes = np.fmin(m, 2.0, out=np.empty(m.shape, np.intp), casting="unsafe")
-    codes += 3 * d
-    return codes
+_M_OF_CELL = np.array([0.0, 1.0, np.nan, 0.0, 1.0, np.nan])  # the m of each cell code, NaN for missing
+
+
+def _require_both_arms(codes: np.ndarray, what: str) -> None:
+    """Raise unless the cell ``codes`` hold a treated and a control unit."""
+    treated = np.count_nonzero(codes >= 3)
+    if not treated:
+        raise InvariantViolation(f"{what} has no treated unit")
+    if treated == codes.size:
+        raise InvariantViolation(f"{what} has no control unit")
 
 
 def _numbered(block) -> tuple[np.ndarray, tuple]:
@@ -89,10 +92,13 @@ class Dataset:
     only place the per-unit rules are checked (an error names the first
     offending unit); estimators then treat the arrays as trusted values.
     Row order is preserved and meaningful (trimming ties break by
-    original position). Since nothing about a dataset changes after
-    construction, the table of its (d, m) cells and its arm layout are
-    computed once, on first use, and kept (:meth:`cells`,
-    :meth:`layout`); blocks are held as codes (:meth:`block_codes`).
+    original position). d and m are held as one checked int8 cell code
+    per unit (:meth:`cell_codes`), and :attr:`d` and :attr:`m` are made
+    from it on each call (an m of -0.0 reads back as 0.0). Nothing about
+    a dataset changes after construction, so the table of its (d, m)
+    cells and its arm layout are computed once, on first use, and kept
+    (:meth:`cells`, :meth:`layout`); blocks are held as codes
+    (:meth:`block_codes`).
 
     The public constructor copies the caller's arrays, so a dataset
     never shares memory with them. :func:`~tracebounds.oracle.simulate`
@@ -115,13 +121,12 @@ class Dataset:
         Names for the k covariate columns. Defaults to x1..xk.
     """
 
-    __slots__ = ("_y", "_d", "_m", "_x", "_blocks", "_w", "_names", "_cells", "_layout")
+    __slots__ = ("_y", "_codes", "_x", "_blocks", "_w", "_names", "_cells", "_layout")
 
     def __init__(self, y, d, m, x=None, block=None, weight=None, covariate_names=None):
         self._own(
             np.array(y, dtype=np.float64),
-            np.array(d),
-            None if m is None else np.array(m, dtype=np.float64),  # None -> every m missing
+            d, m,  # encoded, never kept, so not copied
             None if x is None else np.array(x, dtype=np.float64),
             None if block is None else _numbered(block),
             None if weight is None else np.array(weight, dtype=np.float64),
@@ -131,17 +136,17 @@ class Dataset:
     @classmethod
     def _adopt(cls, y, d, m, x=None, block=None, weight=None, covariate_names=None) -> "Dataset":
         """The dataset over columns made for it, which the caller hands
-        over and no longer touches: y, m, x and weight as contiguous
-        float64 arrays and ``block`` as :func:`_numbered` makes it are kept
-        as they are, and d (of any integer or real type) is narrowed to
-        int8. Checked as the constructor checks, with the same errors."""
+        over and no longer touches: y, x and weight as contiguous float64
+        arrays and ``block`` as :func:`_numbered` makes it are kept as they
+        are; d (of any integer or real type) and m are only encoded. Checked
+        as the constructor checks, with the same errors."""
         ds = object.__new__(cls)
         ds._own(y, d, m, x, block, weight, covariate_names)
         return ds
 
     def _own(self, y, d, m, x, block, weight, covariate_names) -> None:
         """Check the columns and keep them, read-only, converting only a
-        column that is not float64 yet (d: not int8 yet)."""
+        column that is not float64 yet; d and m as their cell codes."""
         yv = np.asarray(y, dtype=np.float64)
         if yv.ndim != 1:
             raise InvariantViolation("y must be one-dimensional")
@@ -187,27 +192,25 @@ class Dataset:
             _require(np.isfinite(wv) & (wv > 0), wv, "weight must be positive and finite")
         _require(np.isfinite(xv), xv, "covariates must be finite")
 
-        treated = dv == 1
-        if not treated.any():
-            raise InvariantViolation("dataset has no treated unit")
-        if treated.all():
-            raise InvariantViolation("dataset has no control unit")
-        _require(~(treated & np.isnan(mv)), mv, "treated units must have m observed")
+        # fmin reads a NaN as m = 2, cast to int8 a buffer at a time: no n-length float array is made
+        codes = np.fmin(mv, 2.0, out=np.empty(n, np.int8), casting="unsafe")
+        codes += 3 * dv
+        _require_both_arms(codes, "dataset")
+        _require(codes != 5, mv, "treated units must have m observed")  # 5: d = 1, m missing
         if wv is None:
             wv = np.ones(n)
 
-        self._keep(yv, dv, mv, xv, block, wv, names)
+        self._keep(yv, codes, xv, block, wv, names)
 
-    def _keep(self, y, d, m, x, blocks, w, names) -> None:
+    def _keep(self, y, codes, x, blocks, w, names) -> None:
         """Hold checked columns, each made read-only, with no cell table
         or layout made yet."""
-        for a in (y, d, m, x, w):
+        for a in (y, codes, x, w):
             a.setflags(write=False)
         if blocks is not None:
             blocks[0].setflags(write=False)
         self._y = y
-        self._d = d
-        self._m = m
+        self._codes = codes
         self._x = x
         self._blocks = blocks
         self._w = w
@@ -231,15 +234,11 @@ class Dataset:
         # one pass finds both ends: as unsigned, a negative row lies past the last
         if idx.size and idx.astype(np.intp, copy=False).view(np.uintp).max() >= self.n:
             raise InvariantViolation(f"row index {idx[(idx < 0) | (idx >= self.n)][0]} is outside [0, {self.n})")
-        d = self._d[idx]
-        treated = np.count_nonzero(d)
-        if not treated:
-            raise InvariantViolation("selection has no treated unit")
-        if treated == d.size:
-            raise InvariantViolation("selection has no control unit")
+        codes = self._codes[idx]
+        _require_both_arms(codes, "selection")
         new = object.__new__(Dataset)
         blocks = None if self._blocks is None else _renumbered(*self._blocks, idx)
-        new._keep(self._y[idx], d, self._m[idx], self._x[idx], blocks, self._w[idx], self._names)
+        new._keep(self._y[idx], codes, self._x[idx], blocks, self._w[idx], self._names)
         return new
 
     def cells(self) -> tuple[list[float], list[float]]:
@@ -249,8 +248,7 @@ class Dataset:
         ``np.bincount`` passes, so no sum depends on the BLAS thread count.
         Made on the first call and kept for this dataset."""
         if self._cells is None:
-            codes = _cell_codes(self._d, self._m)
-            self._cells = np.bincount(codes, self._w, 6).tolist(), np.bincount(codes, self._w * self._y, 6).tolist()
+            self._cells = np.bincount(self._codes, self._w, 6).tolist(), np.bincount(self._codes, self._w * self._y, 6).tolist()
         return self._cells
 
     def layout(self) -> tuple[np.ndarray, int, int]:
@@ -263,14 +261,17 @@ class Dataset:
         :func:`~tracebounds.bounds.trimmed_mean`. Made on the first call
         and kept for this dataset; ``order`` is read-only."""
         if self._layout is None:
-            treated = self._d == 1
-            control = np.flatnonzero(~treated)
+            control = np.flatnonzero(self._codes < 3)
             control = control[np.argsort(self._y[control], kind="stable")]
-            t1 = np.flatnonzero(treated & (self._m == 1))
-            order = np.concatenate([t1, np.flatnonzero(treated & (self._m == 0)), control])
+            t1 = np.flatnonzero(self._codes == 4)
+            order = np.concatenate([t1, np.flatnonzero(self._codes == 3), control])
             order.setflags(write=False)
             self._layout = order, t1.size, order.size - control.size
         return self._layout
+
+    def cell_codes(self) -> np.ndarray:
+        """Each unit's (d, m) cell as a read-only int8 code, the index of :meth:`cells`."""
+        return self._codes
 
     def block_codes(self) -> tuple[np.ndarray, tuple[str, ...]]:
         """Each unit's block as a read-only int32 code, numbered in order of
@@ -294,12 +295,17 @@ class Dataset:
 
     @property
     def d(self) -> np.ndarray:
-        return self._d
+        """Assignment as read-only int8, made from the cell codes on each call."""
+        d = (self._codes >= 3).view(np.int8)
+        d.setflags(write=False)
+        return d
 
     @property
     def m(self) -> np.ndarray:
-        """Reaction indicator as floats with NaN for missing."""
-        return self._m
+        """Reaction indicator as read-only floats, NaN for missing, made on each call."""
+        m = _M_OF_CELL[self._codes]
+        m.setflags(write=False)
+        return m
 
     @property
     def x(self) -> np.ndarray:
@@ -324,7 +330,7 @@ class Dataset:
 
     @property
     def n_treated(self) -> int:
-        return int(np.count_nonzero(self._d))
+        return int(np.count_nonzero(self._codes >= 3))
 
     @property
     def n_control(self) -> int:
@@ -637,7 +643,7 @@ def atomic_open(path) -> Iterator[TextIO]:
 
 _CHUNK = 1 << 14  # rows formatted at a time
 
-# The d and m cells of a row as one text, indexed by the row's _cell_codes.
+# The d and m cells of a row as one text, indexed by the row's cell code.
 _DM_TEXT = np.array(["0,0", "0,1", "0,", "1,0", "1,1", "1,"], dtype=object)
 
 
@@ -686,7 +692,7 @@ def write_csv(ds: Dataset, path) -> None:
         fh.write(",".join(map(_quote, header)) + "\r\n")
         for start in range(0, ds.n, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            columns = [ds.y[rows].tolist(), _DM_TEXT[_cell_codes(ds.d[rows], ds.m[rows])].tolist()]
+            columns = [ds.y[rows].tolist(), _DM_TEXT[ds.cell_codes()[rows]].tolist()]
             columns += [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
             if "block" in schema:
                 columns.append(labels[codes[rows]].tolist())

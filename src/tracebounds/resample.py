@@ -71,10 +71,10 @@ class ReplicateEngine:
             self._X, self._codes = X[rows], codes[rows]
             self._unit_rows = np.bincount(self._unit_of, minlength=self._units)  # rows a drawn unit brings
         if with_mt:
-            cm = ds.m[rows[self._b :]]
-            self._c1 = (cm == 1).astype(np.float64)
+            cells = ds.cell_codes()[rows[self._b :]]  # control: the code is m
+            self._c1 = (cells == 1).astype(np.float64)
             self._c1y = self._c1 * self._yc
-            self._pool = np.flatnonzero(cm == 0)  # still sorted by y
+            self._pool = np.flatnonzero(cells == 0)  # still sorted by y
             self._pool_y = self._yc[self._pool]
 
     def run(self) -> np.ndarray:

@@ -49,6 +49,7 @@ class AssumptionKind(enum.Enum):
 
 _GRID_EPS = 1e-9
 _GRID_MAX_STEPS = 10_000  # each grid row is a column of the (replicates × rows) band matrix
+_SIGN_PRESETS = (AssumptionKind.SAME_SIGN_SMALLER, AssumptionKind.OPPOSITE_SIGN)  # these need te != 0
 
 
 @dataclass(frozen=True)
@@ -166,32 +167,31 @@ def preset_interval(te: float, p: float, spec: AssumptionSpec) -> Interval:
     """
     if not (0.0 < p <= 1.0):
         raise DegenerateP(f"p must be in (0, 1], got {p}")
-    kind = BoundKind.PRESET_IMPLIED
+    if spec.kind in _SIGN_PRESETS and te == 0.0:
+        raise SignUndefined("sign-based presets need a nonzero effect estimate")
+    lo, hi = _preset_ends(te, p, spec)
+    return Interval(float(lo), float(hi), BoundKind.PRESET_IMPLIED)
+
+
+def _preset_ends(te, p, spec: AssumptionSpec):
+    """Ends of :func:`preset_interval`, elementwise over floats or arrays of
+    (te, p) at which it is defined. A range's ends are ordered as ``min``
+    and ``max`` order them, which keep the first of two equal ends (0.0 or -0.0)."""
     k = spec.kind
-    if k is AssumptionKind.ZERO:
-        v = te / p
-        return Interval(v, v, kind)
     if k is AssumptionKind.EQUAL_EFFECTS:
-        return Interval(te, te, kind)
+        return te, te
+    if k is AssumptionKind.ZERO:
+        return te / p, te / p
+    if k is AssumptionKind.OPPOSITE_SIGN:  # a half-line from te / p, away from zero
+        return np.where(te > 0, te / p, -math.inf), np.where(te > 0, math.inf, te / p)
     if k is AssumptionKind.SAME_SIGN_SMALLER:
-        if te == 0.0:
-            raise SignUndefined("sign-based presets need a nonzero effect estimate")
         a, b = te, te / p
-        return Interval(min(a, b), max(a, b), kind)
-    if k is AssumptionKind.OPPOSITE_SIGN:
-        if te == 0.0:
-            raise SignUndefined("sign-based presets need a nonzero effect estimate")
-        anchor = te / p
-        if te > 0:
-            return Interval(anchor, math.inf, kind)
-        return Interval(-math.inf, anchor, kind)
-    if k is AssumptionKind.POINT:
-        v = trace_from_trace0(te, p, spec.value)
-        return Interval(v, v, kind)
-    # INTERVAL and GRID map their endpoint range through the line
-    a = trace_from_trace0(te, p, spec.lo)
-    b = trace_from_trace0(te, p, spec.hi)
-    return Interval(min(a, b), max(a, b), kind)
+    elif k is AssumptionKind.POINT:
+        a = b = (te - spec.value * (1.0 - p)) / p
+    else:  # INTERVAL and GRID map their endpoint range through the line
+        a = (te - spec.lo * (1.0 - p)) / p
+        b = (te - spec.hi * (1.0 - p)) / p
+    return np.where(b < a, b, a), np.where(b > a, b, a)
 
 
 def combined_region(a: Interval, b: Interval) -> Interval | None:
@@ -402,20 +402,14 @@ def _with_band(iv: Interval, lo_r: np.ndarray, hi_r: np.ndarray, level: float) -
 
 
 def _preset_ci(preset: Interval, spec: AssumptionSpec, te_r: np.ndarray, p_r: np.ndarray, level: float) -> Interval:
-    """Band for a preset interval from joint (te, p) replicates."""
-    good = np.isfinite(te_r) & np.isfinite(p_r) & (p_r > 0)
-    los = []
-    his = []
-    for te, p in zip(te_r[good], p_r[good]):
-        try:
-            iv = preset_interval(float(te), float(p), spec)
-        except TraceBoundsError:
-            continue
-        los.append(iv.lo)
-        his.append(iv.hi)
-    if not los:
+    """Band for a preset interval from joint (te, p) replicates, over those
+    at which :func:`preset_interval` is defined."""
+    good = np.isfinite(te_r) & (p_r > 0) & (p_r <= 1)
+    if spec.kind in _SIGN_PRESETS:
+        good &= te_r != 0
+    if not good.any():
         return preset
-    return preset.with_ci(*percentile_band(los, his, level))
+    return preset.with_ci(*percentile_band(*_preset_ends(te_r[good], p_r[good], spec), level))
 
 
 def _default_grid(te_hat: float, p_hat: float, trim: Interval) -> AssumptionSpec:

@@ -762,6 +762,17 @@ def test_a_needed_value_not_given_exits_2_naming_each_way_to_give_it(monkeypatch
         assert json.loads(out)["error"] == {"type": "InvariantViolation", "message": _NEEDS[command, dest]}
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_names_what_the_subcommand_needs(capsys, command):
+    code, out = run(capsys, command, "--help")
+    assert code == 0
+    needs = [message for (c, _), message in _NEEDS.items() if c == command]
+    assert sum(line.startswith(f"{command} needs ") for line in out.splitlines()) == len(needs)  # a line each
+    text = " ".join(out.split())
+    for message in needs:
+        assert message in text
+
+
 def test_preset_and_grid_flags_conflict(monkeypatch, capsys, tmp_path):
     flags = {**_BASE_FLAGS["analyze"], "--grid": "0:1:0.5"}
     code, got, out = _resolved(monkeypatch, capsys, tmp_path, "analyze", flags, None)

@@ -24,6 +24,7 @@ from tracebounds.errors import (
     ParseError,
     RequirementUnmet,
 )
+from tracebounds.oracle import _M_TABLE, _STRATA, DGPConfig, OutcomeMeans, StrataProbs, simulate
 
 
 def test_load_toy(toy):
@@ -275,6 +276,61 @@ def test_layout_lists_the_treated_by_reaction_then_the_control_arm_by_outcome(ds
         return
     assert resample._layout is None  # a resample orders its own rows
     _assert_layout(resample)
+
+
+def _assert_cells(ds: Dataset, d: list, m: list) -> None:
+    """``ds`` holds the assignments ``d`` and the indicators ``m`` (None
+    for a missing m): d as int8, m as float64 with NaN exactly where m is
+    missing and never a negative zero, and each cell code ``3 * d + m``
+    with 2 for a missing m; all three read-only."""
+    expect_m = np.array([math.nan if v is None else float(v) + 0.0 for v in m])  # + 0.0: -0.0 reads back as 0.0
+    assert ds.d.dtype == np.int8 and ds.d.tolist() == d
+    assert ds.m.dtype == np.float64
+    np.testing.assert_array_equal(np.isnan(ds.m), [v is None for v in m])
+    assert ds.m.tobytes() == expect_m.tobytes()
+    assert ds.cell_codes().tolist() == [3 * dv + (2 if mv is None else int(mv)) for dv, mv in zip(d, m)]
+    for column in (ds.d, ds.m, ds.cell_codes()):
+        assert not column.flags.writeable
+
+
+@st.composite
+def _cell_cases(draw):
+    """Assignments and indicators of a dataset with both arms: m may be a
+    negative zero, and missing (as None or NaN) in the control arm."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n).filter(lambda d: 0 < sum(d) < len(d)))
+    m = [draw(st.sampled_from([0.0, -0.0, 1.0] if dv else [0.0, -0.0, 1.0, None])) for dv in d]
+    return d, m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_cell_cases(), nan_for_missing=st.booleans(), data=st.data())
+def test_a_dataset_holds_its_cells_as_the_inputs_give_them(tmp_path_factory, case, nan_for_missing, data):
+    d, m = case
+    given_m = [math.nan if v is None and nan_for_missing else v for v in m]
+    ds = Dataset(y=np.arange(len(d), dtype=float), d=np.array(d, dtype=data.draw(st.sampled_from(["i8", "f8", "?"]))), m=given_m)
+    _assert_cells(ds, d, m)
+    picks = data.draw(st.lists(st.integers(0, len(d) - 1), min_size=2, max_size=2 * len(d)))
+    if 0 < sum(d[i] for i in picks) < len(picks):
+        _assert_cells(ds.take(picks), [d[i] for i in picks], [m[i] for i in picks])
+
+    # both readers: loadtxt's without a block column, the row reader's with one
+    path = tmp_path_factory.mktemp("cells") / "cells.csv"
+    write_csv(Dataset(y=ds.y, d=d, m=given_m, block=[f"b{i % 2}" for i in range(len(d))]), path)
+    roles, build = data_module._plan(None)
+    _assert_cells(data_module._load_columns(path, roles, build), d, m)
+    _assert_cells(data_module._load_rows(path, roles, build), d, m)
+    _assert_cells(load_csv(path, {"block": "block"}), d, m)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_simulate_holds_the_cells_it_draws(seed):
+    cfg = DGPConfig(n=500, strata=StrataProbs(at=0.2, c=0.3, nt=0.4, defier=0.1), means=OutcomeMeans(at=(0.0, 1.0), c=(0.0, 2.0), nt=(0.5, 0.5)), seed=seed)
+    rng = np.random.default_rng(seed)  # simulate's first two draws: the stratum, then the assignment
+    strata = rng.choice(4, size=cfg.n, p=cfg.strata.as_tuple())
+    d = rng.integers(0, 2, size=cfg.n).tolist()
+    m = [float(_M_TABLE[_STRATA[s]][dv]) for s, dv in zip(strata, d)]
+    _assert_cells(simulate(cfg)[0], d, m)
 
 
 def test_take_must_keep_both_arms(toy):

@@ -3,7 +3,8 @@
 Each budget is the highest traced total above what was live when the
 step began, in bytes per unit at N units. numpy reports its buffers to
 tracemalloc, so these are counts that repeat, not timings. A dataset of
-N units holds 25 bytes per unit (y, m and weight 8 each, d 1). The
+N units holds 17 bytes per unit (y and weight 8 each, and one int8 code
+of its (d, m) cell; d and m are made from the codes on each call). The
 writer formats the rows a chunk at a time, here made small so that a
 chunk's own memory does not count against its budget. Each budget is the
 present figure, given beside it, plus a margin: about 10%, or about 1
@@ -57,6 +58,23 @@ def _peak_per_unit(run) -> float:
 @pytest.fixture(scope="module")
 def dataset() -> Dataset:
     return simulate(_DGP)[0]
+
+
+@pytest.mark.parametrize("make", ["simulate", "load_csv"])
+def test_a_dataset_holds_its_columns_and_one_cell_code_per_unit(tmp_path, dataset, make):
+    # y and the unit weights, 8 bytes each, and the (d, m) cell code, 1 (17)
+    path = tmp_path / "trial.csv"
+    write_csv(dataset, path)
+    run = (lambda: simulate(_DGP)[0]) if make == "simulate" else (lambda: load_csv(path))
+    run()
+    tracemalloc.start()
+    try:
+        ds = run()
+        held = tracemalloc.get_traced_memory()[0] / N
+    finally:
+        tracemalloc.stop()
+    assert ds.n == N
+    assert held < 18
 
 
 def test_simulate_holds_each_column_once():

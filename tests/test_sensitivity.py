@@ -23,6 +23,8 @@ from tracebounds import (
     trace0_from_trace,
     trace_from_trace0,
 )
+from tracebounds.inference import percentile_band
+from tracebounds.sensitivity import _preset_ci
 from tracebounds.errors import (
     DegenerateP,
     DegenerateShare,
@@ -115,6 +117,68 @@ def test_presets_collapse_when_everyone_reacts():
         iv = preset_interval(te, 1.0, spec)
         assert iv.lo == pytest.approx(te)
         assert iv.hi == pytest.approx(te)
+
+
+def _preset_by_replicate(te: float, p: float, spec: AssumptionSpec) -> tuple[float, float] | None:
+    """One replicate's preset interval in plain float arithmetic, the
+    per-replicate map, or None where it is undefined."""
+    if not (0.0 < p <= 1.0):
+        return None
+    k = spec.kind
+    if k is AssumptionKind.ZERO:
+        return te / p, te / p
+    if k is AssumptionKind.EQUAL_EFFECTS:
+        return te, te
+    if k in (AssumptionKind.SAME_SIGN_SMALLER, AssumptionKind.OPPOSITE_SIGN) and te == 0.0:
+        return None
+    if k is AssumptionKind.SAME_SIGN_SMALLER:
+        return min(te, te / p), max(te, te / p)
+    if k is AssumptionKind.OPPOSITE_SIGN:
+        return (te / p, math.inf) if te > 0 else (-math.inf, te / p)
+    if k is AssumptionKind.POINT:
+        v = (te - spec.value * (1.0 - p)) / p
+        return v, v
+    a = (te - spec.lo * (1.0 - p)) / p
+    b = (te - spec.hi * (1.0 - p)) / p
+    return min(a, b), max(a, b)
+
+
+_SPECS = st.one_of(
+    st.sampled_from(
+        [AssumptionSpec.zero(), AssumptionSpec.equal_effects(), AssumptionSpec.same_sign_smaller(), AssumptionSpec.opposite_sign()]
+    ),
+    st.sampled_from([-1.0, -0.0, 0.0, 2.5]).map(AssumptionSpec.point),
+    st.tuples(st.sampled_from([-1.0, -0.0, 0.0]), st.sampled_from([0.0, 1.0])).map(lambda e: AssumptionSpec.interval(*e)),
+    st.tuples(st.sampled_from([-2.0, 0.0]), st.sampled_from([0.0, 3.0])).map(lambda e: AssumptionSpec.grid(*e, 0.5)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    spec=_SPECS,
+    reps=st.lists(
+        st.tuples(
+            st.sampled_from([math.nan, 0.0, -0.0, 1.5, -2.0]) | st.floats(-5, 5),
+            st.sampled_from([math.nan, 0.0, 1.0, 1.5, 0.25]) | st.floats(1e-3, 1.0),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    level=st.sampled_from([0.5, 0.9, 0.95]),
+)
+def test_preset_band_from_arrays_equals_the_per_replicate_loop(spec, reps, level):
+    te_r = np.array([te for te, _ in reps])
+    p_r = np.array([p for _, p in reps])
+    ends = [e for te, p in reps if np.isfinite(te) and (e := _preset_by_replicate(float(te), float(p), spec))]
+    preset = Interval(0.0, 0.0, BoundKind.PRESET_IMPLIED)
+    if ends:
+        band = percentile_band([lo for lo, _ in ends], [hi for _, hi in ends], level)
+        preset = Interval(band[0], band[0], BoundKind.PRESET_IMPLIED)  # inside the band
+    got = _preset_ci(preset, spec, te_r, p_r, level)
+    if not ends:
+        assert got is preset
+        return
+    assert np.array([got.ci_lo, got.ci_hi]).tobytes() == np.array(band).tobytes()
 
 
 def test_spec_validation():
