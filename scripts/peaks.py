@@ -9,8 +9,9 @@ stage, and dropped once read), then the bounds command's read, cell
 table, naive estimates, the dataset's arm layout and full-sample
 bounds, then the replicate engine of analyze (built and run for 2
 replicates). Each stage's row gives the highest traced total while it
-ran and the total still live when it ended, in MiB, under tracemalloc,
-which numpy reports its buffers to: the figures repeat exactly. They
+ran and the total still live when it ended, in MiB and in bytes per
+unit, under tracemalloc, which numpy reports its buffers to: the
+figures repeat exactly. They
 leave out the interpreter and the imports, which come before
 tracemalloc starts, but not what the first calls import or cache,
 which matters only at small N. The simulated dataset is dropped once
@@ -89,10 +90,10 @@ def main(argv=None) -> int:
         finally:
             tracemalloc.stop()
 
-    print(f"| stage at n={args.n} | traced peak MiB | live MiB |")
-    print("|---|---|---|")
+    print(f"| stage at n={args.n} | traced peak MiB | bytes/unit | live MiB | bytes/unit |")
+    print("|---|---|---|---|---|")
     for name, peak, live in rows:
-        print(f"| {name} | {peak / MIB:.1f} | {live / MIB:.1f} |")
+        print(f"| {name} | {peak / MIB:.1f} | {peak / args.n:.1f} | {live / MIB:.1f} | {live / args.n:.1f} |")
     return 0
 
 

@@ -172,7 +172,7 @@ def _control_slices(ds: Dataset, fraction: float, pool: bool = False) -> tuple[f
         rows = rows[ds.cell_codes()[rows] == 0]  # control, m = 0
         if not rows.size:
             raise EmptyCell("no control units with m=0 although the first stage implies some")
-    return _slice_means(ds.y[rows], ds.weight[rows], fraction)
+    return _slice_means(ds.y[rows], ds.weight_at(rows), fraction)
 
 
 def no_assumption_bounds(ds: Dataset) -> Interval:

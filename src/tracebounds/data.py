@@ -46,14 +46,14 @@ def _require(ok: np.ndarray, values: np.ndarray, rule: str) -> None:
         raise InvariantViolation(f"{rule}, got {float(values.ravel()[i])}", unit=i // (ok.size // len(ok)))
 
 
-def _assignment(d: np.ndarray) -> np.ndarray:
-    """``d`` as int8, under the rule that every unit's d is 0 or 1, which
-    is checked on ``d`` as it comes (integers, booleans or reals)."""
-    _require((d == 0) | (d == 1), d, "d must be 0 or 1")
-    return d.astype(np.int8, copy=False)
-
-
 _M_OF_CELL = np.array([0.0, 1.0, np.nan, 0.0, 1.0, np.nan])  # the m of each cell code, NaN for missing
+
+
+def _checkable(a) -> np.ndarray:
+    """``a`` as an array whose values the d and m rules can check as they
+    are: integers and booleans kept, anything else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype.kind in "biu" else np.asarray(a, dtype=np.float64)
 
 
 def _require_both_arms(codes: np.ndarray, what: str) -> None:
@@ -94,7 +94,10 @@ class Dataset:
     Row order is preserved and meaningful (trimming ties break by
     original position). d and m are held as one checked int8 cell code
     per unit (:meth:`cell_codes`), and :attr:`d` and :attr:`m` are made
-    from it on each call (an m of -0.0 reads back as 0.0). Nothing about
+    from it on each call (an m of -0.0 reads back as 0.0). Weights are
+    held only when given; otherwise every unit weighs 1 and
+    :attr:`weight` is made on each call, as :attr:`d` and :attr:`m` are,
+    so a dataset of unit weights holds 9 bytes per unit. Nothing about
     a dataset changes after construction, so the table of its (d, m)
     cells and its arm layout are computed once, on first use, and kept
     (:meth:`cells`, :meth:`layout`); blocks are held as codes
@@ -116,7 +119,8 @@ class Dataset:
         Block label per unit, numbered in order of first appearance; one
         str is refused, not split into one-character labels.
     weight : array-like, optional
-        Positive sampling weights. Defaults to 1 for every unit.
+        Positive sampling weights. Defaults to 1 for every unit, held as
+        no column at all.
     covariate_names : sequence of str, optional
         Names for the k covariate columns. Defaults to x1..xk.
     """
@@ -138,15 +142,17 @@ class Dataset:
         """The dataset over columns made for it, which the caller hands
         over and no longer touches: y, x and weight as contiguous float64
         arrays and ``block`` as :func:`_numbered` makes it are kept as they
-        are; d (of any integer or real type) and m are only encoded. Checked
-        as the constructor checks, with the same errors."""
+        are; d and m, each of any integer or real type and either a view
+        into a larger table, are only encoded. Checked as the constructor
+        checks, with the same errors."""
         ds = object.__new__(cls)
         ds._own(y, d, m, x, block, weight, covariate_names)
         return ds
 
     def _own(self, y, d, m, x, block, weight, covariate_names) -> None:
         """Check the columns and keep them, read-only, converting only a
-        column that is not float64 yet; d and m as their cell codes."""
+        column that is not float64 yet; d and m as their cell codes, with
+        no n-length float array made for an integer d or m."""
         yv = np.asarray(y, dtype=np.float64)
         if yv.ndim != 1:
             raise InvariantViolation("y must be one-dimensional")
@@ -154,12 +160,10 @@ class Dataset:
         if n == 0:
             raise InvariantViolation("dataset must contain at least one unit")
 
-        dv = np.asarray(d)
-        if dv.dtype.kind not in "biu":  # integers and booleans are checked as they are
-            dv = np.asarray(dv, dtype=np.float64)
+        dv = _checkable(d)
         if dv.shape != (n,):
             raise InvariantViolation("d length does not match y")
-        mv = np.full(n, np.nan) if m is None else np.asarray(m, dtype=np.float64)
+        mv = np.full(n, np.nan) if m is None else _checkable(m)
         if mv.shape != (n,):
             raise InvariantViolation("m length does not match y")
         wv = None if weight is None else np.asarray(weight, dtype=np.float64)
@@ -186,7 +190,7 @@ class Dataset:
 
         # the per-unit rules, each raised here and nowhere else
         _require(np.isfinite(yv), yv, "y must be finite")
-        dv = _assignment(dv)
+        _require((dv == 0) | (dv == 1), dv, "d must be 0 or 1")
         _require(np.isnan(mv) | (mv == 0.0) | (mv == 1.0), mv, "m must be 0, 1 or missing")
         if wv is not None:
             _require(np.isfinite(wv) & (wv > 0), wv, "weight must be positive and finite")
@@ -194,19 +198,18 @@ class Dataset:
 
         # fmin reads a NaN as m = 2, cast to int8 a buffer at a time: no n-length float array is made
         codes = np.fmin(mv, 2.0, out=np.empty(n, np.int8), casting="unsafe")
-        codes += 3 * dv
+        codes += 3 * dv.astype(np.int8, copy=False)
         _require_both_arms(codes, "dataset")
         _require(codes != 5, mv, "treated units must have m observed")  # 5: d = 1, m missing
-        if wv is None:
-            wv = np.ones(n)
 
         self._keep(yv, codes, xv, block, wv, names)
 
     def _keep(self, y, codes, x, blocks, w, names) -> None:
         """Hold checked columns, each made read-only, with no cell table
-        or layout made yet."""
+        or layout made yet; ``w`` is None for unit weights."""
         for a in (y, codes, x, w):
-            a.setflags(write=False)
+            if a is not None:
+                a.setflags(write=False)
         if blocks is not None:
             blocks[0].setflags(write=False)
         self._y = y
@@ -238,7 +241,7 @@ class Dataset:
         _require_both_arms(codes, "selection")
         new = object.__new__(Dataset)
         blocks = None if self._blocks is None else _renumbered(*self._blocks, idx)
-        new._keep(self._y[idx], codes, self._x[idx], blocks, self._w[idx], self._names)
+        new._keep(self._y[idx], codes, self._x[idx], blocks, None if self._w is None else self._w[idx], self._names)
         return new
 
     def cells(self) -> tuple[list[float], list[float]]:
@@ -246,9 +249,15 @@ class Dataset:
         ``3 * d + m`` with m = 2 for a missing m, as two lists of six Python
         floats. Each sum adds its cell's units in row order, by two
         ``np.bincount`` passes, so no sum depends on the BLAS thread count.
-        Made on the first call and kept for this dataset."""
+        Under unit weights the passes count the units and sum y itself,
+        which are the same sums of ones and of ``1 * y``. Made on the
+        first call and kept for this dataset."""
         if self._cells is None:
-            self._cells = np.bincount(self._codes, self._w, 6).tolist(), np.bincount(self._codes, self._w * self._y, 6).tolist()
+            if self._w is None:
+                w, wy = np.bincount(self._codes, minlength=6).astype(np.float64), np.bincount(self._codes, self._y, 6)
+            else:
+                w, wy = np.bincount(self._codes, self._w, 6), np.bincount(self._codes, self._w * self._y, 6)
+            self._cells = w.tolist(), wy.tolist()
         return self._cells
 
     def layout(self) -> tuple[np.ndarray, int, int]:
@@ -322,7 +331,23 @@ class Dataset:
 
     @property
     def weight(self) -> np.ndarray:
-        return self._w
+        """Sampling weights, read-only; made on each call as ones when none were given."""
+        if self._w is not None:
+            return self._w
+        w = np.ones(self.n)
+        w.setflags(write=False)
+        return w
+
+    @property
+    def has_weights(self) -> bool:
+        """Whether weights were given, so that :attr:`weight` is held."""
+        return self._w is not None
+
+    def weight_at(self, rows: np.ndarray) -> np.ndarray:
+        """The weights of the units at the index ``rows``, as a new array:
+        gathered from the held weights, or ones of the length of ``rows``
+        when none were given, with no n-length array of ones made."""
+        return np.ones(len(rows)) if self._w is None else self._w[rows]
 
     @property
     def covariate_names(self) -> tuple[str, ...]:
@@ -519,9 +544,8 @@ def _load_columns(path, roles, build) -> Dataset | None:
     refused file is parsed once more with m through ``_m_value``), an m
     cell is a literal ``nan``, or :class:`Dataset` refuses the values.
 
-    The needed columns are copied out of loadtxt's table, d narrowed
-    to int8 on the way, and the table is dropped before the dataset
-    makes its unit weights."""
+    The dataset encodes d and m from views of loadtxt's table, and only
+    the columns it keeps are copied out; the table goes with the views."""
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             if len(chunk.translate(None, _SEPARATORS)) != len(chunk):
@@ -531,13 +555,19 @@ def _load_columns(path, roles, build) -> Dataset | None:
         return None
     if table is None and (table := _table(path, roles, _m_value)) is None:  # not a blank m either
         return None
+    *reals, m = _kept_columns(table, 1, table.shape[1] - 1)
+    del table
     try:
-        d = _assignment(table[:, 1])  # narrowed here, so that it is never copied as reals
-        *reals, m = [d if j == 1 else table[:, j].copy() for j in range(table.shape[1])]
-        del table
         return build(reals, m, None)
     except InvariantViolation:
         return None
+
+
+def _kept_columns(table: np.ndarray, *encoded: int) -> list[np.ndarray]:
+    """The columns of ``table``: a view of each at an index in ``encoded``
+    (d and m, which the dataset only encodes) and a copy of each other,
+    which the dataset keeps."""
+    return [table[:, j] if j in encoded else table[:, j].copy() for j in range(table.shape[1])]
 
 
 def _load_rows(path, roles, build) -> Dataset:
@@ -578,8 +608,7 @@ def _load_rows(path, roles, build) -> Dataset:
         except csv.Error as exc:  # a field over the parser's size limit
             raise ParseError(rownum + 1, None, str(exc)) from None
 
-    table = np.frombuffer(flat).reshape(-1, len(reals))
-    columns = [table[:, j].copy() for j in range(len(reals))]
+    columns = _kept_columns(np.frombuffer(flat).reshape(-1, len(reals)), 1)
     try:
         return build(columns, np.frombuffer(ms), None if block_at is None else (np.frombuffer(codes, np.intc), tuple(number)))
     except InvariantViolation as exc:
@@ -643,17 +672,16 @@ def atomic_open(path) -> Iterator[TextIO]:
 
 _CHUNK = 1 << 14  # rows formatted at a time
 
-# The d and m cells of a row as one text, indexed by the row's cell code.
-_DM_TEXT = np.array(["0,0", "0,1", "0,", "1,0", "1,1", "1,"], dtype=object)
-
-
-def _row_format(k: int, block: bool, weight: bool) -> str:
-    """The ``%`` template of one written row: y, the d and m text, ``k``
-    covariates, the quoted block label and the weight, as chosen. A real
-    takes 17 significant digits (an integer below 1e16 prints in full
-    without a fraction, and -0.0 keeps its sign as ``-0``); a label is
-    an argument, never template text, so a ``%`` in it stays literal."""
-    return "%.17g,%s" + ",%.17g" * k + (",%s" if block else "") + (",%.17g" if weight else "") + "\r\n"
+def _row_formats(k: int, block: bool, weight: bool) -> np.ndarray:
+    """The ``%`` template of one written row for each cell code: y, the
+    code's d and m text, ``k`` covariates, the quoted block label and the
+    weight, as chosen. A real takes 17 significant digits (an integer
+    below 1e16 prints in full without a fraction, and -0.0 keeps its sign
+    as ``-0``); a label is an argument, never template text, so a ``%``
+    in it stays literal."""
+    tail = ",%.17g" * k + (",%s" if block else "") + (",%.17g" if weight else "") + "\r\n"
+    dm = ("0,0", "0,1", "0,", "1,0", "1,1", "1,")  # the d and m cells of each code, as one text
+    return np.array([f"%.17g,{text}{tail}" for text in dm], dtype=object)
 
 
 def _quote(text: str) -> str:
@@ -686,14 +714,13 @@ def write_csv(ds: Dataset, path) -> None:
     if "block" in schema:
         codes, labels = ds._blocks
         labels = np.array(["" if b is None else _quote(b) for b in labels], dtype=object)
-    row = _row_format(ds.x.shape[1], "block" in schema, "weight" in schema)
+    formats = _row_formats(ds.x.shape[1], "block" in schema, "weight" in schema)
 
     with atomic_open(path) as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
         for start in range(0, ds.n, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            columns = [ds.y[rows].tolist(), _DM_TEXT[ds.cell_codes()[rows]].tolist()]
-            columns += [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
+            columns = [ds.y[rows].tolist()] + [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
             if "block" in schema:
                 columns.append(labels[codes[rows]].tolist())
             if "weight" in schema:
@@ -702,7 +729,7 @@ def write_csv(ds: Dataset, path) -> None:
             cells = [None] * (len(columns) * size)
             for j, column in enumerate(columns):  # row-major: the cells of each row in turn
                 cells[j :: len(columns)] = column
-            fh.write(row * size % tuple(cells))
+            fh.write("".join(formats[ds.cell_codes()[rows]].tolist()) % tuple(cells))
 
 
 def schema_for(ds: Dataset) -> dict:
@@ -712,6 +739,6 @@ def schema_for(ds: Dataset) -> dict:
         schema["covariates"] = list(ds.covariate_names)
     if ds.has_blocks:
         schema["block"] = "block"
-    if bool((ds.weight != 1.0).any()):
+    if ds.has_weights and bool((ds.weight != 1.0).any()):
         schema["weight"] = "weight"
     return schema

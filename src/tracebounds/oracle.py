@@ -155,6 +155,9 @@ def true_estimands(cfg: DGPConfig) -> TruthRecord:
     return TruthRecord(trace=float(trace), trace0=trace0, te=te, p_m1=float(p_m1))
 
 
+_NOISE_CHUNK = 1 << 16  # rows of noise drawn at a time
+
+
 def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
     """Draw a dataset from the configuration; fully deterministic per seed.
 
@@ -165,16 +168,19 @@ def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
     """
     truth = true_estimands(cfg)
     rng = np.random.default_rng(cfg.seed)
-    cell = rng.choice(4, size=cfg.n, p=cfg.strata.as_tuple())  # the stratum
+    cell = rng.choice(4, size=cfg.n, p=cfg.strata.as_tuple()).astype(np.int8)  # the stratum
     d = rng.integers(0, 2, size=cfg.n).astype(np.int8)
     cell *= 2
     cell += d  # now the flat index of (stratum, arm) in a (4, 2) table
 
-    m = np.array([_M_TABLE[s] for s in _STRATA], dtype=np.float64).ravel()[cell]
+    m = np.array([_M_TABLE[s] for s in _STRATA], dtype=np.int8).ravel()[cell]
     y = cfg.means.table().ravel()[cell]  # the stratum-by-arm means, noise added in place
     del cell
     if cfg.noise_sd > 0:
-        y += rng.normal(0.0, cfg.noise_sd, size=cfg.n)
+        # a chunk at a time: the normal draws of consecutive calls are the one call's stream
+        for start in range(0, cfg.n, _NOISE_CHUNK):
+            chunk = y[start : start + _NOISE_CHUNK]
+            chunk += rng.normal(0.0, cfg.noise_sd, size=chunk.size)
     if cfg.type3:
         y[m == 0] = 0.0
 

@@ -59,7 +59,7 @@ class ReplicateEngine:
         self._with_mt = with_mt
         rows, self._a, self._b = ds.layout()  # treated m=1 | treated m=0 | control by y
         self._y = ds.y[rows]
-        self._w = ds.weight[rows]
+        self._w = ds.weight_at(rows) if ds.has_weights else None  # None: every unit weighs 1
         self._yc = self._y[self._b :]
         if cfg.resample_unit is ResampleUnit.BLOCK:
             codes, blocks = ds.block_codes()
@@ -84,7 +84,8 @@ class ReplicateEngine:
     def row(self, r: int) -> list[float]:
         """Replicate ``r``: its draw as counts, every entry from count-weighted sums."""
         picks = replicate_draw(self._cfg.seed, r, self._units)
-        cw = np.bincount(picks, minlength=self._units)[self._unit_of] * self._w
+        counts = np.bincount(picks, minlength=self._units)[self._unit_of]
+        cw = counts.astype(np.float64) if self._w is None else counts * self._w
         a, b = self._a, self._b
         y, wc = self._y, cw[b:]
         w_t1 = cw[:a].sum()

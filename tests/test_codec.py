@@ -479,9 +479,10 @@ _EDGE_REALS += [math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), 12345
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(v=_reals | st.integers(-(2**60), 2**60).map(float) | st.sampled_from(_EDGE_REALS))
 def test_fmt_matches_the_integer_branch_formatter(v):
-    # every real of a row (y, a covariate, the weight) goes through the row template
+    # every real of a row (y, a covariate, the weight) goes through the row templates
     text = _fmt_reference(v)
-    assert data_module._row_format(1, True, True) % (v, "1,1", v, "b", v) == f"{text},1,1,{text},b,{text}\r\n"
+    for code, dm in enumerate(["0,0", "0,1", "0,", "1,0", "1,1", "1,"]):
+        assert data_module._row_formats(1, True, True)[code] % (v, v, "b", v) == f"{text},{dm},{text},b,{text}\r\n"
 
 
 def test_header_only_file_warns_nothing(tmp_path, recwarn):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import stat
@@ -87,25 +88,26 @@ def test_write_is_value_exact(tmp_path):
     assert load_csv(out).y.tolist() == ds.y.tolist()
 
 
-class _DMText:
-    """A d and m text of the writer's table that runs ``action`` each
-    time a chunk formats it."""
+def _patch_chunk_write(monkeypatch, action):
+    """Two-row chunks, and ``action`` before the writer writes its second
+    chunk (the header is written first), through the real temporary file."""
+    real = data_module.atomic_open
 
-    def __init__(self, text, action):
-        self.text = text
-        self.action = action
+    @contextlib.contextmanager
+    def opened(path):
+        with real(path) as fh:
+            writes = []
 
-    def __str__(self):
-        self.action()
-        return self.text
+            class Handle:
+                def write(self, text):
+                    writes.append(text)
+                    if len(writes) == 3:
+                        action()
+                    fh.write(text)
 
+            yield Handle()
 
-def _patch_dm_text(monkeypatch, action):
-    """Two-row chunks, and ``action`` when a control row with m = 1 is
-    formatted: in the toy, row 3, the second row of the second chunk."""
-    table = data_module._DM_TEXT.copy()
-    table[1] = _DMText(table[1], action)
-    monkeypatch.setattr(data_module, "_DM_TEXT", table)
+    monkeypatch.setattr(data_module, "atomic_open", opened)
     monkeypatch.setattr(data_module, "_CHUNK", 2)
 
 
@@ -116,7 +118,7 @@ def test_failed_write_keeps_target_and_leaves_no_temp_file(tmp_path, toy, monkey
     def fail():
         raise RuntimeError("disk full")
 
-    _patch_dm_text(monkeypatch, fail)  # fails mid-chunk, after one chunk is written
+    _patch_chunk_write(monkeypatch, fail)  # fails mid-write, after one chunk is written
     with pytest.raises(RuntimeError):
         write_csv(toy, out)
     assert out.read_text() == "old\n"
@@ -134,7 +136,7 @@ def test_writers_to_one_path_do_not_share_a_temp_file(tmp_path, toy, monkeypatch
             started.append(True)
             write_csv(other, out)
 
-    _patch_dm_text(monkeypatch, second_writer)
+    _patch_chunk_write(monkeypatch, second_writer)
     write_csv(toy, out)
     assert started
     np.testing.assert_array_equal(load_csv(out).y, toy.y)

@@ -3,9 +3,10 @@
 Each budget is the highest traced total above what was live when the
 step began, in bytes per unit at N units. numpy reports its buffers to
 tracemalloc, so these are counts that repeat, not timings. A dataset of
-N units holds 17 bytes per unit (y and weight 8 each, and one int8 code
-of its (d, m) cell; d and m are made from the codes on each call). The
-writer formats the rows a chunk at a time, here made small so that a
+N units holds 9 bytes per unit (y, 8, and one int8 code of its (d, m)
+cell; d, m and the unit weights are made on each call), and 8 more when
+it is given weights. A step that reads a dataset is also measured with
+that dataset counted, from before it is made. The writer formats the rows a chunk at a time, here made small so that a
 chunk's own memory does not count against its budget. Each budget is the
 present figure, given beside it, plus a margin: about 10%, or about 1
 byte per unit for the writer, whose figure is small, and for the
@@ -62,7 +63,7 @@ def dataset() -> Dataset:
 
 @pytest.mark.parametrize("make", ["simulate", "load_csv"])
 def test_a_dataset_holds_its_columns_and_one_cell_code_per_unit(tmp_path, dataset, make):
-    # y and the unit weights, 8 bytes each, and the (d, m) cell code, 1 (17)
+    # y, 8 bytes, and the (d, m) cell code, 1; no column of unit weights (9.0)
     path = tmp_path / "trial.csv"
     write_csv(dataset, path)
     run = (lambda: simulate(_DGP)[0]) if make == "simulate" else (lambda: load_csv(path))
@@ -74,24 +75,27 @@ def test_a_dataset_holds_its_columns_and_one_cell_code_per_unit(tmp_path, datase
     finally:
         tracemalloc.stop()
     assert ds.n == N
-    assert held < 18
+    assert held < 10
 
 
 def test_simulate_holds_each_column_once():
-    # the 25 bytes of the dataset and a flag of its checks (26)
-    assert _peak_per_unit(lambda: simulate(_DGP)) < 29
+    # the stratum draw's uniforms and its int64 result, each made by
+    # Generator.choice, beside no other n-length column; the stratum, d, m
+    # and their checks take a byte each, the noise a chunk at a time (16.0)
+    assert _peak_per_unit(lambda: simulate(_DGP)) < 18
 
 
 def test_write_csv_makes_no_column(tmp_path, dataset, monkeypatch):
-    # one chunk's text and cells (1.2)
+    # one chunk's text and cells (0.9)
     monkeypatch.setattr(data_module, "_CHUNK", CHUNK_ROWS)
     assert _peak_per_unit(lambda: write_csv(dataset, tmp_path / "trial.csv")) < 2
 
 
-@pytest.mark.parametrize("weighted, budget", [(False, 45), (True, 58)], ids=["unit weights", "weights"])
+@pytest.mark.parametrize("weighted, budget", [(False, 39), (True, 52)], ids=["unit weights", "weights"])
 def test_load_csv_drops_the_table_for_its_columns(tmp_path, dataset, weighted, budget):
-    # loadtxt's table of y, d, m (and the weight) beside the columns copied out
-    # of it and d as int8 (41.0 and 57.0); the unit weights come after the table
+    # loadtxt's table of y, d, m (and the weight) beside the y (and weight)
+    # copied out of it, the cell codes and the flags of their checks; d and m
+    # are encoded from views of the table (35.0 and 51.0)
     path = tmp_path / "trial.csv"
     weight = np.random.default_rng(0).uniform(0.5, 2.0, N) if weighted else None
     write_csv(Dataset(dataset.y, dataset.d, dataset.m, weight=weight), path)
@@ -100,13 +104,49 @@ def test_load_csv_drops_the_table_for_its_columns(tmp_path, dataset, weighted, b
 
 
 def test_load_csv_numbers_the_block_labels_as_it_reads(tmp_path, dataset):
-    # the row reader's buffers of y, d and m and its block codes beside the
-    # columns copied out of them (55.5; each label text made per unit and kept,
-    # 120.3)
+    # the row reader's buffers of y, d and m and its block codes beside the y
+    # copied out of them and the cell codes (40.5; each label text made per
+    # unit and kept, 120.3)
     path = tmp_path / "blocks.csv"
     blocks = np.random.default_rng(0).permutation(np.arange(N) % 100)
     write_csv(Dataset(dataset.y, dataset.d, dataset.m, block=[f"b{b:03d}" for b in blocks]), path)
-    assert _peak_per_unit(lambda: load_csv(path, {"block": "block"})) < 61
+    assert _peak_per_unit(lambda: load_csv(path, {"block": "block"})) < 45
+
+
+def _peak_with_dataset(make, step) -> float:
+    """The traced peak of ``step(ds)`` per unit, counting the dataset
+    ``make()`` returns, which is made under tracing; after one untraced
+    run of both."""
+    step(make())
+    tracemalloc.start()
+    try:
+        ds = make()
+        tracemalloc.reset_peak()
+        step(ds)
+        return tracemalloc.get_traced_memory()[1] / N
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", ["simulate", "load_csv"])
+def test_the_cell_table_of_unit_weights_counts_and_sums_y(tmp_path, dataset, make):
+    # the 9 held bytes, and one bincount's int64 copy of the cell codes beside
+    # the copy it makes of the read-only y (25.0)
+    path = tmp_path / "trial.csv"
+    write_csv(dataset, path)
+    run = (lambda: simulate(_DGP)[0]) if make == "simulate" else (lambda: load_csv(path))
+    assert _peak_with_dataset(run, Dataset.cells) < 28
+
+
+def test_full_sample_bounds_of_unit_weights_gathers_no_weight_column():
+    # the 9 held bytes, the layout, and the control arm's y and its unit
+    # weights, made for the arm alone (29.9)
+    def make():
+        ds = simulate(_DGP)[0]
+        ds.cells()  # as the bounds command has it
+        return ds
+
+    assert _peak_with_dataset(make, full_sample_bounds) < 33
 
 
 def _fresh_datasets() -> list[Dataset]:
@@ -125,9 +165,10 @@ def test_full_sample_bounds_gathers_the_control_arm_once():
 
 
 def test_analyze_keeps_one_copy_of_the_layout():
-    # the dataset, its layout, and the engine's columns in layout order (88.1)
+    # the dataset, its layout, and the engine's y in layout order, with no
+    # column of unit weights; then one replicate's counts and sums (69.9)
     boot = BootstrapConfig(replicates=2, seed=1)
-    assert _peak_per_unit(lambda: analyze(simulate(_DGP)[0], AssumptionSpec.zero(), TEMethod.DIFF_IN_MEANS, boot)) < 97
+    assert _peak_per_unit(lambda: analyze(simulate(_DGP)[0], AssumptionSpec.zero(), TEMethod.DIFF_IN_MEANS, boot)) < 77
 
 
 def test_bounds_command_makes_the_layout_after_the_naive_statistics(tmp_path, monkeypatch):
