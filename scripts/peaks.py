@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the traced memory peak of each stage of simulate, bounds and analyze.
+"""Print the memory peak of each stage of simulate, bounds and analyze.
 
 Runs the stages the CLI runs, one after another in one process, on N
 rows of the ingest_bounds data (perfbench/workloads.py, seed 1): the
@@ -17,13 +17,22 @@ tracemalloc starts, but not what the first calls import or cache,
 which matters only at small N. The simulated dataset is dropped once
 written, as the two commands run apart.
 
-Usage: python scripts/peaks.py N
+With ``--rss`` it runs instead the two steps of the ingest_bounds
+workload on N rows (``simulate``, then ``bounds --type3`` on the table
+it wrote), each in a fresh interpreter through perfbench/child.py with
+one BLAS thread, as the benchmark runs them, and prints each process's
+peak resident set (VmHWM, the interpreter and imports included), which
+is what the benchmark's ``peak_rss_mb`` reads.
+
+Usage: python scripts/peaks.py [--rss] N
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -44,10 +53,13 @@ def _positive(text: str) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rss", action="store_true", help="print the peak resident set of each ingest_bounds step")
     ap.add_argument("n", type=_positive, metavar="N", help="rows to simulate")
     args = ap.parse_args(argv)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    if args.rss:
+        return _rss(args.n)
     import numpy as np
 
     from tracebounds.bounds import Interval, naive_estimates
@@ -94,6 +106,25 @@ def main(argv=None) -> int:
     print("|---|---|---|---|---|")
     for name, peak, live in rows:
         print(f"| {name} | {peak / MIB:.1f} | {peak / args.n:.1f} | {live / MIB:.1f} | {live / args.n:.1f} |")
+    return 0
+
+
+def _rss(n: int) -> int:
+    """Run the ingest_bounds steps on ``n`` rows and print each one's VmHWM."""
+    from workloads import Size, _ingest_bounds
+
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    print(f"| process at n={n} | peak RSS MiB |")
+    print("|---|---|")
+    with tempfile.TemporaryDirectory() as work:
+        rss = pathlib.Path(work) / "rss.txt"
+        for step in _ingest_bounds(SEED, Size(n=n), pathlib.Path(work)).steps:
+            cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--rss", str(rss), "--", *step]
+            subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
+            name = " ".join(a for a in step if a in ("simulate", "bounds", "--type3"))
+            print(f"| {name} | {int(rss.read_text()) / 1024:.1f} |")
     return 0
 
 

@@ -46,6 +46,10 @@ def _require(ok: np.ndarray, values: np.ndarray, rule: str) -> None:
         raise InvariantViolation(f"{rule}, got {float(values.ravel()[i])}", unit=i // (ok.size // len(ok)))
 
 
+# rows at a time: the CSV codec, the cell table, the arm layout and simulate's draws
+# each make no temporary of the dataset's length, only of this many rows
+_CHUNK = 1 << 14
+
 _M_OF_CELL = np.array([0.0, 1.0, np.nan, 0.0, 1.0, np.nan])  # the m of each cell code, NaN for missing
 
 
@@ -54,6 +58,20 @@ def _checkable(a) -> np.ndarray:
     are: integers and booleans kept, anything else as float64."""
     a = np.asarray(a)
     return a if a.dtype.kind in "biu" else np.asarray(a, dtype=np.float64)
+
+
+def _encode(d: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Check the d and m rules (an error names the first offending unit)
+    and write each unit's int8 cell code ``3 * d + m``, with m = 2 for a
+    missing m, to ``out``, or to a new array once both rules hold.
+    d and m may be of any integer, boolean or real type; no array of their
+    length is made but the codes and flags of the checks."""
+    _require((d == 0) | (d == 1), d, "d must be 0 or 1")
+    _require(np.isnan(m) | (m == 0.0) | (m == 1.0), m, "m must be 0, 1 or missing")
+    # fmin reads a NaN as m = 2, cast to int8 a buffer at a time
+    out = np.fmin(m, 2.0, out=np.empty(d.shape, np.int8) if out is None else out, casting="unsafe")
+    out += 3 * d.astype(np.int8, copy=False)
+    return out
 
 
 def _require_both_arms(codes: np.ndarray, what: str) -> None:
@@ -138,18 +156,20 @@ class Dataset:
         )
 
     @classmethod
-    def _adopt(cls, y, d, m, x=None, block=None, weight=None, covariate_names=None) -> "Dataset":
+    def _adopt(cls, y, d, m, x=None, block=None, weight=None, covariate_names=None, codes=None) -> "Dataset":
         """The dataset over columns made for it, which the caller hands
         over and no longer touches: y, x and weight as contiguous float64
         arrays and ``block`` as :func:`_numbered` makes it are kept as they
         are; d and m, each of any integer or real type and either a view
-        into a larger table, are only encoded. Checked as the constructor
-        checks, with the same errors."""
+        into a larger table, are only encoded. ``codes``, int8 cell codes
+        of d and m that hold to their rules (as :func:`_encode` writes
+        them), is kept in place of d and m, which are then None. Checked
+        as the constructor checks, with the same errors."""
         ds = object.__new__(cls)
-        ds._own(y, d, m, x, block, weight, covariate_names)
+        ds._own(y, d, m, x, block, weight, covariate_names, codes)
         return ds
 
-    def _own(self, y, d, m, x, block, weight, covariate_names) -> None:
+    def _own(self, y, d, m, x, block, weight, covariate_names, codes=None) -> None:
         """Check the columns and keep them, read-only, converting only a
         column that is not float64 yet; d and m as their cell codes, with
         no n-length float array made for an integer d or m."""
@@ -160,12 +180,15 @@ class Dataset:
         if n == 0:
             raise InvariantViolation("dataset must contain at least one unit")
 
-        dv = _checkable(d)
-        if dv.shape != (n,):
-            raise InvariantViolation("d length does not match y")
-        mv = np.full(n, np.nan) if m is None else _checkable(m)
-        if mv.shape != (n,):
-            raise InvariantViolation("m length does not match y")
+        if codes is None:
+            dv = _checkable(d)
+            if dv.shape != (n,):
+                raise InvariantViolation("d length does not match y")
+            mv = np.full(n, np.nan) if m is None else _checkable(m)
+            if mv.shape != (n,):
+                raise InvariantViolation("m length does not match y")
+        elif codes.shape != (n,):
+            raise InvariantViolation("cell codes length does not match y")
         wv = None if weight is None else np.asarray(weight, dtype=np.float64)
         if wv is not None and wv.shape != (n,):
             raise InvariantViolation("weight length does not match y")
@@ -190,17 +213,15 @@ class Dataset:
 
         # the per-unit rules, each raised here and nowhere else
         _require(np.isfinite(yv), yv, "y must be finite")
-        _require((dv == 0) | (dv == 1), dv, "d must be 0 or 1")
-        _require(np.isnan(mv) | (mv == 0.0) | (mv == 1.0), mv, "m must be 0, 1 or missing")
+        if codes is None:
+            codes = _encode(dv, mv)
         if wv is not None:
             _require(np.isfinite(wv) & (wv > 0), wv, "weight must be positive and finite")
         _require(np.isfinite(xv), xv, "covariates must be finite")
 
-        # fmin reads a NaN as m = 2, cast to int8 a buffer at a time: no n-length float array is made
-        codes = np.fmin(mv, 2.0, out=np.empty(n, np.int8), casting="unsafe")
-        codes += 3 * dv.astype(np.int8, copy=False)
         _require_both_arms(codes, "dataset")
-        _require(codes != 5, mv, "treated units must have m observed")  # 5: d = 1, m missing
+        # 5: d = 1, m missing; the m is NaN, named without an n-length array
+        _require(codes != 5, np.broadcast_to(np.nan, (n,)), "treated units must have m observed")
 
         self._keep(yv, codes, xv, block, wv, names)
 
@@ -247,17 +268,25 @@ class Dataset:
     def cells(self) -> tuple[list[float], list[float]]:
         """The weight and the weighted y-sum of each (d, m) cell, at index
         ``3 * d + m`` with m = 2 for a missing m, as two lists of six Python
-        floats. Each sum adds its cell's units in row order, by two
-        ``np.bincount`` passes, so no sum depends on the BLAS thread count.
-        Under unit weights the passes count the units and sum y itself,
-        which are the same sums of ones and of ``1 * y``. Made on the
-        first call and kept for this dataset."""
+        floats. Each sum adds its cell's units in row order, by
+        ``np.add.at`` a chunk of rows at a time (the order and the sums of
+        ``np.bincount``), so no sum depends on the BLAS thread count. Under
+        unit weights the weights are the counts of units and the sums are
+        of y itself, which are the same sums of ones and of ``1 * y``.
+        Made on the first call and kept for this dataset."""
         if self._cells is None:
-            if self._w is None:
-                w, wy = np.bincount(self._codes, minlength=6).astype(np.float64), np.bincount(self._codes, self._y, 6)
-            else:
-                w, wy = np.bincount(self._codes, self._w, 6), np.bincount(self._codes, self._w * self._y, 6)
-            self._cells = w.tolist(), wy.tolist()
+            codes, y, w = self._codes, self._y, self._w
+            weights, sums = np.zeros(6), np.zeros(6)
+            if w is None:
+                weights[:] = [np.count_nonzero(codes == c) for c in range(6)]
+            for s in range(0, self.n, _CHUNK):
+                rows = slice(s, s + _CHUNK)
+                terms = y[rows] if w is None else w[rows] * y[rows]
+                with np.errstate(over="ignore", invalid="ignore"):  # as np.bincount, which raises no flag
+                    if w is not None:
+                        np.add.at(weights, codes[rows], w[rows])
+                    np.add.at(sums, codes[rows], terms)
+            self._cells = weights.tolist(), sums.tolist()
         return self._cells
 
     def layout(self) -> tuple[np.ndarray, int, int]:
@@ -268,14 +297,28 @@ class Dataset:
         ascending order of y, so that a slice of the control arm, or of
         its m = 0 units, is read off either end as in
         :func:`~tracebounds.bounds.trimmed_mean`. Made on the first call
-        and kept for this dataset; ``order`` is read-only."""
+        and kept for this dataset; ``order`` is read-only, int32 below
+        2**31 rows. The runs are filled a chunk of rows at a time, and only
+        the control arm's y is sorted."""
         if self._layout is None:
-            control = np.flatnonzero(self._codes < 3)
-            control = control[np.argsort(self._y[control], kind="stable")]
-            t1 = np.flatnonzero(self._codes == 4)
-            order = np.concatenate([t1, np.flatnonzero(self._codes == 3), control])
+            codes = self._codes
+            a = np.count_nonzero(codes == 4)
+            b = a + np.count_nonzero(codes == 3)
+            order = np.empty(self.n, np.int32 if self.n < 2**31 else np.intp)
+            ends = [0, a, b]  # where each run's next rows go: treated m = 1, treated m = 0, control
+            for s in range(0, self.n, _CHUNK):
+                at = codes[s : s + _CHUNK]
+                for j, rows in enumerate((np.flatnonzero(at == 4), np.flatnonzero(at == 3), np.flatnonzero(at < 3))):
+                    rows += s
+                    order[ends[j] : ends[j] + rows.size] = rows
+                    ends[j] += rows.size
+            control = order[b:]  # in row order, then in the stable order of y
+            rank = np.argsort(self._y[codes < 3], kind="stable")
+            for s in range(0, rank.size, _CHUNK):  # each rank in turn becomes its row
+                rank[s : s + _CHUNK] = control[rank[s : s + _CHUNK]]
+            control[:] = rank
             order.setflags(write=False)
-            self._layout = order, t1.size, order.size - control.size
+            self._layout = order, a, b
         return self._layout
 
     def cell_codes(self) -> np.ndarray:
@@ -444,10 +487,12 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
     a per-unit rule of :class:`Dataset` fails).
 
     Without a block column the numeric columns are parsed by
-    ``np.loadtxt``, once more with the m cells through the row reader's
-    parser when a blank m fails the first parse; any file both refuse,
-    or whose values :class:`Dataset` refuses, is read again row by row,
-    so every error comes from the row reader.
+    ``np.loadtxt`` a chunk of rows at a time, into columns sized once
+    from a count of the file's line ends, and once more with the m cells
+    through the row reader's parser when a blank m fails the first
+    parse; any file both refuse, or whose values :class:`Dataset`
+    refuses, is read again row by row, so every error comes from the row
+    reader.
     """
     roles, build = _plan(schema)
     if all(parse is not str for _, parse in roles):
@@ -460,9 +505,10 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
 def _plan(schema: Mapping[str, object] | None):
     """The (column, parser) roles of ``schema`` in the order a row's cells
     are checked (y, d, m, covariates, block, weight), and the builder of
-    its :class:`Dataset` from the real columns (y, d, covariates, weight)
-    and the m column, each an array of its own that the dataset keeps,
-    and the block codes with their label table."""
+    its :class:`Dataset` from the kept real columns (y, covariates,
+    weight), each an array of its own that the dataset keeps, the block
+    codes with their label table, and d and m or, in their place, the
+    cell codes :func:`_encode` wrote."""
     eff = dict(_DEFAULT_SCHEMA)
     if schema:
         eff.update(schema)
@@ -482,15 +528,16 @@ def _plan(schema: Mapping[str, object] | None):
         roles.append((weight_col, float))
     k = len(cov_cols)
 
-    def build(reals: list[np.ndarray], m: np.ndarray, blocks: tuple[np.ndarray, tuple] | None) -> Dataset:
+    def build(reals: list[np.ndarray], blocks: tuple[np.ndarray, tuple] | None, d=None, m=None, codes=None) -> Dataset:
         return Dataset._adopt(
             y=reals[0],
-            d=reals[1],
+            d=d,
             m=m,
-            x=np.column_stack(reals[2 : 2 + k]) if k else None,
+            x=np.column_stack(reals[1 : 1 + k]) if k else None,
             block=blocks,
             weight=reals[-1] if weight_col is not None else None,
             covariate_names=cov_cols if k else None,
+            codes=codes,
         )
 
     return roles, build
@@ -514,27 +561,29 @@ def _header_cells(fh: TextIO, roles) -> list:
 # Py_UNICODE_ISSPACE counts these as whitespace and np.loadtxt strips
 # them around a number, but float() refuses them.
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
+# a line of a file opened with newline="" that holds no cell; loadtxt skips it,
+# but warns when it falls among the rows of a max_rows read
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 
-def _table(path, roles, parse_m=None) -> np.ndarray | None:
-    """``np.loadtxt``'s table of y, d, covariates, weight and m, in that
-    order, each m cell through ``parse_m`` when given; None when no data
-    row follows the header or loadtxt fails."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            cells = _header_cells(fh, roles)
-            columns = [i for _, i, parse in cells if parse is float] + [cells[2][1]]
-            # loadtxt skips blank lines, and warns when nothing else is left
-            first = next((line for line in fh if line.strip("\r\n")), None)
-            if first is None:
+def _scan(path) -> tuple[int, bool] | None:
+    """The line ends of ``path`` (LF, CR and CRLF, each one, quoted ones
+    too), at least its data rows as one of them ends the header, and
+    whether a line of it may be blank: a line end follows another, other
+    than LF after CR. None when the file holds a byte of ``_SEPARATORS``."""
+    ends, blank, last = 0, False, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            if any(byte in chunk for byte in _SEPARATORS):
                 return None
-            converters = None if parse_m is None else {columns[-1]: parse_m}
-            return np.loadtxt(
-                itertools.chain((first,), fh), delimiter=",", quotechar='"', comments=None, usecols=columns,
-                converters=converters, ndmin=2, encoding="utf-8",
-            )
-        except (ValueError, csv.Error):  # UnicodeDecodeError included
-            return None
+            a = np.frombuffer(last + chunk, np.uint8)  # the byte before the chunk, for the pair across
+            lf, cr = a == 0x0A, a == 0x0D
+            end = lf | cr
+            crlf = np.count_nonzero(cr[:-1] & lf[1:])
+            ends += np.count_nonzero(end[len(last) :]) - crlf
+            blank = blank or np.count_nonzero(end[:-1] & end[1:]) > crlf
+            last = chunk[-1:]
+    return int(ends), bool(blank)
 
 
 def _load_columns(path, roles, build) -> Dataset | None:
@@ -542,32 +591,59 @@ def _load_columns(path, roles, build) -> Dataset | None:
     must decide: the file holds a byte of ``_SEPARATORS``, no data row
     follows the header, loadtxt fails (it refuses a blank cell, so a
     refused file is parsed once more with m through ``_m_value``), an m
-    cell is a literal ``nan``, or :class:`Dataset` refuses the values.
-
-    The dataset encodes d and m from views of loadtxt's table, and only
-    the columns it keeps are copied out; the table goes with the views."""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if len(chunk.translate(None, _SEPARATORS)) != len(chunk):
-                return None
-    table = _table(path, roles)
-    if table is not None and np.isnan(table[:, -1]).any():  # a literal nan, since a blank m fails this read
+    cell is a literal ``nan``, or :class:`Dataset` refuses the values."""
+    scan = _scan(path)
+    if scan is None or not scan[0]:
         return None
-    if table is None and (table := _table(path, roles, _m_value)) is None:  # not a blank m either
+    read = _read_chunks(path, roles, *scan)
+    if read is None and (read := _read_chunks(path, roles, *scan, _m_value)) is None:
         return None
-    *reals, m = _kept_columns(table, 1, table.shape[1] - 1)
-    del table
     try:
-        return build(reals, m, None)
+        return build(read[0], None, codes=read[1])
     except InvariantViolation:
         return None
 
 
-def _kept_columns(table: np.ndarray, *encoded: int) -> list[np.ndarray]:
-    """The columns of ``table``: a view of each at an index in ``encoded``
-    (d and m, which the dataset only encodes) and a copy of each other,
-    which the dataset keeps."""
-    return [table[:, j] if j in encoded else table[:, j].copy() for j in range(table.shape[1])]
+def _read_chunks(path, roles, bound: int, blank: bool, parse_m=None):
+    """The kept real columns (y, covariates, weight) and the cell codes,
+    read by ``np.loadtxt`` ``_CHUNK`` rows at a time into arrays of
+    ``bound`` rows, then cut to the rows read; each m cell through
+    ``parse_m`` when given, and blank lines passed over when ``blank``
+    says the file may have one. None when no data row follows the
+    header, loadtxt fails, an m is NaN without ``parse_m`` (a literal
+    ``nan``, as a blank fails that read) or a d or m breaks its rule."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            cells = _header_cells(fh, roles)
+            columns = [i for _, i, parse in cells if parse is float] + [cells[2][1]]  # y, d, ..., m
+            converters = None if parse_m is None else {columns[-1]: parse_m}
+            reals = [np.empty(bound) for _ in columns[2:]]
+            codes = np.empty(bound, np.int8)
+            n = 0
+            lines = itertools.filterfalse(_BLANK_LINES.__contains__, fh) if blank else fh
+            # loadtxt reads exactly max_rows rows, a quoted line end within its row; it
+            # is not called once no row is left, since it warns when it finds none
+            while (first := next(lines, None)) is not None:
+                part = np.loadtxt(
+                    itertools.chain((first,), lines), delimiter=",", quotechar='"', comments=None, usecols=columns,
+                    converters=converters, ndmin=2, encoding="utf-8", max_rows=_CHUNK,
+                )
+                m = part[:, -1]
+                if parse_m is None and np.isnan(m).any():
+                    return None
+                rows = slice(n, n + part.shape[0])
+                _encode(part[:, 1], m, codes[rows])
+                reals[0][rows] = part[:, 0]
+                for j, column in enumerate(reals[1:], start=2):
+                    column[rows] = part[:, j]
+                n = rows.stop
+        except (ValueError, csv.Error, InvariantViolation):  # UnicodeDecodeError included
+            return None
+    if not n:
+        return None
+    for a in (*reals, codes):  # blank lines and quoted line ends counted in the bound
+        a.resize(n, refcheck=False)
+    return reals, codes
 
 
 def _load_rows(path, roles, build) -> Dataset:
@@ -608,9 +684,11 @@ def _load_rows(path, roles, build) -> Dataset:
         except csv.Error as exc:  # a field over the parser's size limit
             raise ParseError(rownum + 1, None, str(exc)) from None
 
-    columns = _kept_columns(np.frombuffer(flat).reshape(-1, len(reals)), 1)
+    table = np.frombuffer(flat).reshape(-1, len(reals))  # y, d, covariates, weight
+    kept = [table[:, j].copy() for j in range(len(reals)) if j != 1]
+    blocks = None if block_at is None else (np.frombuffer(codes, np.intc), tuple(number))
     try:
-        return build(columns, np.frombuffer(ms), None if block_at is None else (np.frombuffer(codes, np.intc), tuple(number)))
+        return build(kept, blocks, d=table[:, 1], m=np.frombuffer(ms))
     except InvariantViolation as exc:
         if exc.unit is not None:
             exc.row = exc.unit + 1
@@ -669,8 +747,6 @@ def atomic_open(path) -> Iterator[TextIO]:
         os.unlink(tmp)
         raise
 
-
-_CHUNK = 1 << 14  # rows formatted at a time
 
 def _row_formats(k: int, block: bool, weight: bool) -> np.ndarray:
     """The ``%`` template of one written row for each cell code: y, the

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Side, TrimSpec, no_assumption_bounds, trimmed_mean
-from .data import Dataset
+from .data import _CHUNK, Dataset
 from .errors import (
     EmptyReactiveStratum,
     InvariantViolation,
@@ -155,7 +155,27 @@ def true_estimands(cfg: DGPConfig) -> TruthRecord:
     return TruthRecord(trace=float(trace), trace0=trace0, te=te, p_m1=float(p_m1))
 
 
-_NOISE_CHUNK = 1 << 16  # rows of noise drawn at a time
+# the cell code 3 * d + m of each (stratum, arm), in the flat order of OutcomeMeans.table()
+_CODE_OF_CELL = np.array([3 * arm + _M_TABLE[s][arm] for s in _STRATA for arm in (0, 1)], dtype=np.int8)
+
+
+def _draw_cells(rng: np.random.Generator, probs, n: int) -> np.ndarray:
+    """Each unit's flat (stratum, arm) index into a (4, 2) table, as int8:
+    the strata as ``rng.choice(4, n, p=probs)`` draws them (uniforms placed
+    in the cumulative probabilities), then the arms as one
+    ``rng.integers(0, 2, n)`` call draws them, each ``_CHUNK`` rows at a
+    time, as consecutive calls of a generator continue one stream."""
+    cdf = np.array(probs, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    cell = np.empty(n, np.int8)
+    for s in range(0, n, _CHUNK):
+        part = cell[s : s + _CHUNK]
+        part[:] = cdf.searchsorted(rng.random(part.size), side="right")
+    for s in range(0, n, _CHUNK):
+        part = cell[s : s + _CHUNK]
+        part *= 2
+        part += rng.integers(0, 2, part.size)  # int64, as one call draws them
+    return cell
 
 
 def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
@@ -165,26 +185,26 @@ def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
     seed always reproduces the same dataset byte for byte. Both arms
     observe m. Under ``type3`` the outcome is exactly zero whenever
     m = 0, noise included.
+
+    Every draw is made ``_CHUNK`` rows at a time (:func:`_draw_cells`,
+    then the noise), each giving the stream of one call. The dataset
+    keeps y and one int8 array, the flat index of each unit's (stratum,
+    arm) and then, in place, its cell code.
     """
     truth = true_estimands(cfg)
     rng = np.random.default_rng(cfg.seed)
-    cell = rng.choice(4, size=cfg.n, p=cfg.strata.as_tuple()).astype(np.int8)  # the stratum
-    d = rng.integers(0, 2, size=cfg.n).astype(np.int8)
-    cell *= 2
-    cell += d  # now the flat index of (stratum, arm) in a (4, 2) table
-
-    m = np.array([_M_TABLE[s] for s in _STRATA], dtype=np.int8).ravel()[cell]
-    y = cfg.means.table().ravel()[cell]  # the stratum-by-arm means, noise added in place
-    del cell
-    if cfg.noise_sd > 0:
-        # a chunk at a time: the normal draws of consecutive calls are the one call's stream
-        for start in range(0, cfg.n, _NOISE_CHUNK):
-            chunk = y[start : start + _NOISE_CHUNK]
-            chunk += rng.normal(0.0, cfg.noise_sd, size=chunk.size)
-    if cfg.type3:
-        y[m == 0] = 0.0
-
-    return Dataset._adopt(y, d, m), truth
+    cell = _draw_cells(rng, cfg.strata.as_tuple(), cfg.n)
+    means = cfg.means.table().ravel()
+    y = np.empty(cfg.n)
+    for s in range(0, cfg.n, _CHUNK):
+        part, at = y[s : s + _CHUNK], cell[s : s + _CHUNK]
+        part[:] = means[at]
+        if cfg.noise_sd > 0:
+            part += rng.normal(0.0, cfg.noise_sd, size=part.size)
+        at[:] = _CODE_OF_CELL[at]
+        if cfg.type3:
+            part[at % 3 == 0] = 0.0  # m = 0
+    return Dataset._adopt(y, None, None, codes=cell), truth
 
 
 # -- brute-force references ---------------------------------------------------

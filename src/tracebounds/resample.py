@@ -65,7 +65,7 @@ class ReplicateEngine:
             codes, blocks = ds.block_codes()
             self._units, self._unit_of = len(blocks), codes[rows]
         else:
-            self._units, self._unit_of = ds.n, rows
+            self._units, self._unit_of = ds.n, rows.astype(np.intp)  # so that no replicate's gather converts it
         if te_method is TEMethod.OLS_ADJUSTED:
             X, codes = ols_columns(ds, True, ds.has_blocks)
             self._X, self._codes = X[rows], codes[rows]

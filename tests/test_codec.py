@@ -356,18 +356,20 @@ def _assert_same_outcome(fast, rows):
 def test_loadtxt_path_matches_row_reader(tmp_path_factory):
     taken = []
 
+    # a chunk of 1 to 13 rows puts the files' rows on both sides of a chunk boundary
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(case=_csv_texts())
-    def check(case):
+    @given(case=_csv_texts(), chunk=st.integers(1, 13))
+    def check(case, chunk):
         text, schema = case
         path = tmp_path_factory.mktemp("paths") / "in.csv"
         path.write_bytes(text.encode("utf-8"))
         rows = _outcome(_read_rows, path, schema)
-        direct = data_module._load_columns(path, *data_module._plan(schema))
-        taken.append(direct is not None)
-        if direct is not None:
-            _assert_same_outcome(direct, rows)
-        _assert_same_outcome(_outcome(load_csv, path, schema), rows)
+        with mock.patch.object(data_module, "_CHUNK", chunk):
+            direct = data_module._load_columns(path, *data_module._plan(schema))
+            taken.append(direct is not None)
+            if direct is not None:
+                _assert_same_outcome(direct, rows)
+            _assert_same_outcome(_outcome(load_csv, path, schema), rows)
 
     check()
     # both paths decide a fair share of the generated files
@@ -410,6 +412,62 @@ def test_loadtxt_path_matches_row_reader_on_listed_cases(tmp_path, name):
     path = tmp_path / "in.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     _assert_same_outcome(_outcome(load_csv, path, schema), _outcome(_read_rows, path, schema))
+
+
+def _rows(n: int, edit: dict | None = None) -> list[str]:
+    """``n`` data rows of y, d, m, treated and control in turn, m observed
+    in both arms; ``edit`` maps a row index to its text instead."""
+    rows = [f"{i + 0.25},{i % 2},{i // 2 % 2}" for i in range(n)]
+    for i, text in (edit or {}).items():
+        rows[i] = text
+    return rows
+
+
+def _boundary_cases(chunk: int) -> dict:
+    """name -> (file bytes, the row reader's (row, column) of the error, or
+    None when the file loads on the loadtxt path), each with rows on both
+    sides of a boundary of ``chunk``-row reads."""
+    n = 3 * chunk
+    late = 2 * chunk  # the first row of the third chunk, a control row
+    cases = {}
+    for size in {max(2, k * chunk + extra) for k in (1, 2, 3) for extra in (-1, 0, 1)}:
+        cases[f"{size} rows"] = ("y,d,m\n" + "".join(row + "\n" for row in _rows(size)), None)
+    ends = ["\n\r\n\n" if (i + 1) % chunk == 0 else "\n" for i in range(n)]  # blank lines after each full chunk
+    cases["blank lines at each boundary"] = ("y,d,m\n" + "".join(map(str.__add__, _rows(n), ends)), None)
+    cases["a blank m first in a late chunk"] = ("y,d,m\n" + "\n".join(_rows(n, {late: f"{late},0,"})), None)
+    cases["a literal nan first in a late chunk"] = ("y,d,m\n" + "\n".join(_rows(n, {late: f"{late},0,nan"})), (late + 1, "m"))
+    z = ['"a\n,b"' if i % chunk in (0, chunk - 1) else "q" for i in range(n)]  # an unused column
+    text = "y,z,d,m\n" + "\n".join(row.replace(",", f",{cell},", 1) for row, cell in zip(_rows(n), z))
+    cases["a quoted line end and comma on each side of each boundary"] = (text, None)
+    cases["a bad cell in the last chunk"] = ("y,d,m\n" + "\n".join(_rows(n, {n - 1: "abc,1,1"})) + "\n", (n, "y"))
+    cases["a byte order mark"] = ("\ufeffy,d,m\r\n" + "".join(row + "\r\n" for row in _rows(n)), None)
+    return {name: (text.encode("utf-8"), error) for name, (text, error) in cases.items()}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
+def test_loadtxt_path_matches_row_reader_at_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(data_module, "_CHUNK", chunk)
+    for name, (text, error) in _boundary_cases(chunk).items():
+        path = tmp_path / "in.csv"
+        path.write_bytes(text)
+        rows = _outcome(_read_rows, path, None)
+        _assert_same_outcome(_outcome(load_csv, path, None), rows)
+        if error is None:
+            assert data_module._load_columns(path, *data_module._plan(None)) is not None, name
+        else:
+            assert data_module._load_columns(path, *data_module._plan(None)) is None, name
+            assert (rows[0], rows[2:]) == (ParseError, error), name
+
+
+@pytest.mark.parametrize("pair", ["\r\n", "\n\n", "\r\r", "\n\r", "1\n", "\r1"])
+@pytest.mark.parametrize("at", [2**16 - 2, 2**16 - 1, 2**16])
+def test_line_ends_and_blank_lines_are_found_across_read_blocks(tmp_path, pair, at):
+    # the pre-scan reads 2**16 bytes at a time; the pair starts at byte ``at``
+    data = b"y\n" + b"1" * (at - 2) + pair.encode() + b"2\r\n"
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # each line end as one LF
+    assert data_module._scan(path) == (lines.count(b"\n"), b"\n\n" in lines)
 
 
 def test_clean_file_takes_the_loadtxt_path(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import contextlib
 import math
 import os
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,6 +279,53 @@ def test_layout_lists_the_treated_by_reaction_then_the_control_arm_by_outcome(ds
         return
     assert resample._layout is None  # a resample orders its own rows
     _assert_layout(resample)
+
+
+@st.composite
+def _chunked_cases(draw):
+    """(dataset, chunk): a chunk of 1 to 8 rows and a dataset of a few
+    chunks' length, one row either side of a multiple of it or on one,
+    with y holding signed zeros, ties and magnitudes near overflow, and
+    unit or given weights."""
+    chunk = draw(st.integers(1, 8))
+    n = max(2, chunk * draw(st.integers(1, 4)) + draw(st.integers(-1, 1)))
+    codes = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4]), min_size=n, max_size=n).filter(
+        lambda c: 0 < sum(v >= 3 for v in c) < len(c)))
+    y = draw(st.lists(st.sampled_from([-0.0, 0.0, 2.5, 1e308, -1e308, 5e-324]) | st.floats(-1e300, 1e300), min_size=n, max_size=n))
+    weight = draw(st.none() | st.lists(st.sampled_from([0.5, 1.0, 3.0]) | st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    d = [c // 3 for c in codes]
+    m = [math.nan if c % 3 == 2 else c % 3 for c in codes]
+    return Dataset(y=y, d=d, m=m, weight=weight), chunk
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_chunked_cases())
+def test_the_cell_table_in_chunks_is_two_bincounts(case):
+    ds, chunk = case
+    codes, y = ds.cell_codes(), ds.y
+    with np.errstate(over="ignore"):  # w * y may overflow, in both
+        if ds.has_weights:
+            w, wy = np.bincount(codes, ds.weight, 6), np.bincount(codes, ds.weight * y, 6)
+        else:
+            w, wy = np.bincount(codes, minlength=6).astype(np.float64), np.bincount(codes, y, 6)
+        with mock.patch.object(data_module, "_CHUNK", chunk):
+            table = ds.cells()
+    assert np.array(table).tobytes() == np.array([w, wy]).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_chunked_cases())
+def test_the_layout_in_chunks_is_int32_and_the_int64_argsort_order(case):
+    ds, chunk = case
+    codes = ds.cell_codes()
+    control = np.flatnonzero(codes < 3)
+    control = control[np.argsort(ds.y[control], kind="stable")]
+    expect = np.concatenate([np.flatnonzero(codes == 4), np.flatnonzero(codes == 3), control])
+    with mock.patch.object(data_module, "_CHUNK", chunk):
+        order, a, b = ds.layout()
+    assert order.dtype == np.int32
+    np.testing.assert_array_equal(order, expect)
+    assert (a, b) == (np.count_nonzero(codes == 4), np.count_nonzero(codes >= 3))
 
 
 def _assert_cells(ds: Dataset, d: list, m: list) -> None:

@@ -5,13 +5,15 @@ step began, in bytes per unit at N units. numpy reports its buffers to
 tracemalloc, so these are counts that repeat, not timings. A dataset of
 N units holds 9 bytes per unit (y, 8, and one int8 code of its (d, m)
 cell; d, m and the unit weights are made on each call), and 8 more when
-it is given weights. A step that reads a dataset is also measured with
-that dataset counted, from before it is made. The writer formats the rows a chunk at a time, here made small so that a
-chunk's own memory does not count against its budget. Each budget is the
-present figure, given beside it, plus a margin: about 10%, or about 1
-byte per unit for the writer, whose figure is small, and for the
-weighted read, whose figure is bound by loadtxt's table and the columns
-copied out of it. A step that makes the dataset's arm layout
+it is given weights; its arm layout, once made, 4 more (int32). A step
+that reads a dataset is also measured with that dataset counted, from
+before it is made. The CSV reader and writer, simulate's draws, the
+cell table and the layout work a chunk of rows at a time, here made
+small so that a chunk's own memory does not count against a budget:
+what is left is the columns a step keeps and the one-byte flags of the
+dataset's checks. Each budget is the present figure, given beside it,
+plus a margin of about 10%, or about 1 byte per unit for the writer,
+whose figure is small. A step that makes the dataset's arm layout
 (:meth:`Dataset.layout`), which the dataset keeps, is given a fresh
 dataset on each run, so that the untraced run does not make it.
 """
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 import tracebounds.data as data_module
+import tracebounds.oracle as oracle_module
 from tracebounds import cli
 from tracebounds.data import Dataset, load_csv, write_csv
 from tracebounds.estimators import TEMethod
@@ -41,6 +44,12 @@ _DGP = DGPConfig(
     type3=True,
     seed=1,
 )
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(data_module, "_CHUNK", CHUNK_ROWS)
+    monkeypatch.setattr(oracle_module, "_CHUNK", CHUNK_ROWS)
 
 
 def _peak_per_unit(run) -> float:
@@ -79,28 +88,44 @@ def test_a_dataset_holds_its_columns_and_one_cell_code_per_unit(tmp_path, datase
 
 
 def test_simulate_holds_each_column_once():
-    # the stratum draw's uniforms and its int64 result, each made by
-    # Generator.choice, beside no other n-length column; the stratum, d, m
-    # and their checks take a byte each, the noise a chunk at a time (16.0)
-    assert _peak_per_unit(lambda: simulate(_DGP)) < 18
+    # y and one int8 array, each unit's (stratum, arm) and then its cell
+    # code, beside a flag of the dataset's checks; every draw a chunk at a
+    # time (10.0)
+    assert _peak_per_unit(lambda: simulate(_DGP)) < 11
 
 
-def test_write_csv_makes_no_column(tmp_path, dataset, monkeypatch):
+def test_write_csv_makes_no_column(tmp_path, dataset):
     # one chunk's text and cells (0.9)
-    monkeypatch.setattr(data_module, "_CHUNK", CHUNK_ROWS)
     assert _peak_per_unit(lambda: write_csv(dataset, tmp_path / "trial.csv")) < 2
 
 
-@pytest.mark.parametrize("weighted, budget", [(False, 39), (True, 52)], ids=["unit weights", "weights"])
+@pytest.mark.parametrize("weighted, budget", [(False, 11), (True, 22)], ids=["unit weights", "weights"])
 def test_load_csv_drops_the_table_for_its_columns(tmp_path, dataset, weighted, budget):
-    # loadtxt's table of y, d, m (and the weight) beside the y (and weight)
-    # copied out of it, the cell codes and the flags of their checks; d and m
-    # are encoded from views of the table (35.0 and 51.0)
+    # y (and the weight) and the cell codes, allocated once from a count of
+    # the line ends and filled a chunk of loadtxt's rows at a time, beside
+    # the flags of the dataset's checks (10.0 and 20.0)
     path = tmp_path / "trial.csv"
     weight = np.random.default_rng(0).uniform(0.5, 2.0, N) if weighted else None
     write_csv(Dataset(dataset.y, dataset.d, dataset.m, weight=weight), path)
     schema = {"weight": "weight"} if weighted else None
     assert _peak_per_unit(lambda: load_csv(path, schema)) < budget
+
+
+def test_load_csv_keeps_no_row_for_a_blank_line(tmp_path, dataset):
+    # two blank lines after each row make the count of line ends three
+    # times the rows; the columns are cut to the rows read (9.0)
+    path = tmp_path / "trial.csv"
+    write_csv(dataset, path)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n\r\n\n"))
+    load_csv(path)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        held = tracemalloc.get_traced_memory()[0] / N
+    finally:
+        tracemalloc.stop()
+    assert ds.n == N
+    assert held < 10
 
 
 def test_load_csv_numbers_the_block_labels_as_it_reads(tmp_path, dataset):
@@ -130,23 +155,29 @@ def _peak_with_dataset(make, step) -> float:
 
 @pytest.mark.parametrize("make", ["simulate", "load_csv"])
 def test_the_cell_table_of_unit_weights_counts_and_sums_y(tmp_path, dataset, make):
-    # the 9 held bytes, and one bincount's int64 copy of the cell codes beside
-    # the copy it makes of the read-only y (25.0)
+    # the 9 held bytes and a flag per unit of one cell at a time; y is summed
+    # a chunk at a time, with no copy of it or of the codes (10.0)
     path = tmp_path / "trial.csv"
     write_csv(dataset, path)
     run = (lambda: simulate(_DGP)[0]) if make == "simulate" else (lambda: load_csv(path))
-    assert _peak_with_dataset(run, Dataset.cells) < 28
+    assert _peak_with_dataset(run, Dataset.cells) < 11
+
+
+def test_the_layout_sorts_the_control_arm_alone():
+    # the 9 held bytes and the int32 layout, and while it is made the control
+    # arm's y, gathered through a mask, and its int64 ranks (21.1)
+    assert _peak_with_dataset(lambda: simulate(_DGP)[0], Dataset.layout) < 23.2
 
 
 def test_full_sample_bounds_of_unit_weights_gathers_no_weight_column():
     # the 9 held bytes, the layout, and the control arm's y and its unit
-    # weights, made for the arm alone (29.9)
+    # weights, made for the arm alone (25.0)
     def make():
         ds = simulate(_DGP)[0]
         ds.cells()  # as the bounds command has it
         return ds
 
-    assert _peak_with_dataset(make, full_sample_bounds) < 33
+    assert _peak_with_dataset(make, full_sample_bounds) < 27.5
 
 
 def _fresh_datasets() -> list[Dataset]:
@@ -156,17 +187,19 @@ def _fresh_datasets() -> list[Dataset]:
 
 
 def test_full_sample_bounds_gathers_the_control_arm_once():
-    # the layout and the gathers that make it, then the control arm's y and
-    # weights through it, beside the layout (20.9)
+    # the layout and what making it takes, then the control arm's y and
+    # weights through it, beside the layout (16.0)
     fresh = _fresh_datasets()
     for ds in fresh:  # the cell table made, as the bounds command has it
         ds.cells()
-    assert _peak_per_unit(lambda: full_sample_bounds(fresh.pop())) < 23
+    assert _peak_per_unit(lambda: full_sample_bounds(fresh.pop())) < 17.6
 
 
 def test_analyze_keeps_one_copy_of_the_layout():
     # the dataset, its layout, and the engine's y in layout order, with no
-    # column of unit weights; then one replicate's counts and sums (69.9)
+    # column of unit weights, and the engine's row index as intp, so that no
+    # replicate's gather converts the int32 layout; then one replicate's
+    # counts and sums (73.9)
     boot = BootstrapConfig(replicates=2, seed=1)
     assert _peak_per_unit(lambda: analyze(simulate(_DGP)[0], AssumptionSpec.zero(), TEMethod.DIFF_IN_MEANS, boot)) < 77
 
@@ -174,7 +207,7 @@ def test_analyze_keeps_one_copy_of_the_layout():
 def test_bounds_command_makes_the_layout_after_the_naive_statistics(tmp_path, monkeypatch):
     # the naive statistics read the cell table and gather no column, so the
     # command peaks alike whether the layout, which the dataset keeps, is made
-    # after them, as the command makes it, or before them (20.9 either way)
+    # after them, as the command makes it, or before them (16.0 either way)
     naive = cli.naive_estimates
     report = tmp_path / "report.json"
     for layout_first in (False, True):
@@ -182,4 +215,4 @@ def test_bounds_command_makes_the_layout_after_the_naive_statistics(tmp_path, mo
         monkeypatch.setattr(cli, "load_csv", lambda path, schema: fresh.pop())
         if layout_first:
             monkeypatch.setattr(cli, "naive_estimates", lambda ds: (ds.layout(), naive(ds))[1])
-        assert _peak_per_unit(lambda: cli.cmd_bounds("trial.csv", {}, True, None, str(report))) < 23
+        assert _peak_per_unit(lambda: cli.cmd_bounds("trial.csv", {}, True, None, str(report))) < 17.6

@@ -21,6 +21,9 @@ from tracebounds.errors import (
     TooLarge,
 )
 
+from tracebounds.data import _CHUNK as CHUNK
+from tracebounds.oracle import _M_TABLE, _STRATA, _draw_cells
+
 from conftest import make_random_dataset
 
 
@@ -142,6 +145,43 @@ def test_simulate_deterministic_per_seed():
     np.testing.assert_array_equal(a.d, b.d)
     np.testing.assert_array_equal(a.m, b.m)
     assert not np.array_equal(a.y, c.y)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 500_003])
+def test_cells_drawn_in_chunks_are_one_choice_and_one_integers_call(n):
+    probs = (0.2, 0.3, 0.4, 0.1)
+    rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+    cells = _draw_cells(rng, probs, n)
+    expect = reference.choice(4, size=n, p=probs) * 2 + reference.integers(0, 2, size=n)
+    assert cells.dtype == np.int8
+    np.testing.assert_array_equal(cells, expect)
+    assert rng.random() == reference.random()  # the generator is left where the two calls leave it
+
+
+def _one_call_simulate(cfg: DGPConfig) -> tuple[np.ndarray, np.ndarray]:
+    """y and the cell codes that ``simulate`` makes, each draw made by one call."""
+    rng = np.random.default_rng(cfg.seed)
+    cell = rng.choice(4, size=cfg.n, p=cfg.strata.as_tuple()) * 2 + rng.integers(0, 2, size=cfg.n)
+    m = np.array([_M_TABLE[s] for s in _STRATA]).ravel()[cell]
+    y = cfg.means.table().ravel()[cell]
+    if cfg.noise_sd > 0:
+        y = y + rng.normal(0.0, cfg.noise_sd, size=cfg.n)
+    if cfg.type3:
+        y[m == 0] = 0.0
+    return y, 3 * (cell % 2) + m
+
+
+@pytest.mark.parametrize("n", [2, CHUNK, CHUNK + 1, 500_003])
+@pytest.mark.parametrize("type3", [False, True])
+def test_simulate_draws_in_chunks_the_stream_of_one_call_each(n, type3):
+    means = OutcomeMeans(at=(0.5, 1.5), c=(0.0, 2.0), nt=(0.0, 0.0 if type3 else -1.0))
+    cfg = _config(n=n, strata=StrataProbs(at=0.2, c=0.3, nt=0.5), means=means, noise_sd=0.5, type3=type3, seed=n)
+    y, codes = _one_call_simulate(cfg)
+    if not 0 < np.count_nonzero(codes >= 3) < n:
+        pytest.skip("the draw holds one arm only")
+    ds = simulate(cfg)[0]
+    assert ds.y.tobytes() == y.tobytes()
+    np.testing.assert_array_equal(ds.cell_codes(), codes)
 
 
 def test_simulate_noiseless_outcomes_hit_cell_means():

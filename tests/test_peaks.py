@@ -34,3 +34,13 @@ def test_refuses_a_size_below_one():
     proc = subprocess.run([sys.executable, str(SCRIPT), "0"], capture_output=True, text=True)
     assert proc.returncode == 2
     assert "N must be a positive integer" in proc.stderr
+
+
+def test_prints_the_peak_resident_set_of_each_ingest_step():
+    out = subprocess.run([sys.executable, str(SCRIPT), "--rss", "3000"], capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[:2] == ["| process at n=3000 | peak RSS MiB |", "|---|---|"]
+    rows = [line.strip("| ").split(" | ") for line in lines[2:]]
+    assert [name for name, _ in rows] == ["simulate", "bounds --type3"]
+    for _, mib in rows:
+        assert float(mib) > 0
