@@ -5,7 +5,10 @@ Runs the stages the CLI runs, one after another in one process, on N
 rows of the ingest_bounds data (perfbench/workloads.py, seed 1): the
 simulate command's draw and write, a read of the same rows with a
 column of 100 block labels (written beside the first file, outside any
-stage, and dropped once read), then the bounds command's read, cell
+stage) and the replicate engine of analyze on them under block draws
+with the adjusted regression (built, with its per-block factors, and
+run for 2 replicates; the block dataset is dropped after it), then the
+bounds command's read, cell
 table, naive estimates, the dataset's arm layout and full-sample
 bounds, then the replicate engine of analyze (built and run for 2
 replicates). Each stage's row gives the highest traced total while it
@@ -65,7 +68,7 @@ def main(argv=None) -> int:
     from tracebounds.bounds import Interval, naive_estimates
     from tracebounds.data import Dataset, load_csv, write_csv
     from tracebounds.estimators import TEMethod
-    from tracebounds.inference import BootstrapConfig
+    from tracebounds.inference import BootstrapConfig, ResampleUnit
     from tracebounds.oracle import simulate
     from tracebounds.resample import ReplicateEngine
     from tracebounds.sensitivity import full_sample_bounds
@@ -90,7 +93,10 @@ def main(argv=None) -> int:
             blocks = np.random.default_rng(SEED).permutation(np.arange(args.n) % BLOCKS)
             write_csv(Dataset(ds.y, ds.d, ds.m, block=[f"b{b:03d}" for b in blocks]), block_path)
             del ds, blocks
-            stage("load_csv (blocks)", lambda: load_csv(block_path, {"block": "block"}))
+            blocked = stage("load_csv (blocks)", lambda: load_csv(block_path, {"block": "block"}))
+            block_boot = BootstrapConfig(replicates=REPLICATES, seed=SEED, resample_unit=ResampleUnit.BLOCK)
+            stage("ReplicateEngine.run (blocks, ols)", lambda: ReplicateEngine(blocked, TEMethod.OLS_ADJUSTED, block_boot, False).run())
+            del blocked
             ds = stage("load_csv", lambda: load_csv(path))
             stage("cell table", ds.cells)
             stage("naive_estimates", lambda: naive_estimates(ds))

@@ -10,6 +10,7 @@ this package is weight-aware.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import enum
@@ -486,20 +487,18 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
     :class:`InvariantViolation` (with the row of the offending unit when
     a per-unit rule of :class:`Dataset` fails).
 
-    Without a block column the numeric columns are parsed by
-    ``np.loadtxt`` a chunk of rows at a time, into columns sized once
-    from a count of the file's line ends, and once more with the m cells
-    through the row reader's parser when a blank m fails the first
-    parse; any file both refuse, or whose values :class:`Dataset`
-    refuses, is read again row by row, so every error comes from the row
-    reader.
+    The needed columns are parsed by ``np.loadtxt`` a chunk of rows at a
+    time, into columns sized once from a count of the file's line ends,
+    and once more with the m cells through the row reader's parser when a
+    blank m fails the first parse; a block label is numbered as loadtxt
+    reads it, so the block column becomes int32 codes with no label kept
+    per unit. Any file both parses refuse, or whose values
+    :class:`Dataset` refuses, is read again row by row, so every error
+    comes from the row reader.
     """
     roles, build = _plan(schema)
-    if all(parse is not str for _, parse in roles):
-        ds = _load_columns(path, roles, build)
-        if ds is not None:
-            return ds
-    return _load_rows(path, roles, build)
+    ds = _load_columns(path, roles, build)
+    return _load_rows(path, roles, build) if ds is None else ds
 
 
 def _plan(schema: Mapping[str, object] | None):
@@ -599,25 +598,37 @@ def _load_columns(path, roles, build) -> Dataset | None:
     if read is None and (read := _read_chunks(path, roles, *scan, _m_value)) is None:
         return None
     try:
-        return build(read[0], None, codes=read[1])
+        return build(read[0], read[2], codes=read[1])
     except InvariantViolation:
         return None
 
 
 def _read_chunks(path, roles, bound: int, blank: bool, parse_m=None):
-    """The kept real columns (y, covariates, weight) and the cell codes,
-    read by ``np.loadtxt`` ``_CHUNK`` rows at a time into arrays of
-    ``bound`` rows, then cut to the rows read; each m cell through
-    ``parse_m`` when given, and blank lines passed over when ``blank``
-    says the file may have one. None when no data row follows the
-    header, loadtxt fails, an m is NaN without ``parse_m`` (a literal
-    ``nan``, as a blank fails that read) or a d or m breaks its rule."""
+    """The kept real columns (y, covariates, weight), the cell codes and
+    the block codes with their label table (None without a block
+    column), read by ``np.loadtxt`` ``_CHUNK`` rows at a time into arrays
+    of ``bound`` rows, then cut to the rows read; each m cell through
+    ``parse_m`` when given, each block label numbered in order of first
+    appearance as loadtxt reads it, and blank lines passed over when
+    ``blank`` says the file may have one. None when no data row follows
+    the header, loadtxt fails, an m is NaN without ``parse_m`` (a literal
+    ``nan``, as a blank fails that read), a d or m breaks its rule, a
+    label is longer than ``csv.field_size_limit()`` (the row reader's
+    error) or, in a file that may hold a blank line, a label holds a line
+    end (passing blank lines over could have cut it short)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             cells = _header_cells(fh, roles)
-            columns = [i for _, i, parse in cells if parse is float] + [cells[2][1]]  # y, d, ..., m
+            floats = [i for _, i, parse in cells if parse is float]  # y, d, covariates, weight
+            block_at = [i for _, i, parse in cells if parse is str]  # its column, if any
+            columns = floats + block_at + [cells[2][1]]  # ..., the block code, m
             converters = None if parse_m is None else {columns[-1]: parse_m}
-            reals = [np.empty(bound) for _ in columns[2:]]
+            if block_at:
+                # label -> code: a label not seen yet takes the next number, in C
+                number: collections.defaultdict[str, int] = collections.defaultdict(itertools.count().__next__)
+                converters = {**(converters or {}), block_at[0]: number.__getitem__}
+                blocks = np.empty(bound, np.int32)
+            reals = [np.empty(bound) for _ in floats[1:]]
             codes = np.empty(bound, np.int8)
             n = 0
             lines = itertools.filterfalse(_BLANK_LINES.__contains__, fh) if blank else fh
@@ -636,14 +647,22 @@ def _read_chunks(path, roles, bound: int, blank: bool, parse_m=None):
                 reals[0][rows] = part[:, 0]
                 for j, column in enumerate(reals[1:], start=2):
                     column[rows] = part[:, j]
+                if block_at:
+                    blocks[rows] = part[:, -2]
                 n = rows.stop
         except (ValueError, csv.Error, InvariantViolation):  # UnicodeDecodeError included
             return None
     if not n:
         return None
+    labelled = None
+    if block_at:
+        if any(len(label) > csv.field_size_limit() or blank and ("\n" in label or "\r" in label) for label in number):
+            return None
+        blocks.resize(n, refcheck=False)
+        labelled = blocks, tuple(label or None for label in number)
     for a in (*reals, codes):  # blank lines and quoted line ends counted in the bound
         a.resize(n, refcheck=False)
-    return reals, codes
+    return reals, codes, labelled
 
 
 def _load_rows(path, roles, build) -> Dataset:

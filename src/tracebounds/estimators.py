@@ -154,6 +154,27 @@ def ols_columns(ds: Dataset, use_covariates: bool, use_block_fe: bool) -> tuple[
     return np.column_stack(cols), codes
 
 
+def _coefficient_count(columns: int, groups: int, rows: int) -> int:
+    """The coefficient count of :func:`absorbed_wls`, ``columns`` of X plus
+    the ``groups`` with weight; :class:`RankDeficient` when ``rows`` rows,
+    bootstrap copies counted, cannot identify them."""
+    p = columns + groups
+    if rows < p:
+        raise RankDeficient(f"{rows} rows cannot identify {p} coefficients")
+    return p
+
+
+def _solve_r(R: np.ndarray, qty: np.ndarray, rows: int, p: int) -> np.ndarray:
+    """The coefficients from the triangular factor R of the residualized
+    design and the rotated outcome ``qty``; :class:`RankDeficient` when a
+    diagonal entry of R is negligible against ``max(rows, p)`` ulps of the
+    largest (or of 1)."""
+    diag = np.abs(np.diag(R))
+    if diag.min() <= max(rows, p) * np.finfo(np.float64).eps * max(diag.max(), 1.0):
+        raise RankDeficient("design matrix is rank deficient after absorbing the group intercepts")
+    return np.linalg.solve(R, qty)
+
+
 def absorbed_wls(
     y: np.ndarray, X: np.ndarray, w: np.ndarray, codes: np.ndarray, rows: int, with_se: bool = False
 ) -> tuple[float, float | None]:
@@ -177,9 +198,7 @@ def absorbed_wls(
     """
     groups = int(codes.max()) + 1
     wg = np.bincount(codes, w, minlength=groups)
-    p = X.shape[1] + int(np.count_nonzero(wg))
-    if rows < p:
-        raise RankDeficient(f"{rows} rows cannot identify {p} coefficients")
+    p = _coefficient_count(X.shape[1], int(np.count_nonzero(wg)), rows)
     inv_wg = np.divide(1.0, wg, out=np.zeros(groups), where=wg > 0)
     sw = np.sqrt(w)
 
@@ -189,11 +208,7 @@ def absorbed_wls(
     Xs = np.column_stack([within(X[:, j]) for j in range(X.shape[1])])
     ys = within(y)
     Q, R = np.linalg.qr(Xs)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= max(rows, p) * np.finfo(np.float64).eps * max(diag.max(), 1.0):
-        raise RankDeficient("design matrix is rank deficient after absorbing the group intercepts")
-
-    beta = np.linalg.solve(R, Q.T @ ys)
+    beta = _solve_r(R, Q.T @ ys, rows, p)
     if not with_se:
         return float(beta[0]), None
     resid = ys - Xs @ beta

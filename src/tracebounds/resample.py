@@ -12,12 +12,18 @@ slices come from ``bounds._slice_means``, the kernel of the
 full-sample bounds too: one ``cumsum`` and a ``searchsorted`` from
 each end of the ascending order, in which a row not drawn has weight
 0. The adjusted regression is :func:`absorbed_wls` under the weights
-count·w. No resample is built and nothing is sorted per replicate.
+count·w under row draws. Under block draws, which absorb the very
+blocks they draw, a block's demeaned rows never change, so the engine
+factors each block once (:func:`_block_factors`) and a replicate solves
+one small QR of the drawn blocks' factors (:func:`_stacked_wls`): its
+cost follows the block count, not the unit count. No resample is built
+and nothing is sorted per replicate.
 
 Each entry equals the per-``Dataset`` function on ``Dataset.take`` of
 the same draw up to summation order (the reference adds duplicates in
-draw order, the engine adds count·w·y once per row), and fails where
-it fails: a resample that loses an arm blanks the row, p = 0 blanks
+draw order, the engine adds count·w·y once per row, and under block
+draws the regression's rows are rotated block by block), and fails
+where it fails: a resample that loses an arm blanks the row, p = 0 blanks
 the trimming and monotone bounds, a first-stage gap below -1e-12
 blanks the monotone bounds, a non-finite value blanks its own pair.
 """
@@ -32,7 +38,7 @@ import numpy as np
 from .bounds import BoundKind, Interval, _ordered_interval, _slice_means, mt_interval
 from .data import Dataset
 from .errors import EmptyCell, TraceBoundsError
-from .estimators import TEMethod, absorbed_wls, ols_columns, shares_from_first_stage
+from .estimators import TEMethod, _coefficient_count, _solve_r, absorbed_wls, ols_columns, shares_from_first_stage
 from .inference import BootstrapConfig, ResampleUnit, replicate_draw
 
 _NAN_PAIR = (math.nan, math.nan)
@@ -46,6 +52,48 @@ def _pair(make: Callable[[], Interval]) -> tuple[float, float]:
     except TraceBoundsError:
         return _NAN_PAIR
     return (iv.lo, iv.hi) if math.isfinite(iv.lo) and math.isfinite(iv.hi) else _NAN_PAIR
+
+
+def _block_factors(y: np.ndarray, X: np.ndarray, w: np.ndarray | None, codes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """For each block, ``[R_b | z_b]``, shape (blocks, k, k + 1): the first
+    k rows of the triangular factor of its rows of ``[X | y]``, demeaned
+    under the weights ``w`` (None: every unit weighs 1) and scaled by
+    ``sqrt(w)``, with rows of zeros below a block of fewer than k rows.
+    ``R_b`` is the factor of its X part and ``z_b = Q_bᵀ y_b``; ``sizes``
+    is each block's row count. The blocks of one size are gathered and
+    factored by one stacked QR."""
+    k = X.shape[1]
+    wb = np.bincount(codes, w)
+    # a mean by division, so that a column constant in a block (d in a block of one arm) demeans to exact zeros
+    means = np.column_stack([np.bincount(codes, v if w is None else w * v) / wb for v in (*X.T, y)])
+    order = np.argsort(codes, kind="stable")  # each block's rows, in row order, one block after another
+    starts = np.cumsum(sizes) - sizes
+    factors = np.zeros((sizes.size, k, k + 1))
+    for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
+        same = np.flatnonzero(sizes == size)
+        rows = order[starts[same, None] + np.arange(size)]  # (blocks, size)
+        A = np.empty((same.size, size, k + 1))
+        A[..., :k], A[..., k] = X[rows], y[rows]
+        A -= means[same, None]
+        if w is not None:
+            A *= np.sqrt(w[rows])[..., None]
+        factors[same, : min(size, k)] = np.linalg.qr(A, mode="r")[:, :k]
+    return factors
+
+
+def _stacked_wls(factors: np.ndarray, drawn: np.ndarray, rows: int) -> float:
+    """:func:`absorbed_wls`' coefficient under block draws, from the block
+    factors of :func:`_block_factors` and each block's count ``drawn``: a
+    block drawn c times is c copies of its demeaned rows, whose least
+    squares are those of ``sqrt(c)·[R_b | z_b]``, so one QR of those rows
+    stacked over the drawn blocks gives the R and the ``Qᵀ y`` of the
+    count-weighted design. The coefficient count and the rank rule are
+    :func:`absorbed_wls`' own, with ``rows`` the drawn row count."""
+    k = factors.shape[1]
+    blocks = np.flatnonzero(drawn)
+    p = _coefficient_count(k, blocks.size, rows)
+    r = np.linalg.qr((factors[blocks] * np.sqrt(drawn[blocks])[:, None, None]).reshape(-1, k + 1), mode="r")
+    return float(_solve_r(r[:k, :k], r[:k, k], rows, p)[0])
 
 
 class ReplicateEngine:
@@ -68,8 +116,11 @@ class ReplicateEngine:
             self._units, self._unit_of = ds.n, rows.astype(np.intp)  # so that no replicate's gather converts it
         if te_method is TEMethod.OLS_ADJUSTED:
             X, codes = ols_columns(ds, True, ds.has_blocks)
-            self._X, self._codes = X[rows], codes[rows]
             self._unit_rows = np.bincount(self._unit_of, minlength=self._units)  # rows a drawn unit brings
+            if cfg.resample_unit is ResampleUnit.BLOCK:  # the regression absorbs the drawn blocks
+                self._factors = _block_factors(ds.y, X, ds.weight if ds.has_weights else None, codes, self._unit_rows)
+            else:
+                self._X, self._codes = X[rows], codes[rows]
         if with_mt:
             cells = ds.cell_codes()[rows[self._b :]]  # control: the code is m
             self._c1 = (cells == 1).astype(np.float64)
@@ -98,8 +149,12 @@ class ReplicateEngine:
         if self._te_method is TEMethod.DIFF_IN_MEANS:
             te = (s_t1 + y[a:b] @ cw[a:b]) / w_t - (self._yc @ wc) / w_c
         else:
+            rows = int(self._unit_rows[picks].sum())
             try:
-                te = absorbed_wls(y, self._X, cw, self._codes, int(self._unit_rows[picks].sum()))[0]
+                if self._cfg.resample_unit is ResampleUnit.BLOCK:
+                    te = _stacked_wls(self._factors, np.bincount(picks, minlength=self._units), rows)
+                else:
+                    te = absorbed_wls(y, self._X, cw, self._codes, rows)[0]
             except TraceBoundsError:
                 te = math.nan
         core = (float(te), float(p)) if math.isfinite(te) and math.isfinite(p) else _NAN_PAIR

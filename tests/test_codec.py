@@ -286,6 +286,15 @@ _ODD_REALS = st.sampled_from(
 _UNUSED = st.sampled_from(
     ["", "x", "p q", '"a\nb"', '"a\r\nb"', '"a\rb"', '"p,q"', 'a"b', '"a""b"', '"a"b"c', '"', '"open', "#c", "\x00"]
 )
+# block labels as cells: quoted ones holding a comma, a quote, CR or LF,
+# empty ones, text beyond ASCII, surrounding spaces, a quote inside an
+# unquoted cell, labels longer than 16 characters and, rarely (a label
+# holding a blank line sends its file to the row reader), a quoted blank
+# line
+_LABELS = ["a", "b", "c", '"a"', "", '""', " a ", '"x,y"', '"q""r"', '"l\nm"', '"l\r\nm"', '"c\rd"', "é名", '"é,名"']
+_LABELS += ['a"b', '"a"b', "L" * 17, '"' + "long, label " * 4 + '"', "λ" * 40]
+_LABEL_CELLS = st.sampled_from(_LABELS * 3 + ['"\n\n"', '"\r\n\r\n"'])
+
 _ROLE_CELLS = {
     "y": _GOOD_REALS,
     "d": st.sampled_from(["0", "1"]),
@@ -293,18 +302,20 @@ _ROLE_CELLS = {
     "x1": _GOOD_REALS,
     "w": st.sampled_from(["1", "0.5", "2", "1e-3", '"1.25"']),
     "z": _UNUSED,
+    "b": _LABEL_CELLS,
 }
 
 
 @st.composite
-def _csv_texts(draw):
-    """(text, schema): a header naming y, d, m and maybe a covariate x1,
-    a weight w and an unused column z, in any order, then rows of
-    well-formed cells; in a third of the files, odd cells, short and
-    long rows, and blank and whitespace-only lines among them."""
-    columns = ["y", "d", "m"] + [c for c in ("x1", "w", "z") if draw(st.booleans())]
+def _csv_texts(draw, block=False):
+    """(text, schema): a header naming y, d, m, with ``block`` a block
+    column b, and maybe a covariate x1, a weight w and an unused column z,
+    in any order, then rows of well-formed cells; in a third of the
+    files, odd cells, short and long rows, and blank and whitespace-only
+    lines among them."""
+    columns = ["y", "d", "m"] + ["b"] * block + [c for c in ("x1", "w", "z") if draw(st.booleans())]
     columns = draw(st.permutations(columns))
-    schema = {}
+    schema = {"block": "b"} if block else {}
     if "x1" in columns:
         schema["covariates"] = ["x1"]
     if "w" in columns:
@@ -318,7 +329,7 @@ def _csv_texts(draw):
             lines.append(draw(st.sampled_from(["", "", " ", "\t", ","])) + draw(ends))
             continue
         cells = [
-            draw(_ODD_REALS if odd and c != "z" and draw(st.integers(0, 5)) == 0 else _ROLE_CELLS[c]) for c in columns
+            draw(_ODD_REALS if odd and c not in "bz" and draw(st.integers(0, 5)) == 0 else _ROLE_CELLS[c]) for c in columns
         ]
         if kind == 1:
             cells = cells[: draw(st.integers(0, len(cells) - 1))]
@@ -350,15 +361,23 @@ def _assert_same_outcome(fast, rows):
         return
     assert isinstance(fast, Dataset), fast
     _assert_same(fast, rows)
-    assert fast.block is None and rows.block is None
+    if rows.has_blocks:  # the same codes, in order of first appearance, and label table
+        codes, labels = fast._blocks
+        assert codes.dtype == np.int32 and labels == rows._blocks[1]
+        np.testing.assert_array_equal(codes, rows._blocks[0])
+    else:
+        assert fast.block is None
 
 
-def test_loadtxt_path_matches_row_reader(tmp_path_factory):
+def _check_reader_agreement(tmp_path_factory, block: bool, examples: int) -> None:
+    """The loadtxt path and ``load_csv`` against the row reader on files of
+    ``_csv_texts(block=block)``."""
     taken = []
 
-    # a chunk of 1 to 13 rows puts the files' rows on both sides of a chunk boundary
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(case=_csv_texts(), chunk=st.integers(1, 13))
+    # a chunk of 1 to 13 rows puts the files' rows, and labels first seen and
+    # seen again, on both sides of a chunk boundary
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(case=_csv_texts(block=block), chunk=st.integers(1, 13))
     def check(case, chunk):
         text, schema = case
         path = tmp_path_factory.mktemp("paths") / "in.csv"
@@ -374,6 +393,14 @@ def test_loadtxt_path_matches_row_reader(tmp_path_factory):
     check()
     # both paths decide a fair share of the generated files
     assert 0.2 < sum(taken) / len(taken) < 0.9
+
+
+def test_loadtxt_path_matches_row_reader(tmp_path_factory):
+    _check_reader_agreement(tmp_path_factory, block=False, examples=400)
+
+
+def test_loadtxt_path_matches_row_reader_on_block_files(tmp_path_factory):
+    _check_reader_agreement(tmp_path_factory, block=True, examples=300)
 
 
 _PATH_CASES = {
@@ -403,6 +430,9 @@ _PATH_CASES = {
     "header only": ("y,d,m\n", None),
     "header only without a line end": ("y,d,m", None),
     "invalid UTF-8 in a data row": (b"y,d,m\n1,1,1\n\xff2,0,0\n", None),
+    "block labels": ('y,b,d,m\n1,"x,y",1,1\n2,,0,0\n3,"q""r",0,1\n4,' + "λ" * 40 + ',1,0\n5,"x,y",0,0\n', {"block": "b"}),
+    "a block label holding a blank line": ('y,d,m,b\n1,1,1,"\n\n"\n2,0,0,q\n', {"block": "b"}),
+    "a blank line and a label holding a line end": ('y,d,m,b\n1,1,1,"l\nm"\n\n2,0,0,q\n', {"block": "b"}),
 }
 
 

@@ -129,13 +129,14 @@ def test_load_csv_keeps_no_row_for_a_blank_line(tmp_path, dataset):
 
 
 def test_load_csv_numbers_the_block_labels_as_it_reads(tmp_path, dataset):
-    # the row reader's buffers of y, d and m and its block codes beside the y
-    # copied out of them and the cell codes (40.5; each label text made per
-    # unit and kept, 120.3)
+    # y, the cell codes and the int32 block codes, allocated once from a count
+    # of the line ends and filled a chunk of loadtxt's rows at a time, each
+    # label numbered as it is read, beside the flags of the dataset's checks
+    # (14.1; the row reader's buffers, 40.5)
     path = tmp_path / "blocks.csv"
     blocks = np.random.default_rng(0).permutation(np.arange(N) % 100)
     write_csv(Dataset(dataset.y, dataset.d, dataset.m, block=[f"b{b:03d}" for b in blocks]), path)
-    assert _peak_per_unit(lambda: load_csv(path, {"block": "block"})) < 45
+    assert _peak_per_unit(lambda: load_csv(path, {"block": "block"})) < 15.5
 
 
 def _peak_with_dataset(make, step) -> float:

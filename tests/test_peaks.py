@@ -9,6 +9,7 @@ STAGES = [
     "simulate",
     "write_csv",
     "load_csv (blocks)",
+    "ReplicateEngine.run (blocks, ols)",
     "load_csv",
     "cell table",
     "naive_estimates",

@@ -30,8 +30,9 @@ from tracebounds import (
     trimmed_mean,
 )
 from tracebounds.bounds import _slice_means
-from tracebounds.errors import TraceBoundsError
-from tracebounds.resample import ReplicateEngine
+from tracebounds.errors import RankDeficient, TraceBoundsError
+from tracebounds.estimators import absorbed_wls
+from tracebounds.resample import ReplicateEngine, _block_factors, _stacked_wls
 
 _KINDS = ["plain", "weighted", "ties", "blocked", "no_control_m", "weak", "flat", "rare", "tiny"]
 
@@ -46,7 +47,9 @@ def _dataset(kind: str, seed: int) -> Dataset:
     reactor; ``tiny`` has 5 to 8 rows, so resamples
     lose an arm or draw only reactors. ``covariates`` (unweighted) and
     ``blocked_covariates`` (weighted, six blocks) add two covariates, the
-    second within about 1e-3 of the first. ``tiny`` gets none: its
+    second within about 1e-3 of the first; so does ``uneven_blocks``
+    (continuous weights), whose blocks of 1 to 12 rows include one all
+    treated, one all control and one of a single unit. ``tiny`` gets none: its
     resamples are mostly exactly singular, and the rank verdict of a
     singular design rests on roundoff."""
     rng = np.random.default_rng(seed)
@@ -80,8 +83,15 @@ def _dataset(kind: str, seed: int) -> Dataset:
     elif kind == "flat":
         weight = np.full(2 * half, rng.choice([0.1, 0.7, 1.3]))
     block = [f"b{j}" for j in rng.integers(0, 6, 2 * half)] if kind.startswith("blocked") else None
+    if kind == "uneven_blocks":  # blocks of 1 to 12 rows in any order: 0 all treated, 1 all control, 2 one unit
+        sizes = rng.integers(1, 13, 2 * half)
+        sizes[2] = 1
+        codes = rng.permutation(np.repeat(np.arange(sizes.size), sizes)[: 2 * half])
+        d = np.where(codes == 0, 1, np.where(codes == 1, 0, d))
+        block = [f"u{c}" for c in codes]
+        weight = rng.uniform(0.5, 2.0, 2 * half)
     x = None
-    if kind.endswith("covariates"):
+    if kind.endswith("covariates") or kind == "uneven_blocks":
         x1 = rng.normal(0.0, 1.0, 2 * half)
         x = np.column_stack([x1, x1 + rng.normal(0.0, 1e-3, 2 * half)])
         y = np.round(y + 0.5 * x1, 2)
@@ -161,12 +171,19 @@ def test_engine_matches_take_reference(kind, data_seed, boot_seed, replicates, t
 
 @pytest.mark.parametrize(
     "kind, unit",
-    [("covariates", ResampleUnit.ROW), ("blocked_covariates", ResampleUnit.ROW), ("blocked_covariates", ResampleUnit.BLOCK)],
+    [
+        ("covariates", ResampleUnit.ROW),
+        ("blocked_covariates", ResampleUnit.ROW),
+        ("blocked_covariates", ResampleUnit.BLOCK),
+        ("uneven_blocks", ResampleUnit.ROW),
+        ("uneven_blocks", ResampleUnit.BLOCK),
+    ],
 )
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data_seed=st.integers(0, 2**32 - 1), boot_seed=st.integers(0, 2**64 - 1), replicates=st.integers(20, 50))
 def test_engine_regression_with_covariates_matches_take_reference(kind, unit, data_seed, boot_seed, replicates):
-    # the absorbed regression of count-weighted rows against the fit of the drawn rows
+    # the absorbed regression of count-weighted rows, or under block draws the
+    # stacked block factors, against the fit of the drawn rows
     ds = _dataset(kind, data_seed)
     boot = BootstrapConfig(replicates=replicates, seed=boot_seed, resample_unit=unit)
     _compare(ds, TEMethod.OLS_ADJUSTED, boot)
@@ -200,3 +217,50 @@ def test_slice_means_match_trimmed_mean(fraction):
     drawn = ws > 0
     want = [trimmed_mean(ys[drawn], ws[drawn], TrimSpec(fraction, side)) for side in (Side.LOWEST, Side.HIGHEST)]
     np.testing.assert_allclose(_slice_means(ys, ws, fraction), want, rtol=1e-12)
+
+
+def _outcome(solve) -> tuple[str | None, float]:
+    """(None, the coefficient), or (the message of the :class:`RankDeficient` it raises, NaN)."""
+    try:
+        return None, solve()
+    except RankDeficient as exc:
+        return str(exc), math.nan
+
+
+def test_block_factor_solve_matches_absorbed_wls():
+    # blocks of 1 to 6 rows (0 all treated, 1 all control), drawn 0 to several
+    # times, few enough that some replicates cannot identify the coefficients
+    # or draw only blocks of one arm
+    seen = dict.fromkeys(["unequal sizes", "one-unit block", "undrawn block", "rank deficient", "solved"], 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), weighted=st.booleans())
+    def check(seed, k, weighted):
+        rng = np.random.default_rng(seed)
+        blocks = int(rng.integers(2, 7))
+        sizes = rng.integers(1, 7, blocks)
+        codes = rng.permutation(np.repeat(np.arange(blocks), sizes))
+        n = codes.size
+        d = np.where(codes == 0, 1.0, np.where(codes == 1, 0.0, rng.integers(0, 2, n)))
+        X = np.column_stack([d, rng.normal(0.0, 1.0, (n, k - 1))])
+        y = np.round(rng.normal(0.0, 1.0, n) + d + X[:, 1:].sum(axis=1), 2)
+        w = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
+        factors = _block_factors(y, X, w if weighted else None, codes, np.bincount(codes))
+        got, want = [], []
+        for _ in range(40):
+            drawn = np.bincount(rng.integers(0, blocks, blocks), minlength=blocks)
+            rows = int(drawn @ sizes)  # the engine's unit_rows[picks].sum()
+            got.append(_outcome(lambda: _stacked_wls(factors, drawn, rows)))
+            want.append(_outcome(lambda: absorbed_wls(y, X, drawn[codes] * w, codes, rows)[0]))
+            seen["undrawn block"] += not drawn.all()
+        (got_why, got_te), (want_why, want_te) = zip(*got), zip(*want)
+        assert got_why == want_why  # the same replicates fail, each for the same reason
+        ok = np.array([why is None for why in want_why])
+        np.testing.assert_allclose(np.array(got_te)[ok], np.array(want_te)[ok], rtol=1e-12, atol=1e-12 * float(np.abs(y).max()))
+        seen["unequal sizes"] += len(set(sizes)) > 1
+        seen["one-unit block"] += bool((sizes == 1).any())
+        seen["rank deficient"] += int(np.count_nonzero(~ok))
+        seen["solved"] += int(np.count_nonzero(ok))
+
+    check()
+    assert all(seen.values()), seen
