@@ -172,7 +172,7 @@ def _control_slices(ds: Dataset, fraction: float, pool: bool = False) -> tuple[f
         rows = rows[ds.cell_codes()[rows] == 0]  # control, m = 0
         if not rows.size:
             raise EmptyCell("no control units with m=0 although the first stage implies some")
-    return _slice_means(ds.y[rows], ds.weight_at(rows), fraction)
+    return _slice_means(ds.y[rows], ds.weight[rows], fraction)
 
 
 def no_assumption_bounds(ds: Dataset) -> Interval:
@@ -229,14 +229,20 @@ def mt_interval(
     only when treatment-only reactors do. A part that is not asked for
     carries zero mixture weight.
     """
-    alpha = shares.at / p1
-    pool_share = shares.c + shares.nt  # control units showing m = 0
-    pi = shares.c / pool_share if pool_share > 0 else 0.0
+    alpha, pi = mt_mixture(p1, shares)
     at = at_mean() if alpha > 0 else 0.0
     c_low, c_high = pool_slices(pi) if pi > 0 else (0.0, 0.0)
     ey0_low = at * alpha + c_low * (1.0 - alpha)
     ey0_high = at * alpha + c_high * (1.0 - alpha)
     return _ordered_interval(float(y1m1 - ey0_high), float(y1m1 - ey0_low), BoundKind.MT)
+
+
+def mt_mixture(p1: float, shares: StrataShares) -> tuple[float, float]:
+    """The monotone mixture's weights ``(alpha, pi)``: the always-reactors'
+    share of the reactive share ``p1 > 0``, and the treatment-only
+    reactors' share of the control m = 0 pool (0 for an empty pool)."""
+    pool_share = shares.c + shares.nt  # control units showing m = 0
+    return shares.at / p1, (shares.c / pool_share if pool_share > 0 else 0.0)
 
 
 def dim_m1(ds: Dataset) -> float:

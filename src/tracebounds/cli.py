@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import Interval, NaiveEstimates, naive_estimates, type3_dim_bounds
+from .bounds import Interval, NaiveEstimates, mt_mixture, naive_estimates, type3_dim_bounds
 from .chart import render_chart
 from .data import Dataset, atomic_open, load_csv
 from .errors import InvariantViolation, TraceBoundsError
@@ -395,11 +395,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 def _mt_json(ds: Dataset, p_hat: float, mt: Interval | TraceBoundsError) -> dict:
     if isinstance(mt, TraceBoundsError):
         return {"skipped": f"{type(mt).__name__}: {mt}"}
-    shares = strata_shares_monotone(ds)
-    pool = shares.c + shares.nt
     entry = _interval_json(mt)
-    entry["alpha_hat"] = shares.at / p_hat
-    entry["pi_hat"] = shares.c / pool if pool > 0 else 0.0
+    entry["alpha_hat"], entry["pi_hat"] = mt_mixture(p_hat, strata_shares_monotone(ds))
     return entry
 
 

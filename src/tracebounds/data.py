@@ -115,8 +115,8 @@ class Dataset:
     per unit (:meth:`cell_codes`), and :attr:`d` and :attr:`m` are made
     from it on each call (an m of -0.0 reads back as 0.0). Weights are
     held only when given; otherwise every unit weighs 1 and
-    :attr:`weight` is made on each call, as :attr:`d` and :attr:`m` are,
-    so a dataset of unit weights holds 9 bytes per unit. Nothing about
+    :attr:`weight` is a zero-stride view of one 1.0, so a dataset of
+    unit weights holds 9 bytes per unit. Nothing about
     a dataset changes after construction, so the table of its (d, m)
     cells and its arm layout are computed once, on first use, and kept
     (:meth:`cells`, :meth:`layout`); blocks are held as codes
@@ -271,22 +271,17 @@ class Dataset:
         ``3 * d + m`` with m = 2 for a missing m, as two lists of six Python
         floats. Each sum adds its cell's units in row order, by
         ``np.add.at`` a chunk of rows at a time (the order and the sums of
-        ``np.bincount``), so no sum depends on the BLAS thread count. Under
-        unit weights the weights are the counts of units and the sums are
-        of y itself, which are the same sums of ones and of ``1 * y``.
-        Made on the first call and kept for this dataset."""
+        ``np.bincount``), so no sum depends on the BLAS thread count; under
+        unit weights these are exact counts and sums of ``1 * y``, which is
+        y. Made on the first call and kept for this dataset."""
         if self._cells is None:
-            codes, y, w = self._codes, self._y, self._w
+            codes, y, w = self._codes, self._y, self.weight
             weights, sums = np.zeros(6), np.zeros(6)
-            if w is None:
-                weights[:] = [np.count_nonzero(codes == c) for c in range(6)]
             for s in range(0, self.n, _CHUNK):
                 rows = slice(s, s + _CHUNK)
-                terms = y[rows] if w is None else w[rows] * y[rows]
                 with np.errstate(over="ignore", invalid="ignore"):  # as np.bincount, which raises no flag
-                    if w is not None:
-                        np.add.at(weights, codes[rows], w[rows])
-                    np.add.at(sums, codes[rows], terms)
+                    np.add.at(weights, codes[rows], w[rows])
+                    np.add.at(sums, codes[rows], w[rows] * y[rows])
             self._cells = weights.tolist(), sums.tolist()
         return self._cells
 
@@ -375,23 +370,15 @@ class Dataset:
 
     @property
     def weight(self) -> np.ndarray:
-        """Sampling weights, read-only; made on each call as ones when none were given."""
-        if self._w is not None:
-            return self._w
-        w = np.ones(self.n)
-        w.setflags(write=False)
-        return w
+        """Sampling weights, read-only; when none were given, one read-only
+        view of a single 1.0 with stride 0, which holds no byte per unit
+        (an index into it gathers ones of the index's length)."""
+        return np.broadcast_to(1.0, (self.n,)) if self._w is None else self._w
 
     @property
     def has_weights(self) -> bool:
         """Whether weights were given, so that :attr:`weight` is held."""
         return self._w is not None
-
-    def weight_at(self, rows: np.ndarray) -> np.ndarray:
-        """The weights of the units at the index ``rows``, as a new array:
-        gathered from the held weights, or ones of the length of ``rows``
-        when none were given, with no n-length array of ones made."""
-        return np.ones(len(rows)) if self._w is None else self._w[rows]
 
     @property
     def covariate_names(self) -> tuple[str, ...]:
@@ -632,12 +619,14 @@ def _read_chunks(path, roles, bound: int, blank: bool, parse_m=None):
             codes = np.empty(bound, np.int8)
             n = 0
             lines = itertools.filterfalse(_BLANK_LINES.__contains__, fh) if blank else fh
-            # loadtxt reads exactly max_rows rows, a quoted line end within its row; it
-            # is not called once no row is left, since it warns when it finds none
+            # loadtxt reads exactly max_rows rows, a quoted line end within its row, and
+            # allocates that many before it reads one, so it is asked for no more than
+            # the bound leaves; it is not called once no row is left, since it warns
+            # when it finds none
             while (first := next(lines, None)) is not None:
                 part = np.loadtxt(
                     itertools.chain((first,), lines), delimiter=",", quotechar='"', comments=None, usecols=columns,
-                    converters=converters, ndmin=2, encoding="utf-8", max_rows=_CHUNK,
+                    converters=converters, ndmin=2, encoding="utf-8", max_rows=min(_CHUNK, bound - n),
                 )
                 m = part[:, -1]
                 if parse_m is None and np.isnan(m).any():
@@ -834,6 +823,6 @@ def schema_for(ds: Dataset) -> dict:
         schema["covariates"] = list(ds.covariate_names)
     if ds.has_blocks:
         schema["block"] = "block"
-    if ds.has_weights and bool((ds.weight != 1.0).any()):
+    if ds.has_weights and bool((ds.weight != 1.0).any()):  # unit weights: no n-byte comparison
         schema["weight"] = "weight"
     return schema

@@ -107,17 +107,18 @@ class ReplicateEngine:
         self._with_mt = with_mt
         rows, self._a, self._b = ds.layout()  # treated m=1 | treated m=0 | control by y
         self._y = ds.y[rows]
-        self._w = ds.weight_at(rows) if ds.has_weights else None  # None: every unit weighs 1
+        # None: a replicate's weights are its counts, cast in about half the time of counts * 1.0
+        self._w = ds.weight[rows] if ds.has_weights else None
         self._yc = self._y[self._b :]
-        if cfg.resample_unit is ResampleUnit.BLOCK:
-            codes, blocks = ds.block_codes()
-            self._units, self._unit_of = len(blocks), codes[rows]
-        else:
-            self._units, self._unit_of = ds.n, rows.astype(np.intp)  # so that no replicate's gather converts it
+        block = cfg.resample_unit is ResampleUnit.BLOCK
+        self._units = len(ds.block_codes()[1]) if block else ds.n
+        # each row's drawn unit, as intp: a gather converts an int32 index on every replicate
+        self._unit_of = (ds.block_codes()[0][rows] if block else rows).astype(np.intp)
         if te_method is TEMethod.OLS_ADJUSTED:
             X, codes = ols_columns(ds, True, ds.has_blocks)
-            self._unit_rows = np.bincount(self._unit_of, minlength=self._units)  # rows a drawn unit brings
-            if cfg.resample_unit is ResampleUnit.BLOCK:  # the regression absorbs the drawn blocks
+            if block:  # the regression absorbs the drawn blocks
+                self._unit_rows = np.bincount(self._unit_of, minlength=self._units)  # rows a drawn block brings
+                # None for unit weights, which would make n-length products here
                 self._factors = _block_factors(ds.y, X, ds.weight if ds.has_weights else None, codes, self._unit_rows)
             else:
                 self._X, self._codes = X[rows], codes[rows]
@@ -134,8 +135,8 @@ class ReplicateEngine:
 
     def row(self, r: int) -> list[float]:
         """Replicate ``r``: its draw as counts, every entry from count-weighted sums."""
-        picks = replicate_draw(self._cfg.seed, r, self._units)
-        counts = np.bincount(picks, minlength=self._units)[self._unit_of]
+        drawn = np.bincount(replicate_draw(self._cfg.seed, r, self._units), minlength=self._units)  # times each unit is drawn
+        counts = drawn[self._unit_of]
         cw = counts.astype(np.float64) if self._w is None else counts * self._w
         a, b = self._a, self._b
         y, wc = self._y, cw[b:]
@@ -149,12 +150,11 @@ class ReplicateEngine:
         if self._te_method is TEMethod.DIFF_IN_MEANS:
             te = (s_t1 + y[a:b] @ cw[a:b]) / w_t - (self._yc @ wc) / w_c
         else:
-            rows = int(self._unit_rows[picks].sum())
             try:
                 if self._cfg.resample_unit is ResampleUnit.BLOCK:
-                    te = _stacked_wls(self._factors, np.bincount(picks, minlength=self._units), rows)
+                    te = _stacked_wls(self._factors, drawn, int(drawn @ self._unit_rows))
                 else:
-                    te = absorbed_wls(y, self._X, cw, self._codes, rows)[0]
+                    te = absorbed_wls(y, self._X, cw, self._codes, y.size)[0]  # n rows drawn
             except TraceBoundsError:
                 te = math.nan
         core = (float(te), float(p)) if math.isfinite(te) and math.isfinite(p) else _NAN_PAIR

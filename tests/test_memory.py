@@ -4,12 +4,14 @@ Each budget is the highest traced total above what was live when the
 step began, in bytes per unit at N units. numpy reports its buffers to
 tracemalloc, so these are counts that repeat, not timings. A dataset of
 N units holds 9 bytes per unit (y, 8, and one int8 code of its (d, m)
-cell; d, m and the unit weights are made on each call), and 8 more when
-it is given weights; its arm layout, once made, 4 more (int32). A step
-that reads a dataset is also measured with that dataset counted, from
-before it is made. The CSV reader and writer, simulate's draws, the
-cell table and the layout work a chunk of rows at a time, here made
-small so that a chunk's own memory does not count against a budget:
+cell; d and m are made on each call, and the unit weights are a view of
+one value), and 8 more when it is given weights; its arm layout, once
+made, 4 more (int32). A step that reads a dataset is also measured with
+that dataset counted, from before it is made. The CSV reader and
+writer, simulate's draws, the cell table and the layout work a chunk of
+rows at a time, here made small (but for one test of the reader's
+default chunk) so that a chunk's own memory does not count against a
+budget:
 what is left is the columns a step keeps and the one-byte flags of the
 dataset's checks. Each budget is the present figure, given beside it,
 plus a margin of about 10%, or about 1 byte per unit for the writer,
@@ -34,6 +36,7 @@ from tracebounds.sensitivity import AssumptionSpec, analyze, full_sample_bounds
 
 N = 100_000
 CHUNK_ROWS = 1024
+DEFAULT_CHUNK = data_module._CHUNK
 
 # the ingest_bounds data: over half the outcomes are exact zeros
 _DGP = DGPConfig(
@@ -87,6 +90,21 @@ def test_a_dataset_holds_its_columns_and_one_cell_code_per_unit(tmp_path, datase
     assert held < 10
 
 
+def test_the_unit_weights_are_one_view_of_one_value(dataset):
+    # a dataset given no weights reads every unit as weighing 1 through a
+    # read-only view of one float of stride 0 (0.0; n ones, 8.0)
+    dataset.weight
+    tracemalloc.start()
+    try:
+        weight = dataset.weight
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced < 1024
+    assert weight.shape == (N,) and weight.strides == (0,) and not weight.flags.writeable
+    assert weight[0] == 1.0 and weight.base.size == 1
+
+
 def test_simulate_holds_each_column_once():
     # y and one int8 array, each unit's (stratum, arm) and then its cell
     # code, beside a flag of the dataset's checks; every draw a chunk at a
@@ -109,6 +127,28 @@ def test_load_csv_drops_the_table_for_its_columns(tmp_path, dataset, weighted, b
     write_csv(Dataset(dataset.y, dataset.d, dataset.m, weight=weight), path)
     schema = {"weight": "weight"} if weighted else None
     assert _peak_per_unit(lambda: load_csv(path, schema)) < budget
+
+
+def test_load_csv_asks_loadtxt_for_no_more_rows_than_the_file_holds(tmp_path, monkeypatch):
+    # loadtxt allocates the rows it is asked for before it reads one: under the
+    # default chunk of 2**14 rows, 5,000 rows of six columns are read as one
+    # table of 5,000 rows, beside y, the cell codes, three covariates and their
+    # matrix (92.9 bytes per row; a table of a whole chunk, 195.3)
+    monkeypatch.setattr(data_module, "_CHUNK", DEFAULT_CHUNK)
+    rows = 5_000
+    rng = np.random.default_rng(0)
+    path = tmp_path / "short.csv"
+    write_csv(Dataset(rng.normal(size=rows), np.arange(rows) % 2, rng.integers(0, 2, rows), x=rng.normal(size=(rows, 3))), path)
+    schema = {"covariates": ["x1", "x2", "x3"]}
+    load_csv(path, schema)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1] / rows
+    finally:
+        tracemalloc.stop()
+    assert ds.n == rows
+    assert peak < 102
 
 
 def test_load_csv_keeps_no_row_for_a_blank_line(tmp_path, dataset):
@@ -156,8 +196,8 @@ def _peak_with_dataset(make, step) -> float:
 
 @pytest.mark.parametrize("make", ["simulate", "load_csv"])
 def test_the_cell_table_of_unit_weights_counts_and_sums_y(tmp_path, dataset, make):
-    # the 9 held bytes and a flag per unit of one cell at a time; y is summed
-    # a chunk at a time, with no copy of it or of the codes (10.0)
+    # the 9 held bytes; the unit weights and w·y are added a chunk at a time,
+    # with no copy of y or of the codes and no column of ones (9.2)
     path = tmp_path / "trial.csv"
     write_csv(dataset, path)
     run = (lambda: simulate(_DGP)[0]) if make == "simulate" else (lambda: load_csv(path))

@@ -94,21 +94,34 @@ def test_no_weights_read_as_unit_weights_bit_for_bit(units, boot_seed):
         assert not a.has_weights and b.has_weights
         assert a.weight.tobytes() == b.weight.tobytes() and not a.weight.flags.writeable
         rows = a.layout()[0]
-        assert a.weight_at(rows).tobytes() == b.weight_at(rows).tobytes()
+        assert a.weight[rows].tobytes() == b.weight[rows].tobytes()
         assert repr(a.cells()) == repr(b.cells())
         assert _cli_outcomes(a, boot_seed) == _cli_outcomes(b, boot_seed)
         assert _written(a) == _written(b)
 
 
-def _refuse(ds):
-    raise AssertionError("an n-length column of unit weights was made")
+class _Gathers:
+    """Unit weights that allow only an index into them, and record the
+    length of each array that an index makes (a slice makes none)."""
+
+    def __init__(self, weight: np.ndarray, lengths: list):
+        self._weight, self._lengths = weight, lengths
+
+    def __getitem__(self, rows):
+        got = self._weight[rows]
+        if got.flags.owndata:
+            self._lengths.append(got.size)
+        return got
 
 
 def test_the_engine_and_the_bounds_make_no_column_of_unit_weights(monkeypatch):
-    # a dataset without weights is read through weight_at, never weight
+    # a dataset without weights: the cell table reads its weight a chunk at a
+    # time, and the bounds gather the control arm's; the engine gathers none
     rng = np.random.default_rng(3)
     ds = Dataset(y=rng.normal(size=200), d=np.arange(200) % 2, m=rng.integers(0, 2, 200))
-    monkeypatch.setattr(Dataset, "weight", property(_refuse))
+    weight, lengths = Dataset.weight, []
+    monkeypatch.setattr(Dataset, "weight", property(lambda ds: _Gathers(weight.fget(ds), lengths)))
     trim, mt = full_sample_bounds(ds)
     assert isinstance(trim, Interval) and isinstance(mt, Interval)
     ReplicateEngine(ds, TEMethod.DIFF_IN_MEANS, BootstrapConfig(replicates=5, seed=1), True).run()
+    assert lengths and max(lengths) <= ds.n_control < ds.n
