@@ -2,10 +2,13 @@
 """Digest every output of the benchmark workloads and of the demo.
 
 Runs the CLI steps of each workload in perfbench/workloads.py at seeds
-1 and 2, on inputs that module writes, then scripts/run_demo.py, each
-in its own directory under OUT and with paths relative to it (reports
-echo their paths). Prints one row per configuration, each file with
-the first 12 hex digits of its SHA-256:
+1 and 2, on inputs that module writes, then scripts/run_demo.py, then
+``bounds`` on the ingest_bounds table of seed 1 with the m of its last
+control row blanked (a chunk that np.loadtxt refuses, read again; not
+``--type3``, which needs every control m), each in its own directory
+under OUT and with paths relative to it (reports echo their paths).
+Prints one row per configuration, each file with the first 12 hex
+digits of its SHA-256:
 
     | analyze_rows-tiny-s1 | chart.svg=725e64d8603b curve.csv=... |
 
@@ -38,6 +41,23 @@ def _digests(directory: pathlib.Path) -> str:
     )
 
 
+def _blank_last_control_m(table: bytes) -> bytes:
+    """A table ``write_csv`` wrote, with the m cell of its last control row emptied."""
+    at = max(table.rfind(b",0,0\r\n"), table.rfind(b",0,1\r\n")) + 3  # the m cell
+    return table[:at] + table[at + 1 :]
+
+
+def _run(cli, config: pathlib.Path, steps) -> bool:
+    """Run each CLI step in turn; False, said on stderr, at the first that fails."""
+    for step in steps:
+        with contextlib.redirect_stdout(io.StringIO()) as said:
+            code = cli(list(step))
+        if code != 0:
+            sys.stderr.write(f"{config}: {' '.join(step)} exited {code}\n{said.getvalue()}")
+            return False
+    return True
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--size", choices=("tiny", "full"), default="tiny")
@@ -58,13 +78,8 @@ def main(argv=None) -> int:
     for name in NAMES:
         for seed in SEEDS:
             config = pathlib.Path(f"{name}-{args.size}-s{seed}")
-            job = prepare(name, seed, args.size, config)
-            for step in job.steps:
-                with contextlib.redirect_stdout(io.StringIO()) as said:
-                    code = cli(list(step))
-                if code != 0:
-                    sys.stderr.write(f"{config}: {' '.join(step)} exited {code}\n{said.getvalue()}")
-                    return 1
+            if not _run(cli, config, prepare(name, seed, args.size, config).steps):
+                return 1
             rows.append((str(config), _digests(config)))
 
     demo = pathlib.Path("run_demo")
@@ -75,6 +90,14 @@ def main(argv=None) -> int:
         cwd=demo, env=env, stdout=subprocess.DEVNULL, check=True,
     )
     rows.append(("run_demo", _digests(demo)))
+
+    blank = pathlib.Path(f"ingest_bounds-{args.size}-s1-blank-m")
+    blank.mkdir(exist_ok=True)
+    table = (pathlib.Path(f"ingest_bounds-{args.size}-s1") / "trial.csv").read_bytes()
+    (blank / "trial.csv").write_bytes(_blank_last_control_m(table))
+    if not _run(cli, blank, [["bounds", "--input", str(blank / "trial.csv"), "--out-report", str(blank / "bounds.json")]]):
+        return 1
+    rows.append((str(blank), _digests(blank)))
 
     print("| config | digests |")
     print("|---|---|")

@@ -7,8 +7,10 @@ simulate command's draw and write, a read of the same rows with a
 column of 100 block labels (written beside the first file, outside any
 stage) and the replicate engine of analyze on them under block draws
 with the adjusted regression (built, with its per-block factors, and
-run for 2 replicates; the block dataset is dropped after it), then the
-bounds command's read, cell
+run for 2 replicates; the block dataset is dropped after it), a read of
+the table with the m of its last control row blanked (np.loadtxt
+refuses its last chunk, which is read again; also written outside any
+stage, and dropped once read), then the bounds command's read, cell
 table, naive estimates, the dataset's arm layout and full-sample
 bounds, then the replicate engine of analyze (built and run for 2
 replicates). Each stage's row gives the highest traced total while it
@@ -54,6 +56,12 @@ def _positive(text: str) -> int:
     return n
 
 
+def _blank_last_control_m(table: bytes) -> bytes:
+    """A table ``write_csv`` wrote, with the m cell of its last control row emptied."""
+    at = max(table.rfind(b",0,0\r\n"), table.rfind(b",0,1\r\n")) + 3  # the m cell
+    return table[:at] + table[at + 1 :]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rss", action="store_true", help="print the peak resident set of each ingest_bounds step")
@@ -86,6 +94,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         path = pathlib.Path(work) / "trial.csv"
         block_path = pathlib.Path(work) / "blocks.csv"
+        blank_path = pathlib.Path(work) / "blank_m.csv"
         tracemalloc.start()
         try:
             ds = stage("simulate", lambda: simulate(ingest_dgp(args.n, SEED))[0])
@@ -97,6 +106,8 @@ def main(argv=None) -> int:
             block_boot = BootstrapConfig(replicates=REPLICATES, seed=SEED, resample_unit=ResampleUnit.BLOCK)
             stage("ReplicateEngine.run (blocks, ols)", lambda: ReplicateEngine(blocked, TEMethod.OLS_ADJUSTED, block_boot, False).run())
             del blocked
+            blank_path.write_bytes(_blank_last_control_m(path.read_bytes()))
+            stage("load_csv (a blank m in the last chunk)", lambda: load_csv(blank_path))
             ds = stage("load_csv", lambda: load_csv(path))
             stage("cell table", ds.cells)
             stage("naive_estimates", lambda: naive_estimates(ds))

@@ -19,6 +19,7 @@ import itertools
 import math
 import os
 import tempfile
+import warnings
 from array import array
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, TextIO
@@ -428,16 +429,21 @@ _DEFAULT_SCHEMA: Mapping[str, object] = {"y": "y", "d": "d", "m": "m"}
 _SCHEMA_KEYS = frozenset(("y", "d", "m", "covariates", "block", "weight"))
 
 
-def _m_value(text: str) -> float:
-    """An m cell: blank marks a missing indicator, anything else is a
-    number. NaN stands for missing in memory, so a literal one is refused
-    rather than read as a blank."""
-    if not text.strip():
-        return math.nan
-    v = float(text)
-    if math.isnan(v):
-        raise ValueError(text)
-    return v
+class _MCells(dict):
+    """An m cell's value, the cells ``write_csv`` writes looked up in C:
+    blank marks a missing indicator, anything else is a number. NaN stands
+    for missing in memory, so a literal one is refused, not read as blank."""
+
+    def __missing__(self, text: str) -> float:
+        if not text.strip():
+            return math.nan
+        v = float(text)
+        if math.isnan(v):
+            raise ValueError(text)
+        return v
+
+
+_m_value = _MCells({"": math.nan, "0": 0.0, "1": 1.0}).__getitem__
 
 
 def _cell_error(fields: Sequence[str], row: int, cells) -> ParseError:
@@ -474,18 +480,20 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
     :class:`InvariantViolation` (with the row of the offending unit when
     a per-unit rule of :class:`Dataset` fails).
 
-    The needed columns are parsed by ``np.loadtxt`` a chunk of rows at a
-    time, into columns sized once from a count of the file's line ends,
-    and once more with the m cells through the row reader's parser when a
-    blank m fails the first parse; a block label is numbered as loadtxt
-    reads it, so the block column becomes int32 codes with no label kept
-    per unit. Any file both parses refuse, or whose values
-    :class:`Dataset` refuses, is read again row by row, so every error
-    comes from the row reader.
+    The file is read once, ``_CHUNK`` rows at a time, into columns sized
+    from a count of its line ends. ``np.loadtxt`` parses a chunk, and
+    ``csv.reader`` and ``float`` one it refuses (:func:`_loadtxt_table`),
+    naming the first bad cell. The two routes read every file alike but
+    one kind: an over-long field that ``np.loadtxt`` reads.
     """
     roles, build = _plan(schema)
-    ds = _load_columns(path, roles, build)
-    return _load_rows(path, roles, build) if ds is None else ds
+    with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        # np.loadtxt passes a blank line over but warns when one falls among the rows it is asked for
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        try:
+            return _read(fh, roles, build, *_scan(path))
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from None
 
 
 def _plan(schema: Mapping[str, object] | None):
@@ -530,9 +538,13 @@ def _plan(schema: Mapping[str, object] | None):
 
 
 def _header_cells(fh: TextIO, roles) -> list:
-    """Read the header of ``fh``: (column, index, parser) for each role.
-    A column a role reads must appear in it exactly once."""
-    header = next(csv.reader(fh), None)
+    """Read the header of ``fh`` by ``readline``, as every read of it, so
+    that ``fh.tell()`` works: (column, index, parser) for each role. A
+    column a role reads must appear in it exactly once."""
+    try:
+        header = next(csv.reader(iter(fh.readline, "")), None)
+    except csv.Error as exc:  # a field over the parser's size limit
+        raise ParseError(0, None, str(exc)) from None
     if header is None:
         raise ParseError(0, "", "file is empty, a header row is required")
     pos = {name: i for i, name in enumerate(header)}
@@ -547,21 +559,19 @@ def _header_cells(fh: TextIO, roles) -> list:
 # Py_UNICODE_ISSPACE counts these as whitespace and np.loadtxt strips
 # them around a number, but float() refuses them.
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
-# a line of a file opened with newline="" that holds no cell; loadtxt skips it,
-# but warns when it falls among the rows of a max_rows read
+# a line of a file opened with newline="" that holds no cell
 _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 
-def _scan(path) -> tuple[int, bool] | None:
+def _scan(path) -> tuple[int, bool, bool]:
     """The line ends of ``path`` (LF, CR and CRLF, each one, quoted ones
-    too), at least its data rows as one of them ends the header, and
-    whether a line of it may be blank: a line end follows another, other
-    than LF after CR. None when the file holds a byte of ``_SEPARATORS``."""
-    ends, blank, last = 0, False, b""
+    too), at least its data rows as one of them ends the header; whether
+    a line of it may be blank: a line end follows another, other than LF
+    after CR; and whether it holds a byte of ``_SEPARATORS``."""
+    ends, blank, separators, last = 0, False, False, b""
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 16):
-            if any(byte in chunk for byte in _SEPARATORS):
-                return None
+            separators = separators or any(byte in chunk for byte in _SEPARATORS)
             a = np.frombuffer(last + chunk, np.uint8)  # the byte before the chunk, for the pair across
             lf, cr = a == 0x0A, a == 0x0D
             end = lf | cr
@@ -569,141 +579,126 @@ def _scan(path) -> tuple[int, bool] | None:
             ends += np.count_nonzero(end[len(last) :]) - crlf
             blank = blank or np.count_nonzero(end[:-1] & end[1:]) > crlf
             last = chunk[-1:]
-    return int(ends), bool(blank)
+    return int(ends), bool(blank), separators
 
 
-def _load_columns(path, roles, build) -> Dataset | None:
-    """The dataset parsed by ``np.loadtxt``, or None when the row reader
-    must decide: the file holds a byte of ``_SEPARATORS``, no data row
-    follows the header, loadtxt fails (it refuses a blank cell, so a
-    refused file is parsed once more with m through ``_m_value``), an m
-    cell is a literal ``nan``, or :class:`Dataset` refuses the values."""
-    scan = _scan(path)
-    if scan is None or not scan[0]:
-        return None
-    read = _read_chunks(path, roles, *scan)
-    if read is None and (read := _read_chunks(path, roles, *scan, _m_value)) is None:
-        return None
+def _read(fh: TextIO, roles, build, bound: int, blank: bool, separators: bool) -> Dataset:
+    """The dataset of the CSV file open as ``fh``, read a chunk at a time
+    into columns of ``bound`` rows; d and m are kept as read from the first
+    chunk that breaks their rules on, for :class:`Dataset` to name them."""
+    cells = _header_cells(fh, roles)
+    body = fh.tell()
+    floats = [i for _, i, parse in cells if parse is float]  # y, d, covariates, weight
+    block_at = [i for _, i, parse in cells if parse is str]  # its column, if any
+    columns = floats + block_at + [cells[2][1]]  # ..., the block code, m
+    # label -> code: a label not seen yet takes the next number, in C
+    number: collections.defaultdict[str, int] = collections.defaultdict(itertools.count().__next__)
+    # each kept column and its column of a chunk's table: y, covariates, weight, block code
+    kept = [(np.empty(bound), j) for j in (0, *range(2, len(floats)))] + [(np.empty(bound, np.int32), -2) for _ in block_at]
+    codes = np.empty(bound, np.int8)
+    dm = None  # d and m as read, once a chunk breaks their rules
+    n = 0
+
+    def row_of(unit: int) -> int:
+        """The file row of ``unit``, parsed again up to it when a line may be blank."""
+        if not blank:
+            return unit + 1
+        fh.seek(body)
+        return _parse_rows(csv.reader(iter(fh.readline, "")), cells, number, unit + 1, lambda: 0)[1]
+
+    while True:
+        start = fh.tell()
+        # loadtxt is not called once no row is left, since it warns when it finds none
+        if next(itertools.filterfalse(_BLANK_LINES.__contains__, iter(fh.readline, "")), None) is None:
+            break
+        # loadtxt reads exactly max_rows rows, a quoted line end within its row, and
+        # allocates that many before it reads one, so it is asked for no more than
+        # the bound leaves
+        take = min(_CHUNK, bound - n)
+        part = None if separators else _loadtxt_table(fh, start, columns, number if block_at else None, take)
+        if part is None:
+            fh.seek(start)
+            part = _parse_rows(csv.reader(iter(fh.readline, "")), cells, number, take, lambda: row_of(n - 1) if n else 0)[0]
+        rows = slice(n, n + part.shape[0])
+        if dm is None:
+            try:
+                _encode(part[:, 1], part[:, -1], codes[rows])
+            except InvariantViolation:  # the file is refused; d and m are kept for its error
+                dm = np.empty((bound, 2))
+                dm[:n, 0], dm[:n, 1] = codes[:n] >= 3, _M_OF_CELL[codes[:n]]
+        if dm is not None:
+            dm[rows] = part[:, [1, -1]]
+        for column, j in kept:
+            column[rows] = part[:, j]
+        n = rows.stop
+        del part  # not held while the dataset is built
+
+    for column in (codes, *(column for column, _ in kept)):  # blank lines and quoted line ends counted in the bound
+        column.resize(n, refcheck=False)
+    reals = [column for column, _ in kept[: len(floats) - 1]]
+    blocks = (kept[-1][0], tuple(label or None for label in number)) if block_at else None
     try:
-        return build(read[0], read[2], codes=read[1])
-    except InvariantViolation:
-        return None
-
-
-def _read_chunks(path, roles, bound: int, blank: bool, parse_m=None):
-    """The kept real columns (y, covariates, weight), the cell codes and
-    the block codes with their label table (None without a block
-    column), read by ``np.loadtxt`` ``_CHUNK`` rows at a time into arrays
-    of ``bound`` rows, then cut to the rows read; each m cell through
-    ``parse_m`` when given, each block label numbered in order of first
-    appearance as loadtxt reads it, and blank lines passed over when
-    ``blank`` says the file may have one. None when no data row follows
-    the header, loadtxt fails, an m is NaN without ``parse_m`` (a literal
-    ``nan``, as a blank fails that read), a d or m breaks its rule, a
-    label is longer than ``csv.field_size_limit()`` (the row reader's
-    error) or, in a file that may hold a blank line, a label holds a line
-    end (passing blank lines over could have cut it short)."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            cells = _header_cells(fh, roles)
-            floats = [i for _, i, parse in cells if parse is float]  # y, d, covariates, weight
-            block_at = [i for _, i, parse in cells if parse is str]  # its column, if any
-            columns = floats + block_at + [cells[2][1]]  # ..., the block code, m
-            converters = None if parse_m is None else {columns[-1]: parse_m}
-            if block_at:
-                # label -> code: a label not seen yet takes the next number, in C
-                number: collections.defaultdict[str, int] = collections.defaultdict(itertools.count().__next__)
-                converters = {**(converters or {}), block_at[0]: number.__getitem__}
-                blocks = np.empty(bound, np.int32)
-            reals = [np.empty(bound) for _ in floats[1:]]
-            codes = np.empty(bound, np.int8)
-            n = 0
-            lines = itertools.filterfalse(_BLANK_LINES.__contains__, fh) if blank else fh
-            # loadtxt reads exactly max_rows rows, a quoted line end within its row, and
-            # allocates that many before it reads one, so it is asked for no more than
-            # the bound leaves; it is not called once no row is left, since it warns
-            # when it finds none
-            while (first := next(lines, None)) is not None:
-                part = np.loadtxt(
-                    itertools.chain((first,), lines), delimiter=",", quotechar='"', comments=None, usecols=columns,
-                    converters=converters, ndmin=2, encoding="utf-8", max_rows=min(_CHUNK, bound - n),
-                )
-                m = part[:, -1]
-                if parse_m is None and np.isnan(m).any():
-                    return None
-                rows = slice(n, n + part.shape[0])
-                _encode(part[:, 1], m, codes[rows])
-                reals[0][rows] = part[:, 0]
-                for j, column in enumerate(reals[1:], start=2):
-                    column[rows] = part[:, j]
-                if block_at:
-                    blocks[rows] = part[:, -2]
-                n = rows.stop
-        except (ValueError, csv.Error, InvariantViolation):  # UnicodeDecodeError included
-            return None
-    if not n:
-        return None
-    labelled = None
-    if block_at:
-        if any(len(label) > csv.field_size_limit() or blank and ("\n" in label or "\r" in label) for label in number):
-            return None
-        blocks.resize(n, refcheck=False)
-        labelled = blocks, tuple(label or None for label in number)
-    for a in (*reals, codes):  # blank lines and quoted line ends counted in the bound
-        a.resize(n, refcheck=False)
-    return reals, codes, labelled
-
-
-def _load_rows(path, roles, build) -> Dataset:
-    """Row-by-row reader: every cell through ``float`` (m through
-    ``_m_value``), each block label numbered as it is read, locating each
-    error by row and column. A byte that is not UTF-8 and a field over
-    ``csv.field_size_limit()`` are :class:`ParseError` too, by row."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rownum = -1  # the header
-        try:
-            cells = _header_cells(fh, roles)
-            rownum = 0
-            reader = csv.reader(fh)
-
-            # real-valued cells of a row go to one flat buffer, in the order y, d, covariates, weight
-            reals = [i for _, i, parse in cells if parse is float]
-            get_reals = itemgetter(*reals)
-            m_at = cells[2][1]
-            block_at = next((i for _, i, parse in cells if parse is str), None)
-            flat = array("d")
-            ms = array("d")
-            codes = array("i")
-            number: dict[str | None, int] = {}  # block label -> code, in order of first appearance
-            blank_rows: list[int] = []
-            for rownum, fields in enumerate(reader, start=1):
-                if not fields:
-                    blank_rows.append(rownum)
-                    continue
-                try:
-                    flat.extend(map(float, get_reals(fields)))
-                    ms.append(_m_value(fields[m_at]))
-                    if block_at is not None:
-                        codes.append(number.setdefault(fields[block_at] or None, len(number)))
-                except (ValueError, IndexError):
-                    raise _cell_error(fields, rownum, cells) from None
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from None
-        except csv.Error as exc:  # a field over the parser's size limit
-            raise ParseError(rownum + 1, None, str(exc)) from None
-
-    table = np.frombuffer(flat).reshape(-1, len(reals))  # y, d, covariates, weight
-    kept = [table[:, j].copy() for j in range(len(reals)) if j != 1]
-    blocks = None if block_at is None else (np.frombuffer(codes, np.intc), tuple(number))
-    try:
-        return build(kept, blocks, d=table[:, 1], m=np.frombuffer(ms))
+        return build(reals, blocks, codes=codes) if dm is None else build(reals, blocks, d=dm[:n, 0], m=dm[:n, 1])
     except InvariantViolation as exc:
         if exc.unit is not None:
-            exc.row = exc.unit + 1
-            for skipped in blank_rows:  # ascending: each blank row at or above pushes the unit down one
-                if skipped <= exc.row:
-                    exc.row += 1
+            exc.row = row_of(exc.unit)
         raise
+
+
+def _loadtxt_table(fh: TextIO, start: int, columns: list[int], number, take: int) -> np.ndarray | None:
+    """``np.loadtxt``'s table of the ``columns`` of the ``take`` rows at
+    ``start`` in ``fh``, labels in ``columns[-2]`` numbered by ``number``
+    if given, read again with m through ``_m_value`` if refused. None if
+    refused again or if csv.reader and float may read otherwise: it holds
+    an infinity (loadtxt's value of an over-long number), a NaN in m not
+    from ``_m_value`` (a literal nan) or a new over-long label."""
+    known = len(number or ())
+    labels = {} if number is None else {columns[-2]: number.__getitem__}
+    for converters in (labels, {**labels, columns[-1]: _m_value}):
+        fh.seek(start)
+        try:
+            part = np.loadtxt(
+                iter(fh.readline, ""), delimiter=",", quotechar='"', comments=None, usecols=columns,
+                converters=converters or None, ndmin=2, encoding="utf-8", max_rows=take,
+            )
+        except ValueError:  # a UnicodeDecodeError too, raised again by csv.reader
+            continue
+        if (
+            not np.isinf((np.fmin.reduce(part, axis=None), np.fmax.reduce(part, axis=None))).any()  # NaN passed over
+            and (columns[-1] in converters or not np.isnan(part[:, -1].sum()))
+            and all(len(label) <= csv.field_size_limit() for label in itertools.islice(number or (), known, None))
+        ):
+            return part
+    return None
+
+
+def _parse_rows(records, cells, number, take: int, row0) -> tuple[np.ndarray, int]:
+    """The table :func:`_loadtxt_table` makes, of up to ``take`` rows of
+    ``records``, a ``csv.reader``: reals by ``float``, m by ``_m_value``,
+    labels numbered by ``number``; and the rows read, blank ones too.
+    The first bad cell or over-long field is a :class:`ParseError` at
+    its file row, counted on from ``row0()``, called only then."""
+    reals = itemgetter(*(i for _, i, parse in cells if parse is float))
+    m_at = cells[2][1]
+    block_at = next((i for _, i, parse in cells if parse is str), None)
+    flat = array("d")
+    k = rows = 0
+    try:
+        for k, fields in enumerate(records, start=1):
+            if not fields:
+                continue
+            try:
+                flat.extend(map(float, reals(fields)))
+                if block_at is not None:
+                    flat.append(number[fields[block_at]])
+                flat.append(_m_value(fields[m_at]))
+            except (ValueError, IndexError):
+                raise _cell_error(fields, row0() + k, cells) from None
+            if (rows := rows + 1) == take:
+                break
+    except csv.Error as exc:  # a field over the parser's size limit
+        raise ParseError(row0() + k + 1, None, str(exc)) from None
+    return np.frombuffer(flat).reshape(rows, -1), k
 
 
 def _decode_error(path, exc: UnicodeDecodeError) -> Exception:

@@ -103,9 +103,13 @@ def bootstrap_replicates(
     replicate (a NaN row); any other exception is a fault and propagates.
     A non-finite entry of a good result becomes NaN on its own.
 
+    ``threads`` (at least 1) caps the threads; no more start than replicates.
+
     Returns ``(values, n_failed)`` where ``values`` has shape
     (replicates, width) and ``n_failed`` counts the NaNs in column 0.
     """
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise InvariantViolation(f"threads must be an integer of at least 1, got {threads!r}")
     width = np.atleast_1d(np.asarray(statistic(ds), dtype=np.float64)).shape[0]
     block_rows = None
     if cfg.resample_unit is ResampleUnit.BLOCK:  # the rows of each block, in code order
@@ -130,7 +134,7 @@ def bootstrap_replicates(
     else:
         from concurrent.futures import ThreadPoolExecutor  # serial runs never load it
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, cfg.replicates)) as pool:
             rows = list(pool.map(run_one, range(cfg.replicates)))
 
     values = np.vstack(rows)

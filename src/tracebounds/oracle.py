@@ -97,7 +97,7 @@ class DGPConfig:
         if self.n < 1:
             raise InvariantViolation(f"n must be at least 1, got {self.n}")
         if not (self.noise_sd >= 0 and math.isfinite(self.noise_sd)):
-            raise InvariantViolation(f"noise_sd must be nonnegative, got {self.noise_sd}")
+            raise InvariantViolation(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
         if self.seed < 0:
             raise InvariantViolation(f"seed must be nonnegative, got {self.seed}")
         if self.type3:

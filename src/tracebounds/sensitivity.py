@@ -80,8 +80,8 @@ class AssumptionSpec:
             if self.lo > self.hi:
                 raise InvariantViolation(f"{k.name} needs lo <= hi")
             if k is AssumptionKind.GRID:
-                if self.step is None or not (self.step > 0):
-                    raise InvariantViolation("GRID needs a positive step")
+                if self.step is None or not (0 < self.step < math.inf):
+                    raise InvariantViolation(f"GRID needs a positive, finite step, got {self.step}")
                 steps = (self.hi - self.lo) / self.step
                 if not steps <= _GRID_MAX_STEPS:  # also an infinite count
                     raise InvariantViolation(f"GRID needs {steps:.6g} steps from lo to hi; at most {_GRID_MAX_STEPS} are allowed")

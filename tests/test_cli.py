@@ -793,6 +793,16 @@ def test_a_grid_of_too_many_steps_exits_2_before_loading(capsys, tmp_path, grid)
     assert "at most 10000 are allowed" in error["message"]
 
 
+def test_a_grid_of_an_infinite_step_exits_2_before_loading(capsys, tmp_path):
+    # it once ran, with a one-row curve at trace0 = 1 and LO dropped
+    code, out = run(
+        capsys, "analyze", "--input", str(tmp_path / "absent.csv"), "--grid=-1:1:inf",
+        "--out-table", str(tmp_path / "c.csv"), "--out-report", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "InvariantViolation", "message": "GRID needs a positive, finite step, got inf"}
+
+
 def test_an_assumption_flag_beats_every_assumption_key(monkeypatch, capsys, tmp_path):
     flags = {f: v for f, v in _BASE_FLAGS["analyze"].items() if f != "--preset"}
     flags["--grid"] = "0:1:0.5"

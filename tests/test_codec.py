@@ -1,6 +1,7 @@
 """The CSV codec: the exact bytes ``write_csv`` emits, the round trip
 through ``load_csv``, and where ``load_csv`` says a bad cell is."""
 
+import collections
 import csv
 import io
 import math
@@ -273,7 +274,7 @@ def test_dataset_level_errors_carry_no_row(tmp_path):
     assert (ei.value.unit, ei.value.row) == (None, None)
 
 
-# -- the loadtxt fast path against the row reader ---------------------------
+# -- the np.loadtxt route against the csv.reader route ----------------------
 
 _GOOD_REALS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")) | st.sampled_from(
     ["0", "-0", "1", "2.5", "-1e-300", '"3"', " 4 ", "+.5", "1e3"]
@@ -288,9 +289,8 @@ _UNUSED = st.sampled_from(
 )
 # block labels as cells: quoted ones holding a comma, a quote, CR or LF,
 # empty ones, text beyond ASCII, surrounding spaces, a quote inside an
-# unquoted cell, labels longer than 16 characters and, rarely (a label
-# holding a blank line sends its file to the row reader), a quoted blank
-# line
+# unquoted cell, labels longer than 16 characters and, rarely, a quoted
+# blank line
 _LABELS = ["a", "b", "c", '"a"', "", '""', " a ", '"x,y"', '"q""r"', '"l\nm"', '"l\r\nm"', '"c\rd"', "é名", '"é,名"']
 _LABELS += ['a"b', '"a"b', "L" * 17, '"' + "long, label " * 4 + '"', "λ" * 40]
 _LABEL_CELLS = st.sampled_from(_LABELS * 3 + ['"\n\n"', '"\r\n\r\n"'])
@@ -352,7 +352,15 @@ def _outcome(read, path, schema):
 
 
 def _read_rows(path, schema):
-    return data_module._load_rows(path, *data_module._plan(schema))
+    """``load_csv`` with ``np.loadtxt`` refusing every chunk, so that each
+    one is parsed by ``csv.reader`` and ``float``: the reference reader."""
+    with mock.patch.object(data_module.np, "loadtxt", side_effect=ValueError("refused")):
+        return load_csv(path, schema)
+
+
+def _csv_route():
+    """A spy on the csv.reader route of ``load_csv``, one call per chunk it parses."""
+    return mock.patch.object(data_module, "_parse_rows", wraps=data_module._parse_rows)
 
 
 def _assert_same_outcome(fast, rows):
@@ -370,7 +378,7 @@ def _assert_same_outcome(fast, rows):
 
 
 def _check_reader_agreement(tmp_path_factory, block: bool, examples: int) -> None:
-    """The loadtxt path and ``load_csv`` against the row reader on files of
+    """``load_csv`` against its csv.reader route alone on files of
     ``_csv_texts(block=block)``."""
     taken = []
 
@@ -383,15 +391,13 @@ def _check_reader_agreement(tmp_path_factory, block: bool, examples: int) -> Non
         path = tmp_path_factory.mktemp("paths") / "in.csv"
         path.write_bytes(text.encode("utf-8"))
         rows = _outcome(_read_rows, path, schema)
-        with mock.patch.object(data_module, "_CHUNK", chunk):
-            direct = data_module._load_columns(path, *data_module._plan(schema))
-            taken.append(direct is not None)
-            if direct is not None:
-                _assert_same_outcome(direct, rows)
+        with mock.patch.object(data_module, "_CHUNK", chunk), _csv_route() as csv_route:
             _assert_same_outcome(_outcome(load_csv, path, schema), rows)
+        taken.append(not csv_route.called)
 
     check()
-    # both paths decide a fair share of the generated files
+    # np.loadtxt reads every chunk of a fair share of the generated files, and
+    # csv.reader parses a chunk of a fair share
     assert 0.2 < sum(taken) / len(taken) < 0.9
 
 
@@ -454,9 +460,9 @@ def _rows(n: int, edit: dict | None = None) -> list[str]:
 
 
 def _boundary_cases(chunk: int) -> dict:
-    """name -> (file bytes, the row reader's (row, column) of the error, or
-    None when the file loads on the loadtxt path), each with rows on both
-    sides of a boundary of ``chunk``-row reads."""
+    """name -> (file bytes, the csv.reader route's (row, column) of the
+    error, or None when ``np.loadtxt`` reads every chunk), each with rows
+    on both sides of a boundary of ``chunk``-row reads."""
     n = 3 * chunk
     late = 2 * chunk  # the first row of the third chunk, a control row
     cases = {}
@@ -481,12 +487,46 @@ def test_loadtxt_path_matches_row_reader_at_chunk_boundaries(tmp_path, monkeypat
         path = tmp_path / "in.csv"
         path.write_bytes(text)
         rows = _outcome(_read_rows, path, None)
-        _assert_same_outcome(_outcome(load_csv, path, None), rows)
-        if error is None:
-            assert data_module._load_columns(path, *data_module._plan(None)) is not None, name
-        else:
-            assert data_module._load_columns(path, *data_module._plan(None)) is None, name
+        with _csv_route() as csv_route:
+            _assert_same_outcome(_outcome(load_csv, path, None), rows)
+        assert csv_route.called == (error is not None), name
+        if error is not None:
             assert (rows[0], rows[2:]) == (ParseError, error), name
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        ({10: "10.25,0,"}, None),
+        ({11: "11.25,1,abc"}, (ParseError, 12, "m")),
+        ({11: "11.25,2,1"}, (InvariantViolation, 12, None)),
+    ],
+    ids=["a blank control m in the last chunk", "a bad cell in the last row", "d = 2 in the last row"],
+)
+def test_a_refused_chunk_alone_is_parsed_again(tmp_path, monkeypatch, edit, error):
+    # three chunks of four rows: each line outside the last chunk is handed
+    # once to np.loadtxt or csv.reader, the header once to csv.reader
+    monkeypatch.setattr(data_module, "_CHUNK", 4)
+    rows = _rows(12, edit)
+    path = tmp_path / "in.csv"
+    path.write_text("y,d,m\n" + "\n".join(rows) + "\n")
+    handed = collections.Counter()
+
+    def counted(lines):
+        for line in lines:
+            handed[line.rstrip("\r\n")] += 1
+            yield line
+
+    loadtxt, reader = np.loadtxt, csv.reader
+    monkeypatch.setattr(np, "loadtxt", lambda lines, *args, **kwargs: loadtxt(counted(lines), *args, **kwargs))
+    monkeypatch.setattr(csv, "reader", lambda lines, *args, **kwargs: reader(counted(lines), *args, **kwargs))
+    outcome = _outcome(load_csv, path, None)
+    if error is None:
+        assert np.isnan(outcome.m).tolist() == [i == 10 for i in range(12)]
+    else:
+        assert (outcome[0], *outcome[2:]) == error
+    assert [handed[line] for line in ["y,d,m", *rows[:8]]] == [1] * 9
+    assert all(handed[line] >= 1 for line in rows[8:])
 
 
 @pytest.mark.parametrize("pair", ["\r\n", "\n\n", "\r\r", "\n\r", "1\n", "\r1"])
@@ -497,7 +537,7 @@ def test_line_ends_and_blank_lines_are_found_across_read_blocks(tmp_path, pair, 
     path = tmp_path / "in.csv"
     path.write_bytes(data)
     lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # each line end as one LF
-    assert data_module._scan(path) == (lines.count(b"\n"), b"\n\n" in lines)
+    assert data_module._scan(path) == (lines.count(b"\n"), b"\n\n" in lines, False)
 
 
 def test_clean_file_takes_the_loadtxt_path(tmp_path, monkeypatch):
@@ -505,30 +545,33 @@ def test_clean_file_takes_the_loadtxt_path(tmp_path, monkeypatch):
     path.write_text('x1,y,d,m\n0.5,"1",1,1\n\n-2,2,0,0\n')
 
     def no_row_reader(*args):
-        raise AssertionError("row reader used")
+        raise AssertionError("csv.reader route used")
 
-    monkeypatch.setattr(data_module, "_load_rows", no_row_reader)
+    monkeypatch.setattr(data_module, "_parse_rows", no_row_reader)
     ds = load_csv(path, {"covariates": ["x1"]})
     assert ds.y.tolist() == [1.0, 2.0] and ds.x[:, 0].tolist() == [0.5, -2.0]
 
 
-@pytest.mark.parametrize("schema", [None, {"block": "block"}], ids=["loadtxt path", "row reader"])
-def test_a_byte_order_mark_loads_as_the_file_without_it(tmp_path, monkeypatch, schema):
-    # Excel's "CSV UTF-8" and Notepad start a UTF-8 file with U+FEFF
+@pytest.mark.parametrize("route", ["loadtxt", "csv.reader"], ids=["loadtxt path", "row reader"])
+def test_a_byte_order_mark_loads_as_the_file_without_it(tmp_path, monkeypatch, route):
+    # Excel's "CSV UTF-8" and Notepad start a UTF-8 file with U+FEFF; each
+    # route reads it, the other made to refuse every chunk it is given
     text = b'y,d,m,block\r\n1.5,1,1,a\r\n-2,0,1,"b,c"\r\n0,0,0,a\r\n'
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(text)
     marked.write_bytes(b"\xef\xbb\xbf" + text)
-    if schema is None:  # the loadtxt path reads it rather than handing it on
-        monkeypatch.setattr(data_module, "_load_rows", mock.Mock(side_effect=AssertionError("row reader used")))
-    _assert_same(load_csv(marked, schema), load_csv(plain, schema))
+    if route == "loadtxt":
+        monkeypatch.setattr(data_module, "_parse_rows", mock.Mock(side_effect=AssertionError("csv.reader route used")))
+    else:
+        monkeypatch.setattr(data_module.np, "loadtxt", mock.Mock(side_effect=ValueError("refused")))
+    _assert_same(load_csv(marked, {"block": "block"}), load_csv(plain, {"block": "block"}))
 
 
 def test_a_blank_control_m_takes_the_loadtxt_path(tmp_path, monkeypatch):
-    # loadtxt refuses a blank cell; the m column is read again as the row reader reads it
+    # loadtxt refuses a blank cell; the chunk is read again with m through the csv.reader route's rule
     path = tmp_path / "in.csv"
     path.write_text('y,d,m\n1.5,1,1\n-2,0,\n0,0,0\n2,0, \n3,0,""\n')
-    monkeypatch.setattr(data_module, "_load_rows", mock.Mock(side_effect=AssertionError("row reader used")))
+    monkeypatch.setattr(data_module, "_parse_rows", mock.Mock(side_effect=AssertionError("csv.reader route used")))
     ds = load_csv(path)
     assert np.isnan(ds.m).tolist() == [False, True, False, True, True]
     assert not ds.m_observed_in_control
@@ -574,7 +617,7 @@ def test_fmt_matches_the_integer_branch_formatter(v):
 
 
 def test_header_only_file_warns_nothing(tmp_path, recwarn):
-    # loadtxt warns on an empty body, which the row reader reads instead
+    # loadtxt warns on an empty body, so it is not called on one
     path = tmp_path / "in.csv"
     path.write_text("y,d,m\n")
     with pytest.raises(InvariantViolation, match="at least one unit"):
@@ -656,7 +699,7 @@ def test_undecodable_byte_after_an_over_long_field_names_the_field(tmp_path):
 
 
 def test_over_long_field_in_an_unused_column_loads_on_the_loadtxt_path(tmp_path):
-    # the one file the two readers still disagree on
+    # the one kind of file the two routes still disagree on
     path = tmp_path / "in.csv"
     path.write_text(f"y,d,m,z\n1,1,1,{_LONG}\n2,0,0,\n")
     assert load_csv(path).y.tolist() == [1.0, 2.0]

@@ -224,7 +224,7 @@ def test_a_take_numbers_its_blocks_as_its_labels_would_be(tmp_path_factory, data
     ds = Dataset(y=np.arange(n, dtype=float), d=[1, 0] * (n // 2) + [0] * (n % 2), m=[0] * n, block=labels)
     _assert_blocks(ds, labels)
     path = tmp_path_factory.mktemp("blocks") / "ds.csv"
-    write_csv(ds, path)  # read back by the row reader, an empty label as a missing one
+    write_csv(ds, path)  # read back with an empty label as a missing one
     _assert_blocks(load_csv(path, schema_for(ds)), [b or None for b in labels])
     picks = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * n))  # repeated rows too
     try:
@@ -364,13 +364,13 @@ def test_a_dataset_holds_its_cells_as_the_inputs_give_them(tmp_path_factory, cas
     if 0 < sum(d[i] for i in picks) < len(picks):
         _assert_cells(ds.take(picks), [d[i] for i in picks], [m[i] for i in picks])
 
-    # both readers: loadtxt's without a block column, the row reader's with one
+    # both routes of the reader: np.loadtxt's, and csv.reader's, which a refusing loadtxt leaves every chunk to
     path = tmp_path_factory.mktemp("cells") / "cells.csv"
     write_csv(Dataset(y=ds.y, d=d, m=given_m, block=[f"b{i % 2}" for i in range(len(d))]), path)
-    roles, build = data_module._plan(None)
-    _assert_cells(data_module._load_columns(path, roles, build), d, m)
-    _assert_cells(data_module._load_rows(path, roles, build), d, m)
+    _assert_cells(load_csv(path), d, m)
     _assert_cells(load_csv(path, {"block": "block"}), d, m)
+    with mock.patch.object(data_module.np, "loadtxt", side_effect=ValueError("refused")):
+        _assert_cells(load_csv(path), d, m)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -88,6 +89,39 @@ def test_threads_do_not_change_values(toy):
     serial, _ = bootstrap_replicates(_te, toy, cfg, threads=1)
     quad, _ = bootstrap_replicates(_te, toy, cfg, threads=4)
     np.testing.assert_array_equal(serial, quad)
+
+
+@pytest.mark.parametrize("threads", [True, 2.5, 0, -1, "2"])
+def test_a_thread_count_below_one_or_not_an_integer_is_refused(toy, threads):
+    cfg = BootstrapConfig(replicates=10, seed=1)
+    with pytest.raises(InvariantViolation, match="thread"):
+        bootstrap_replicates(_te, toy, cfg, threads=threads)
+    with pytest.raises(InvariantViolation, match="thread"):
+        percentile_ci(_te, toy, cfg, threads=threads)
+
+
+def test_no_more_threads_start_than_there_are_replicates(toy, monkeypatch):
+    # the pool is a stand-in that records its size and runs the replicates in turn
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    cfg = BootstrapConfig(replicates=3, seed=1)
+    values, _ = bootstrap_replicates(_te, toy, cfg, threads=64)
+    assert sizes == [3]
+    np.testing.assert_array_equal(values, bootstrap_replicates(_te, toy, cfg)[0])
 
 
 def test_interval_matches_reconstructed_replicate_stream(toy):

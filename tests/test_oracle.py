@@ -129,6 +129,12 @@ def test_dgp_refuses_counts_and_seeds_that_are_not_integers(kwargs):
         _config(**kwargs)
 
 
+@pytest.mark.parametrize("noise_sd", [-1.0, float("inf"), float("nan")])
+def test_dgp_names_both_rules_of_the_noise_sd(noise_sd):
+    with pytest.raises(InvariantViolation, match=f"noise_sd must be finite and nonnegative, got {noise_sd}"):
+        _config(noise_sd=noise_sd)
+
+
 def test_dgp_takes_numpy_integers():
     ds, _ = simulate(_config(n=np.int64(40), seed=np.uint32(3)))
     assert ds.n == 40

@@ -10,6 +10,7 @@ STAGES = [
     "write_csv",
     "load_csv (blocks)",
     "ReplicateEngine.run (blocks, ols)",
+    "load_csv (a blank m in the last chunk)",
     "load_csv",
     "cell table",
     "naive_estimates",

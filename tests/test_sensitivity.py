@@ -220,6 +220,13 @@ def test_grid_refuses_more_steps_than_the_cap(step, steps):
         AssumptionSpec.grid(0.0, 1.0, step)
 
 
+@pytest.mark.parametrize("step", [math.inf, math.nan])
+def test_grid_refuses_a_step_that_is_not_finite(step):
+    # an infinite step once gave a one-row grid at hi, lo + 0 * inf being NaN
+    with pytest.raises(InvariantViolation, match=re.escape(f"GRID needs a positive, finite step, got {step}")):
+        AssumptionSpec.grid(-1.0, 1.0, step)
+
+
 def test_grid_at_the_step_cap():
     assert len(AssumptionSpec.grid(0.0, 10_000.0, 1.0).grid_values()) == 10_001
 
