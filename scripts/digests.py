@@ -41,7 +41,7 @@ def _digests(directory: pathlib.Path) -> str:
     )
 
 
-def _blank_last_control_m(table: bytes) -> bytes:
+def blank_last_control_m(table: bytes) -> bytes:
     """A table ``write_csv`` wrote, with the m cell of its last control row emptied."""
     at = max(table.rfind(b",0,0\r\n"), table.rfind(b",0,1\r\n")) + 3  # the m cell
     return table[:at] + table[at + 1 :]
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     blank = pathlib.Path(f"ingest_bounds-{args.size}-s1-blank-m")
     blank.mkdir(exist_ok=True)
     table = (pathlib.Path(f"ingest_bounds-{args.size}-s1") / "trial.csv").read_bytes()
-    (blank / "trial.csv").write_bytes(_blank_last_control_m(table))
+    (blank / "trial.csv").write_bytes(blank_last_control_m(table))
     if not _run(cli, blank, [["bounds", "--input", str(blank / "trial.csv"), "--out-report", str(blank / "bounds.json")]]):
         return 1
     rows.append((str(blank), _digests(blank)))

@@ -56,12 +56,6 @@ def _positive(text: str) -> int:
     return n
 
 
-def _blank_last_control_m(table: bytes) -> bytes:
-    """A table ``write_csv`` wrote, with the m cell of its last control row emptied."""
-    at = max(table.rfind(b",0,0\r\n"), table.rfind(b",0,1\r\n")) + 3  # the m cell
-    return table[:at] + table[at + 1 :]
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rss", action="store_true", help="print the peak resident set of each ingest_bounds step")
@@ -80,6 +74,7 @@ def main(argv=None) -> int:
     from tracebounds.oracle import simulate
     from tracebounds.resample import ReplicateEngine
     from tracebounds.sensitivity import full_sample_bounds
+    from digests import blank_last_control_m
     from workloads import ingest_dgp
 
     rows = []
@@ -106,7 +101,7 @@ def main(argv=None) -> int:
             block_boot = BootstrapConfig(replicates=REPLICATES, seed=SEED, resample_unit=ResampleUnit.BLOCK)
             stage("ReplicateEngine.run (blocks, ols)", lambda: ReplicateEngine(blocked, TEMethod.OLS_ADJUSTED, block_boot, False).run())
             del blocked
-            blank_path.write_bytes(_blank_last_control_m(path.read_bytes()))
+            blank_path.write_bytes(blank_last_control_m(path.read_bytes()))
             stage("load_csv (a blank m in the last chunk)", lambda: load_csv(blank_path))
             ds = stage("load_csv", lambda: load_csv(path))
             stage("cell table", ds.cells)

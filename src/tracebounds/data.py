@@ -21,7 +21,6 @@ import os
 import tempfile
 import warnings
 from array import array
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -482,8 +481,8 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
 
     The file is read once, ``_CHUNK`` rows at a time, into columns sized
     from a count of its line ends. ``np.loadtxt`` parses a chunk, and
-    ``csv.reader`` and ``float`` one it refuses (:func:`_loadtxt_table`),
-    naming the first bad cell. The two routes read every file alike but
+    ``csv.reader`` and ``float`` one it refuses (:func:`_loadtxt_table`,
+    :func:`_parse_rows`), naming the first bad cell. The two routes read every file alike but
     one kind: an over-long field that ``np.loadtxt`` reads.
     """
     roles, build = _plan(schema)
@@ -611,6 +610,8 @@ def _read(fh: TextIO, roles, build, bound: int, blank: bool, separators: bool) -
         # loadtxt is not called once no row is left, since it warns when it finds none
         if next(itertools.filterfalse(_BLANK_LINES.__contains__, iter(fh.readline, "")), None) is None:
             break
+        if n == bound:  # a row past the line ends that _scan counted
+            raise InvariantViolation("the file grew while it was read")
         # loadtxt reads exactly max_rows rows, a quoted line end within its row, and
         # allocates that many before it reads one, so it is asked for no more than
         # the bound leaves
@@ -678,9 +679,9 @@ def _parse_rows(records, cells, number, take: int, row0) -> tuple[np.ndarray, in
     labels numbered by ``number``; and the rows read, blank ones too.
     The first bad cell or over-long field is a :class:`ParseError` at
     its file row, counted on from ``row0()``, called only then."""
-    reals = itemgetter(*(i for _, i, parse in cells if parse is float))
-    m_at = cells[2][1]
-    block_at = next((i for _, i, parse in cells if parse is str), None)
+    # the cells of a table row in its column order (reals, the block code, m), each with its parser
+    parsers = [(i, float) for _, i, parse in cells if parse is float]
+    parsers += [(i, number.__getitem__) for _, i, parse in cells if parse is str] + [(cells[2][1], _m_value)]
     flat = array("d")
     k = rows = 0
     try:
@@ -688,10 +689,7 @@ def _parse_rows(records, cells, number, take: int, row0) -> tuple[np.ndarray, in
             if not fields:
                 continue
             try:
-                flat.extend(map(float, reals(fields)))
-                if block_at is not None:
-                    flat.append(number[fields[block_at]])
-                flat.append(_m_value(fields[m_at]))
+                flat.extend([parse(fields[i]) for i, parse in parsers])
             except (ValueError, IndexError):
                 raise _cell_error(fields, row0() + k, cells) from None
             if (rows := rows + 1) == take:

@@ -529,6 +529,24 @@ def test_a_refused_chunk_alone_is_parsed_again(tmp_path, monkeypatch, edit, erro
     assert all(handed[line] >= 1 for line in rows[8:])
 
 
+def test_a_file_that_grows_while_it_is_read_is_refused(tmp_path, monkeypatch):
+    # the columns are sized from a count of the line ends; a row written after
+    # the count once went unread, without a word
+    path = tmp_path / "in.csv"
+    path.write_text("y,d,m\n1,1,1\n2,0,0\n")
+    scan = data_module._scan
+
+    def scan_then_grow(counted):
+        found = scan(counted)
+        with open(counted, "a") as fh:
+            fh.write("3,0,1\n4,1,0\n")  # the header's line end leaves room for one
+        return found
+
+    monkeypatch.setattr(data_module, "_scan", scan_then_grow)
+    with pytest.raises(InvariantViolation, match="the file grew while it was read"):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("pair", ["\r\n", "\n\n", "\r\r", "\n\r", "1\n", "\r1"])
 @pytest.mark.parametrize("at", [2**16 - 2, 2**16 - 1, 2**16])
 def test_line_ends_and_blank_lines_are_found_across_read_blocks(tmp_path, pair, at):
