@@ -31,6 +31,16 @@ def _tick(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _el(tag: str, text: str | None = None, close: bool = True, **attrs) -> str:
+    """One SVG element: a float attribute printed by :func:`_fnum`, an int
+    or str as given, and ``_`` in a keyword written as ``-``. It wraps
+    ``text``, or else closes itself, or is left open (the root)."""
+    cells = " ".join(f'{k.replace("_", "-")}="{_fnum(v) if isinstance(v, float) else v}"' for k, v in attrs.items())
+    if text is not None:
+        return f"<{tag} {cells}>{text}</{tag}>"
+    return f"<{tag} {cells}{'/' if close else ''}>"
+
+
 def render_chart(curve: SensitivityCurve, combined: Interval | None = None) -> str:
     """Render a curve (and optional combined region) to SVG text.
 
@@ -73,11 +83,10 @@ def render_chart(curve: SensitivityCurve, combined: Interval | None = None) -> s
     def py(v: float) -> float:
         return _TOP + (y_max - v) / (y_max - y_min) * ph
 
-    parts: list[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {int(_W)} {int(_H)}" '
-        f'width="{int(_W)}" height="{int(_H)}" font-family="sans-serif" font-size="13">'
-    )
+    parts = [
+        _el("svg", close=False, xmlns="http://www.w3.org/2000/svg", viewBox=f"0 0 {int(_W)} {int(_H)}",
+            width=int(_W), height=int(_H), font_family="sans-serif", font_size=13)
+    ]
 
     if combined is not None:
         cl = max(combined.lo, x_min)
@@ -85,64 +94,41 @@ def render_chart(curve: SensitivityCurve, combined: Interval | None = None) -> s
         if ch >= cl:
             # a point region still shades a hairline band
             width = max(px(ch) - px(cl), 1.0)
-            parts.append(
-                f'<rect x="{_fnum(px(cl))}" y="{_fnum(_TOP)}" '
-                f'width="{_fnum(width)}" height="{_fnum(ph)}" '
-                f'fill="#7aa6c2" fill-opacity="0.25"/>'
-            )
+            parts.append(_el("rect", x=px(cl), y=_TOP, width=width, height=ph, fill="#7aa6c2", fill_opacity=0.25))
 
-    # axes
-    x0 = px(x_min)
-    x1 = px(x_max)
-    y0 = py(y_min)
-    y1 = py(y_max)
-    parts.append(f'<line x1="{_fnum(x0)}" y1="{_fnum(y0)}" x2="{_fnum(x1)}" y2="{_fnum(y0)}" stroke="#333" stroke-width="1"/>')
-    parts.append(f'<line x1="{_fnum(x0)}" y1="{_fnum(y0)}" x2="{_fnum(x0)}" y2="{_fnum(y1)}" stroke="#333" stroke-width="1"/>')
-
-    # tick marks and labels at the grid endpoints
-    for gv in (rows[0].trace0, rows[-1].trace0):
-        gy = py(gv)
-        parts.append(f'<line x1="{_fnum(x0 - 5)}" y1="{_fnum(gy)}" x2="{_fnum(x0)}" y2="{_fnum(gy)}" stroke="#333" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{_fnum(x0 - 9)}" y="{_fnum(gy + 4)}" text-anchor="end">{_tick(gv)}</text>'
-        )
-    for tv in (x_min, x_max):
-        tx = px(tv)
-        parts.append(f'<line x1="{_fnum(tx)}" y1="{_fnum(y0)}" x2="{_fnum(tx)}" y2="{_fnum(y0 + 5)}" stroke="#333" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{_fnum(tx)}" y="{_fnum(y0 + 20)}" text-anchor="middle">{_tick(tv)}</text>'
-        )
+    # axes, then tick marks and labels at the grid endpoints and the x range's ends
+    axis = {"stroke": "#333", "stroke_width": 1}
+    x0, x1, y0, y1 = px(x_min), px(x_max), py(y_min), py(y_max)
+    parts += [_el("line", x1=x0, y1=y0, x2=x1, y2=y0, **axis), _el("line", x1=x0, y1=y0, x2=x0, y2=y1, **axis)]
+    for v in (rows[0].trace0, rows[-1].trace0):
+        gy = py(v)
+        parts.append(_el("line", x1=x0 - 5, y1=gy, x2=x0, y2=gy, **axis))
+        parts.append(_el("text", _tick(v), x=x0 - 9, y=gy + 4, text_anchor="end"))
+    for v in (x_min, x_max):
+        tx = px(v)
+        parts.append(_el("line", x1=tx, y1=y0, x2=tx, y2=y0 + 5, **axis))
+        parts.append(_el("text", _tick(v), x=tx, y=y0 + 20, text_anchor="middle"))
 
     # pointwise band whiskers
     for r in rows:
         wy = py(r.trace0)
-        parts.append(
-            f'<line x1="{_fnum(px(r.ci_lo))}" y1="{_fnum(wy)}" x2="{_fnum(px(r.ci_hi))}" y2="{_fnum(wy)}" '
-            f'stroke="#b0b0b0" stroke-width="1"/>'
-        )
+        parts.append(_el("line", x1=px(r.ci_lo), y1=wy, x2=px(r.ci_hi), y2=wy, stroke="#b0b0b0", stroke_width=1))
 
     # the curve itself: exactly one path element
     d = " ".join(
         f"{'M' if i == 0 else 'L'} {_fnum(px(r.trace_hat))} {_fnum(py(r.trace0))}"
         for i, r in enumerate(rows)
     )
-    parts.append(f'<path d="{d}" fill="none" stroke="#1f4e79" stroke-width="2"/>')
+    parts.append(_el("path", d=d, fill="none", stroke="#1f4e79", stroke_width=2))
 
     # trimming-bound markers
-    for mx, my in markers:
-        parts.append(
-            f'<circle cx="{_fnum(px(mx))}" cy="{_fnum(py(my))}" r="4" fill="#2e7d32"/>'
-        )
+    parts += [_el("circle", cx=px(mx), cy=py(my), r=4, fill="#2e7d32") for mx, my in markers]
 
-    # axis titles
-    parts.append(
-        f'<text x="{_fnum(_LEFT + pw / 2)}" y="{_fnum(_H - 16)}" text-anchor="middle">'
-        "implied effect among reactive units</text>"
-    )
-    parts.append(
-        f'<text x="18" y="{_fnum(_TOP + ph / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_fnum(_TOP + ph / 2)})">assumed effect among non-reactive units</text>'
-    )
+    # axis titles, the vertical one turned about its anchor
+    mid = _TOP + ph / 2
+    parts.append(_el("text", "implied effect among reactive units", x=_LEFT + pw / 2, y=_H - 16, text_anchor="middle"))
+    turn = f"rotate(-90 18 {_fnum(mid)})"
+    parts.append(_el("text", "assumed effect among non-reactive units", x=18, y=mid, text_anchor="middle", transform=turn))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

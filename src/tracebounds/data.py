@@ -10,6 +10,7 @@ this package is weight-aware.
 
 from __future__ import annotations
 
+import codecs
 import collections
 import contextlib
 import csv
@@ -21,7 +22,7 @@ import os
 import tempfile
 import warnings
 from array import array
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -47,8 +48,8 @@ def _require(ok: np.ndarray, values: np.ndarray, rule: str) -> None:
         raise InvariantViolation(f"{rule}, got {float(values.ravel()[i])}", unit=i // (ok.size // len(ok)))
 
 
-# rows at a time: the CSV codec, the cell table, the arm layout and simulate's draws
-# each make no temporary of the dataset's length, only of this many rows
+# rows at a time: the CSV codec, the cell table and simulate's draws each make no
+# temporary of the dataset's length, only of this many rows
 _CHUNK = 1 << 14
 
 _M_OF_CELL = np.array([0.0, 1.0, np.nan, 0.0, 1.0, np.nan])  # the m of each cell code, NaN for missing
@@ -183,16 +184,12 @@ class Dataset:
 
         if codes is None:
             dv = _checkable(d)
-            if dv.shape != (n,):
-                raise InvariantViolation("d length does not match y")
             mv = np.full(n, np.nan) if m is None else _checkable(m)
-            if mv.shape != (n,):
-                raise InvariantViolation("m length does not match y")
-        elif codes.shape != (n,):
-            raise InvariantViolation("cell codes length does not match y")
         wv = None if weight is None else np.asarray(weight, dtype=np.float64)
-        if wv is not None and wv.shape != (n,):
-            raise InvariantViolation("weight length does not match y")
+        columns = {"d": dv, "m": mv} if codes is None else {"cell codes": codes}
+        for name, column in {**columns, "weight": wv, "block": None if block is None else block[0]}.items():
+            if column is not None and column.shape != (n,):
+                raise InvariantViolation(f"{name} length does not match y")
         xv = np.empty((n, 0)) if x is None else np.asarray(x, dtype=np.float64)
         if xv.ndim == 1:
             xv = xv.reshape(-1, 1)
@@ -208,9 +205,6 @@ class Dataset:
             names = tuple(str(s) for s in covariate_names)
             if len(names) != k:
                 raise InvariantViolation("covariate_names length does not match covariate columns")
-
-        if block is not None and block[0].shape != (n,):
-            raise InvariantViolation("block length does not match y")
 
         # the per-unit rules, each raised here and nowhere else
         _require(np.isfinite(yv), yv, "y must be finite")
@@ -294,25 +288,17 @@ class Dataset:
         its m = 0 units, is read off either end as in
         :func:`~tracebounds.bounds.trimmed_mean`. Made on the first call
         and kept for this dataset; ``order`` is read-only, int32 below
-        2**31 rows. The runs are filled a chunk of rows at a time, and only
-        the control arm's y is sorted."""
+        2**31 rows. Only the control arm's y is sorted."""
         if self._layout is None:
             codes = self._codes
             a = np.count_nonzero(codes == 4)
             b = a + np.count_nonzero(codes == 3)
             order = np.empty(self.n, np.int32 if self.n < 2**31 else np.intp)
-            ends = [0, a, b]  # where each run's next rows go: treated m = 1, treated m = 0, control
-            for s in range(0, self.n, _CHUNK):
-                at = codes[s : s + _CHUNK]
-                for j, rows in enumerate((np.flatnonzero(at == 4), np.flatnonzero(at == 3), np.flatnonzero(at < 3))):
-                    rows += s
-                    order[ends[j] : ends[j] + rows.size] = rows
-                    ends[j] += rows.size
+            order[:a] = np.flatnonzero(codes == 4)
+            order[a:b] = np.flatnonzero(codes == 3)
             control = order[b:]  # in row order, then in the stable order of y
-            rank = np.argsort(self._y[codes < 3], kind="stable")
-            for s in range(0, rank.size, _CHUNK):  # each rank in turn becomes its row
-                rank[s : s + _CHUNK] = control[rank[s : s + _CHUNK]]
-            control[:] = rank
+            control[:] = np.flatnonzero(codes < 3)
+            control[:] = control[np.argsort(self._y[codes < 3], kind="stable")]
             order.setflags(write=False)
             self._layout = order, a, b
         return self._layout
@@ -502,9 +488,7 @@ def _plan(schema: Mapping[str, object] | None):
     weight), each an array of its own that the dataset keeps, the block
     codes with their label table, and d and m or, in their place, the
     cell codes :func:`_encode` wrote."""
-    eff = dict(_DEFAULT_SCHEMA)
-    if schema:
-        eff.update(schema)
+    eff = {**_DEFAULT_SCHEMA, **(schema or {})}
     for key in eff:
         if key not in _SCHEMA_KEYS:
             raise InvariantViolation(f"unknown schema key {key!r}; expected one of {sorted(_SCHEMA_KEYS)}")
@@ -704,28 +688,41 @@ def _decode_error(path, exc: UnicodeDecodeError) -> Exception:
     the row and column it falls in and its offset.
 
     Text is decoded in blocks ahead of the CSV parser, so the rows before
-    the byte are parsed here; a field among them that the parser refuses
-    comes first in the file and is named instead.
+    the byte are parsed here, 16 KiB of the file at a time: the parser
+    takes a block's whole lines, and the rest (or a CR that an LF may
+    follow) is held for the next; a field among them that the parser
+    refuses comes first in the file and is named instead.
     """
+    found: list[int] = []  # the byte's offset and value
+
+    def text(fh: BinaryIO) -> Iterator[TextIO]:  # the lines before the byte, then "?" for it
+        decode, held, end = codecs.getincrementaldecoder("utf-8-sig")().decode, [], False
+        while not (found or end):
+            block = fh.read(1 << 14)
+            end = not block
+            try:
+                decoded = decode(block, end)
+            except UnicodeDecodeError as bad:  # its object ends where the block does
+                found.extend((fh.tell() - len(bad.object) + bad.start, bad.object[bad.start]))
+                decoded = bad.object[: bad.start].decode() + "?"
+            cut = len(decoded) if found or end else max(decoded.rfind("\n"), decoded.rfind("\r", 0, -1)) + 1
+            if cut or found or end:
+                yield io.StringIO("".join(held) + decoded[:cut], newline="")
+                held.clear()
+            held.append(decoded[cut:])
+
+    row, record, header = -1, [], []
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as found:
-        at = found.start
-    else:
+        try:
+            for row, record in enumerate(csv.reader(itertools.chain.from_iterable(text(fh)))):
+                if row == 0:
+                    header = record
+        except csv.Error as err:
+            return ParseError(row + 1, None, str(err))
+    if not found:
         return exc  # the file changed since it was read
-    head = data[:at].decode("utf-8-sig") + "?"  # "?" stands for the undecodable byte
-    header: list[str] = []
-    row, record = -1, []
-    try:
-        for row, record in enumerate(csv.reader(io.StringIO(head, newline=""))):
-            if row == 0:
-                header = record
-    except csv.Error as err:
-        return ParseError(row + 1, None, str(err))
     column = header[len(record) - 1] if row > 0 and len(record) <= len(header) else None
-    return ParseError(row, column, f"byte {at} ({data[at]:#04x}) is not valid UTF-8")
+    return ParseError(row, column, f"byte {found[0]} ({found[1]:#04x}) is not valid UTF-8")
 
 
 @contextlib.contextmanager

@@ -19,7 +19,7 @@ from tracebounds import (
     trimmed_mean,
     type3_dim_bounds,
 )
-from tracebounds.bounds import _control_slices
+from tracebounds.bounds import _control_slices, _ordered_interval
 from tracebounds.errors import (
     EmptyInput,
     InvariantViolation,
@@ -92,6 +92,17 @@ def test_trimmed_mean_errors():
         TrimSpec(1.5, Side.LOWEST)
     with pytest.raises(InvariantViolation):
         trimmed_mean([1.0, 2.0], [1.0, 0.0], TrimSpec(0.5, Side.LOWEST))
+
+
+@pytest.mark.parametrize(
+    "values, weights",
+    [([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 1.0]])],
+    ids=["unequal lengths", "2-D"],
+)
+def test_trimmed_mean_needs_two_vectors_of_one_length(values, weights):
+    with pytest.raises(InvariantViolation) as ei:
+        trimmed_mean(values, weights, TrimSpec(0.5, Side.LOWEST))
+    assert str(ei.value) == "values and weights must be equal-length vectors"
 
 
 @pytest.mark.parametrize(
@@ -186,6 +197,20 @@ def test_interval_invariants():
         Interval(lo=float("nan"), hi=0.0, kind=BoundKind.NO_ASSUMPTION)
     with pytest.raises(InvariantViolation):
         Interval(lo=0.0, hi=1.0, kind=BoundKind.NO_ASSUMPTION, ci_lo=0.1, ci_hi=1.1)
+
+
+def test_interval_ci_ends_come_together():
+    with pytest.raises(InvariantViolation) as ei:
+        Interval(lo=0.0, hi=1.0, kind=BoundKind.NO_ASSUMPTION, ci_lo=-1.0)
+    assert str(ei.value) == "ci endpoints must be present together"
+
+
+def test_ordered_interval_collapses_noise_but_refuses_an_inversion():
+    iv = _ordered_interval(1.0 + 1e-12, 1.0, BoundKind.MT)
+    assert iv.lo == iv.hi == 0.5 * ((1.0 + 1e-12) + 1.0)
+    with pytest.raises(InvariantViolation) as ei:
+        _ordered_interval(2.0, 1.0, BoundKind.MT)
+    assert str(ei.value) == "bound endpoints came out inverted: 2.0 > 1.0"
 
 
 def test_interval_ci_clips_outward():
@@ -334,6 +359,17 @@ def test_type3_bounds_from_published_cells():
 def test_type3_bounds_reject_negative_control_mean():
     with pytest.raises(NegativeControlMean):
         type3_dim_bounds(0.5, -0.1)
+
+
+@pytest.mark.parametrize(
+    "means, message",
+    [((math.nan, 0.1), "mean_y_d1m1 must be finite, got nan"), ((0.5, math.inf), "mean_y_d0m1 must be finite, got inf")],
+    ids=["NaN treated mean", "infinite control mean"],
+)
+def test_type3_bounds_need_finite_means(means, message):
+    with pytest.raises(InvariantViolation) as ei:
+        type3_dim_bounds(*means)
+    assert str(ei.value) == message
 
 
 # -- naive contrasts ----------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from tracebounds import cli
 from tracebounds.cli import main
+from tracebounds.errors import InvariantViolation
 from tracebounds.estimators import TEMethod
 from tracebounds.inference import ResampleUnit
 from tracebounds.sensitivity import AssumptionSpec
@@ -535,6 +536,32 @@ def test_config_rejects_malformed_dgp_numbers(capsys, tmp_path, old, new):
     code, out = run(capsys, "simulate", "--config", str(cfg), "--out-table", str(tmp_path / "a.csv"), "--out-report", str(tmp_path / "a.json"))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize("text", ["0, 2.0, 3", "2.0"], ids=["three values", "one value"])
+def test_config_refuses_a_dgp_mean_that_is_not_a_pair(capsys, tmp_path, text):
+    cfg = tmp_path / "dgp.ini"
+    cfg.write_text(DGP_INI.replace("c = 0, 2.0", f"c = {text}", 1))
+    code, out = run(capsys, "simulate", "--config", str(cfg), "--out-table", str(tmp_path / "a.csv"), "--out-report", str(tmp_path / "a.json"))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == ("InvariantViolation", f"[dgp.means] c must be 'control, treated', got {text!r}")
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(float("nan"), "null"), ({}, "{}"), ([], "[]"), ((), "[]"), ({"a": [None, {}]}, '{\n  "a": [\n    null,\n    {}\n  ]\n}')],
+    ids=["NaN", "empty dict", "empty list", "empty tuple", "nested"],
+)
+def test_report_json_writes_nan_and_empty_containers(value, text):
+    assert cli._json_dumps(value) == text
+
+
+def test_report_json_refuses_a_type_it_cannot_write():
+    with pytest.raises(InvariantViolation) as ei:
+        cli._json_dumps({"a": {1, 2}})
+    assert str(ei.value) == "cannot serialize set"
 
 
 # -- how each option gets its value ------------------------------------------

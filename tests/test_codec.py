@@ -677,6 +677,19 @@ def test_invalid_utf8_anywhere_is_a_parse_error(tmp_path, head, row, column):
     assert str(ei.value).endswith(f"byte {len(head)} (0xc3) is not valid UTF-8")
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("at", [16382, 16383, 16384])
+def test_invalid_utf8_is_named_past_a_line_end_at_the_block_edge(tmp_path, end, at):
+    # the rows before the byte are parsed 16 KiB at a time; row 1's line end
+    # starts at byte `at`, so a CRLF falls across the edge once
+    head = b"y,d,m" + end + b"1".ljust(at - len(end) - 9, b"0") + b",1,1" + end + b"2,0,0" + end
+    path = tmp_path / "in.csv"
+    path.write_bytes(head + b"\xff,0,0" + end)
+    with pytest.raises(ParseError) as ei:
+        load_csv(path)
+    assert str(ei.value) == f"row 3, column 'y': byte {len(head)} (0xff) is not valid UTF-8"
+
+
 def test_block_file_with_invalid_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "in.csv"
     path.write_bytes(b"y,d,m,block\n1,1,1,a\n2,0,0,\xe9t\xe9\n")

@@ -493,6 +493,39 @@ def test_dataset_rejects_malformed_covariates_and_blocks(kwargs):
         Dataset(y=[1.0, 2.0, 3.0], d=[1, 0, 1], m=[1, 0, 0], **kwargs)
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (dict(y=[[1.0, 2.0, 3.0]]), "y must be one-dimensional"),
+        (dict(d=[1, 0]), "d length does not match y"),
+        (dict(m=[1, 0, 0, 1]), "m length does not match y"),
+        (dict(weight=[1.0, 2.0]), "weight length does not match y"),
+        (dict(x=np.zeros((3, 2)), covariate_names=["a"]), "covariate_names length does not match covariate columns"),
+        (dict(block=["a", "b"]), "block length does not match y"),
+    ],
+    ids=["2-D y", "short d", "long m", "short weight", "one name for two covariates", "short block"],
+)
+def test_dataset_names_the_column_of_the_wrong_shape(columns, message):
+    with pytest.raises(InvariantViolation) as ei:
+        Dataset(**{**dict(y=[1.0, 2.0, 3.0], d=[1, 0, 1], m=[1, 0, 0]), **columns})
+    assert str(ei.value) == message
+
+
+def test_cell_codes_of_the_wrong_length_are_refused():
+    with pytest.raises(InvariantViolation) as ei:
+        Dataset._adopt(np.array([1.0, 2.0, 3.0]), None, None, codes=np.array([4, 0], np.int8))
+    assert str(ei.value) == "cell codes length does not match y"
+
+
+def test_an_empty_file_is_refused_for_its_missing_header(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError) as ei:
+        load_csv(path)
+    assert (ei.value.row, ei.value.column) == (0, "")
+    assert str(ei.value) == "row 0, column '': file is empty, a header row is required"
+
+
 def test_dataset_requires_both_arms():
     with pytest.raises(InvariantViolation, match="control"):
         Dataset(y=[1.0, 2.0], d=[1, 1], m=[1, 0])

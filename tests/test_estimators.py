@@ -10,6 +10,7 @@ from tracebounds import (
     Dataset,
     NaiveEstimates,
     Side,
+    StrataShares,
     TEMethod,
     TrimSpec,
     arm_reaction_rate,
@@ -218,10 +219,38 @@ def test_moments_rejects_impossible_rate():
         moments_to_te(0.3, 0.5, 0.9)
 
 
+def test_moments_reject_an_impossible_control_rate():
+    # implied Pr(y=1|d=1) = 0.5*0.5/0.9, within [0, 1]; Pr(y=1|d=0) = 0.5*0.5/0.1 = 2.5
+    with pytest.raises(OutOfRange) as ei:
+        moments_to_te(0.9, 0.5, 0.5)
+    assert str(ei.value) == "implied Pr(y=1|d=0)=2.5 falls outside [0, 1]"
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1])
 def test_moments_rejects_boundary_inputs(bad):
     with pytest.raises(OutOfRange):
         moments_to_te(bad, 0.1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "shares, message",
+    [
+        ((0.5, -0.1, 0.6), "share c must be nonnegative, got -0.1"),
+        ((0.2, 0.3, 0.4), "shares must sum to 1, got 0.9"),
+    ],
+    ids=["negative share", "sum below 1"],
+)
+def test_strata_shares_are_refused_unless_a_distribution(shares, message):
+    with pytest.raises(InvariantViolation) as ei:
+        StrataShares(*shares)
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (1, -1), (0.5, 0)])
+def test_conditional_mean_refuses_a_cell_index_other_than_0_or_1(toy, d, m):
+    with pytest.raises(InvariantViolation) as ei:
+        conditional_mean(toy, d, m)
+    assert str(ei.value) == "cell indices must be 0 or 1"
 
 
 # -- regression route ---------------------------------------------------------

@@ -190,6 +190,21 @@ def test_vector_statistic_width(toy):
     np.testing.assert_array_equal(values, np.tile([1.0, 2.0, 3.0], (25, 1)))
 
 
+def test_a_replicate_of_the_wrong_width_fails_alone(toy):
+    # the base run sets the width at 2; every third evaluated replicate returns 3 values
+    widths = []
+
+    def stat(ds):
+        widths.append(3 if len(widths) % 3 == 1 else 2)
+        return (1.0, 2.0, 3.0)[: widths[-1]]
+
+    values, n_failed = bootstrap_replicates(stat, toy, BootstrapConfig(replicates=30, seed=4))
+    blank = np.isnan(values).all(axis=1)
+    # a resample without both arms fails before the statistic runs
+    assert widths.count(3) > 0 and n_failed == int(blank.sum()) == widths.count(3) + 31 - len(widths)
+    np.testing.assert_array_equal(values[~blank], np.tile([1.0, 2.0], (int((~blank).sum()), 1)))
+
+
 def test_block_resampling_draws_whole_blocks():
     ds = Dataset(
         y=np.arange(8.0),

@@ -8,8 +8,8 @@ cell; d and m are made on each call, and the unit weights are a view of
 one value), and 8 more when it is given weights; its arm layout, once
 made, 4 more (int32). A step that reads a dataset is also measured with
 that dataset counted, from before it is made. The CSV reader and
-writer, simulate's draws, the cell table and the layout work a chunk of
-rows at a time, here made small (but for one test of the reader's
+writer, simulate's draws and the cell table work a chunk of rows at a
+time, here made small (but for one test of the reader's
 default chunk) so that a chunk's own memory does not count against a
 budget:
 what is left is the columns a step keeps and the one-byte flags of the
@@ -29,6 +29,7 @@ import tracebounds.data as data_module
 import tracebounds.oracle as oracle_module
 from tracebounds import cli
 from tracebounds.data import Dataset, load_csv, write_csv
+from tracebounds.errors import ParseError
 from tracebounds.estimators import TEMethod
 from tracebounds.inference import BootstrapConfig
 from tracebounds.oracle import DGPConfig, OutcomeMeans, StrataProbs, simulate
@@ -179,6 +180,24 @@ def test_load_csv_numbers_the_block_labels_as_it_reads(tmp_path, dataset):
     assert _peak_per_unit(lambda: load_csv(path, {"block": "block"})) < 15.5
 
 
+def test_load_csv_names_an_undecodable_byte_a_block_at_a_time(tmp_path, dataset):
+    # a 0xff byte opens the last row: y and the cell codes, filled up to the
+    # chunk that holds it, then the rows before the byte decoded and parsed
+    # 16 KiB of the file at a time (10.9; the whole file as bytes, as text and
+    # the text before the byte, 87.9)
+    path = tmp_path / "trial.csv"
+    write_csv(dataset, path)
+    text = path.read_bytes()
+    last = text.rindex(b"\n", 0, -1) + 1
+    path.write_bytes(text[:last] + b"\xff" + text[last + 1 :])
+
+    def run():
+        with pytest.raises(ParseError, match=f"^row {N}, column 'y': byte {last} \\(0xff\\) is not valid UTF-8$"):
+            load_csv(path)
+
+    assert _peak_per_unit(run) < 12
+
+
 def _peak_with_dataset(make, step) -> float:
     """The traced peak of ``step(ds)`` per unit, counting the dataset
     ``make()`` returns, which is made under tracing; after one untraced
@@ -206,7 +225,8 @@ def test_the_cell_table_of_unit_weights_counts_and_sums_y(tmp_path, dataset, mak
 
 def test_the_layout_sorts_the_control_arm_alone():
     # the 9 held bytes and the int32 layout, and while it is made the control
-    # arm's y, gathered through a mask, and its int64 ranks (21.1)
+    # arm's y, gathered through a mask, and its int64 ranks; each run's rows
+    # and the ranks' rows, made in one step, peak below that (21.06)
     assert _peak_with_dataset(lambda: simulate(_DGP)[0], Dataset.layout) < 23.2
 
 

@@ -108,6 +108,22 @@ def test_strata_probs_validation():
         StrataProbs(at=-0.1, c=0.6, nt=0.5)
 
 
+@pytest.mark.parametrize(
+    "means, name",
+    [
+        (dict(at=(0.0, np.nan), c=(0.0, 1.0), nt=(0.0, 0.0)), "at"),
+        (dict(at=(0.0, 1.0), c=(np.inf, 1.0), nt=(0.0, 0.0)), "c"),
+        (dict(at=(0.0, 1.0), c=(0.0, 1.0), nt=(0.0,)), "nt"),
+        (dict(at=(0.0, 1.0), c=(0.0, 1.0), nt=(0.0, 0.0), defier=(0.0, 1.0, 2.0)), "def"),
+    ],
+    ids=["NaN", "infinite", "one value", "three values"],
+)
+def test_outcome_means_need_a_finite_pair_per_stratum(means, name):
+    with pytest.raises(InvariantViolation) as ei:
+        OutcomeMeans(**means)
+    assert str(ei.value) == f"means for {name} must be a finite (control, treated) pair"
+
+
 def test_dgp_validation():
     with pytest.raises(InvariantViolation):
         _config(n=0)

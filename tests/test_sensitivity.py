@@ -24,8 +24,9 @@ from tracebounds import (
     trace_from_trace0,
 )
 from tracebounds.inference import percentile_band
-from tracebounds.sensitivity import _preset_ci
+from tracebounds.sensitivity import _preset_ci, _with_band, curve_from_replicates
 from tracebounds.errors import (
+    AllReplicatesFailed,
     DegenerateP,
     DegenerateShare,
     InvariantViolation,
@@ -192,6 +193,29 @@ def test_spec_validation():
         AssumptionSpec.point(float("inf"))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(kind=AssumptionKind.INTERVAL, lo=0.0), "INTERVAL assumption needs lo and hi"),
+        (dict(kind=AssumptionKind.GRID, hi=1.0, step=0.5), "GRID assumption needs lo and hi"),
+        (dict(kind=AssumptionKind.INTERVAL, lo=-math.inf, hi=0.0), "INTERVAL endpoints must be finite"),
+        (dict(kind=AssumptionKind.GRID, lo=0.0, hi=math.nan, step=0.5), "GRID endpoints must be finite"),
+    ],
+    ids=["interval without hi", "grid without lo", "interval from -inf", "grid to nan"],
+)
+def test_an_interval_or_grid_needs_two_finite_ends(kwargs, message):
+    with pytest.raises(InvariantViolation) as ei:
+        AssumptionSpec(**kwargs)
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_an_alternative_assumption_needs_a_finite_value(value):
+    with pytest.raises(InvariantViolation) as ei:
+        AltAssumption.y0_given_c(value)
+    assert str(ei.value) == "assumed value must be finite"
+
+
 # -- grids --------------------------------------------------------------------
 
 
@@ -354,6 +378,27 @@ def test_curve_zero_width_when_outcome_constant():
         assert r.trace_hat == pytest.approx(0.0)
         assert r.ci_lo == pytest.approx(0.0)
         assert r.ci_hi == pytest.approx(0.0)
+
+
+def test_curve_is_undefined_when_no_treated_unit_reacted():
+    ds = Dataset(y=[1.0, 2.0, 3.0, 4.0], d=[1, 1, 0, 0], m=[0, 0, 1, 0])
+    with pytest.raises(DegenerateP) as ei:
+        build_curve(ds, AssumptionSpec.grid(-1.0, 1.0, 1.0), boot=BootstrapConfig(replicates=5, seed=0))
+    assert str(ei.value) == "no treated unit reacted; the curve is undefined"
+
+
+def test_a_curve_needs_one_usable_replicate():
+    # each replicate fails on its own: te NaN, p NaN, p = 0
+    trim = Interval(-1.0, 1.0, BoundKind.NO_ASSUMPTION)
+    te_r, p_r = np.array([np.nan, 0.2, 0.2]), np.array([0.5, np.nan, 0.0])
+    with pytest.raises(AllReplicatesFailed) as ei:
+        curve_from_replicates(AssumptionSpec.grid(-1.0, 1.0, 1.0), 0.2, 0.5, trim, te_r, p_r, 0.95)
+    assert str(ei.value) == "no bootstrap replicate produced a usable (te, p) pair"
+
+
+def test_an_interval_without_a_finite_replicate_gets_no_band():
+    iv = Interval(-1.0, 1.0, BoundKind.NO_ASSUMPTION)
+    assert _with_band(iv, np.full(3, np.nan), np.full(3, np.nan), 0.95) is iv
 
 
 def test_curve_needs_grid(toy):
