@@ -5,8 +5,12 @@ Runs the CLI steps of each workload in perfbench/workloads.py at seeds
 1 and 2, on inputs that module writes, then scripts/run_demo.py, then
 ``bounds`` on the ingest_bounds table of seed 1 with the m of its last
 control row blanked (a chunk that np.loadtxt refuses, read again; not
-``--type3``, which needs every control m), each in its own directory
-under OUT and with paths relative to it (reports echo their paths).
+``--type3``, which needs every control m), then the analyze step of
+analyze_blocks_ols at seed 1 again, with its config, on its input with
+the columns in the order of ``PERMUTED`` (its ``curve.csv`` and
+``chart.svg`` equal those of the row it permutes), each in its own
+directory under OUT and with paths relative to it (reports echo their
+paths).
 Prints one row per configuration, each file with the first 12 hex
 digits of its SHA-256:
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -32,6 +37,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SEEDS = (1, 2)
+# the analyze_blocks_ols columns, each away from where the workload writes it
+PERMUTED = ("weight", "x2", "block", "m", "y", "x1", "d")
 
 
 def _digests(directory: pathlib.Path) -> str:
@@ -45,6 +52,15 @@ def blank_last_control_m(table: bytes) -> bytes:
     """A table ``write_csv`` wrote, with the m cell of its last control row emptied."""
     at = max(table.rfind(b",0,0\r\n"), table.rfind(b",0,1\r\n")) + 3  # the m cell
     return table[:at] + table[at + 1 :]
+
+
+def _reordered(table: bytes, order) -> bytes:
+    """A CSV table with its columns in ``order``, names from its header."""
+    rows = list(csv.reader(io.StringIO(table.decode("utf-8"), newline="")))
+    at = [rows[0].index(name) for name in order]
+    out = io.StringIO(newline="")
+    csv.writer(out, lineterminator="\n").writerows([row[i] for i in at] for row in rows)
+    return out.getvalue().encode("utf-8")
 
 
 def _run(cli, config: pathlib.Path, steps) -> bool:
@@ -98,6 +114,14 @@ def main(argv=None) -> int:
     if not _run(cli, blank, [["bounds", "--input", str(blank / "trial.csv"), "--out-report", str(blank / "bounds.json")]]):
         return 1
     rows.append((str(blank), _digests(blank)))
+
+    permuted = pathlib.Path(f"analyze_blocks_ols-{args.size}-s1-permuted")
+    job = prepare("analyze_blocks_ols", 1, args.size, permuted)
+    data = job.expect["input"]
+    data.write_bytes(_reordered(data.read_bytes(), PERMUTED))
+    if not _run(cli, permuted, job.steps):
+        return 1
+    rows.append((str(permuted), _digests(permuted)))
 
     print("| config | digests |")
     print("|---|---|")

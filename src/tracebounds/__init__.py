@@ -16,7 +16,7 @@ from .bounds import (
     trimmed_mean,
     type3_dim_bounds,
 )
-from .data import Analysis, Dataset, load_csv, schema_for, validate_for, write_csv
+from .data import Dataset, load_csv, schema_for, write_csv
 from .errors import (
     AllReplicatesFailed,
     DegenerateP,

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Analysis, Dataset, validate_for
+from .data import Dataset
 from .errors import (
     EmptyCell,
     EmptyInput,
@@ -25,6 +25,7 @@ from .errors import (
     MissingM,
     NegativeControlMean,
     NoReactiveTreated,
+    RequirementUnmet,
     ZeroFraction,
 )
 from .estimators import (
@@ -183,7 +184,6 @@ def no_assumption_bounds(ds: Dataset) -> Interval:
     reactive share. Sharp without further assumptions: on integer-count
     trims the endpoints equal the exact subset-mean extremes.
     """
-    validate_for(ds, Analysis.NO_ASSUMPTION_BOUNDS)
     p = estimate_p_m1(ds)
     if p == 0.0:
         raise NoReactiveTreated("no treated unit reacted; the target group is empty in-sample")
@@ -201,7 +201,8 @@ def mt_bounds(ds: Dataset) -> Interval:
     pool at the share they occupy within it. Requires m observed in
     both arms and an empirically monotone first stage.
     """
-    validate_for(ds, Analysis.MT_BOUNDS)
+    if not ds.m_observed_in_control:
+        raise RequirementUnmet("mt_bounds requires the reaction indicator to be observed in the control arm")
     shares = strata_shares_monotone(ds)
     p1 = estimate_p_m1(ds)
     if p1 == 0.0:
@@ -248,7 +249,8 @@ def mt_mixture(p1: float, shares: StrataShares) -> tuple[float, float]:
 def dim_m1(ds: Dataset) -> float:
     """Difference in mean outcomes between treated and control units
     showing m = 1. Descriptive unless reacting carries the whole effect."""
-    validate_for(ds, Analysis.DIM)
+    if not ds.m_observed_in_control:
+        raise RequirementUnmet("dim requires the reaction indicator to be observed in the control arm")
     return conditional_mean(ds, 1, 1) - conditional_mean(ds, 0, 1)
 
 

@@ -14,7 +14,6 @@ import codecs
 import collections
 import contextlib
 import csv
-import enum
 import io
 import itertools
 import math
@@ -26,16 +25,7 @@ from typing import BinaryIO, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import InvariantViolation, MissingBlockLabels, MissingColumn, ParseError, RequirementUnmet
-
-
-class Analysis(enum.Enum):
-    """Analyses a dataset can be validated against."""
-
-    NO_ASSUMPTION_BOUNDS = "no_assumption_bounds"
-    MT_BOUNDS = "mt_bounds"
-    SENSITIVITY = "sensitivity"
-    DIM = "dim"
+from .errors import InvariantViolation, MissingBlockLabels, MissingColumn, ParseError
 
 
 def _require(ok: np.ndarray, values: np.ndarray, rule: str) -> None:
@@ -393,21 +383,6 @@ class Dataset:
         )
 
 
-# -- validation gate -------------------------------------------------------
-
-
-def validate_for(ds: Dataset, analysis: Analysis) -> None:
-    """Raise :class:`RequirementUnmet` if ``ds`` cannot support ``analysis``.
-
-    Monotone by construction: a dataset accepted for the most demanding
-    analyses (those needing m in both arms) is accepted for all.
-    """
-    if analysis in (Analysis.MT_BOUNDS, Analysis.DIM) and not ds.m_observed_in_control:
-        raise RequirementUnmet(
-            f"{analysis.value} requires the reaction indicator to be observed in the control arm"
-        )
-
-
 # -- CSV codec -----------------------------------------------------------
 
 _DEFAULT_SCHEMA: Mapping[str, object] = {"y": "y", "d": "d", "m": "m"}
@@ -432,9 +407,9 @@ _m_value = _MCells({"": math.nan, "0": 0.0, "1": 1.0}).__getitem__
 
 
 def _cell_error(fields: Sequence[str], row: int, cells) -> ParseError:
-    """The error for the first of ``cells`` (column, index, parser) that
-    ``fields`` lacks or that fails to parse."""
-    for column, i, parse in cells:
+    """The error for the first of ``cells`` (role, column, index, parser)
+    that ``fields`` lacks or that fails to parse."""
+    for _, column, i, parse in cells:
         if i >= len(fields):
             return ParseError(row, column, "row has too few fields")
         try:
@@ -455,8 +430,10 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
         Keys ``y``, ``d``, ``m`` name the corresponding columns
         (defaults ``"y"``, ``"d"``, ``"m"``). Optional keys:
         ``covariates`` (list of column names), ``block``, ``weight``.
-        Any other key, or ``covariates`` as one str, raises
-        :class:`InvariantViolation`.
+        Any other key, ``covariates`` as one str, or a column named for
+        two roles (``covariates=["y"]``, a covariate listed twice, a
+        covariate as the weight) raises :class:`InvariantViolation`
+        before the file is opened.
 
     A blank m cell marks a missing indicator and an empty block cell a
     missing label; every other needed cell must parse as a number. Blank
@@ -465,65 +442,53 @@ def load_csv(path, schema: Mapping[str, object] | None = None) -> Dataset:
     :class:`InvariantViolation` (with the row of the offending unit when
     a per-unit rule of :class:`Dataset` fails).
 
-    The file is read once, ``_CHUNK`` rows at a time, into columns sized
-    from a count of its line ends. ``np.loadtxt`` parses a chunk, and
-    ``csv.reader`` and ``float`` one it refuses (:func:`_loadtxt_table`,
-    :func:`_parse_rows`), naming the first bad cell. The two routes read every file alike but
-    one kind: an over-long field that ``np.loadtxt`` reads.
+    The schema's roles have one order, whatever the file's column order:
+    y, d, m, the covariates as listed, block, weight (:func:`_plan`). A
+    row's cells are checked in it, so the first bad cell in that order is
+    named, and each chunk's table holds them in it. The file is read
+    once, ``_CHUNK`` rows at a time, into columns sized from a count of
+    its line ends. ``np.loadtxt`` parses a chunk, and ``csv.reader`` and
+    ``float`` one it refuses (:func:`_loadtxt_table`,
+    :func:`_parse_rows`). The two routes read every file alike but one
+    kind: an over-long field that ``np.loadtxt`` reads.
     """
-    roles, build = _plan(schema)
+    roles = _plan(schema)
     with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
         # np.loadtxt passes a blank line over but warns when one falls among the rows it is asked for
         warnings.filterwarnings("ignore", "Input line", UserWarning)
         try:
-            return _read(fh, roles, build, *_scan(path))
+            return _read(fh, roles, *_scan(path))
         except UnicodeDecodeError as exc:
             raise _decode_error(path, exc) from None
 
 
-def _plan(schema: Mapping[str, object] | None):
-    """The (column, parser) roles of ``schema`` in the order a row's cells
-    are checked (y, d, m, covariates, block, weight), and the builder of
-    its :class:`Dataset` from the kept real columns (y, covariates,
-    weight), each an array of its own that the dataset keeps, the block
-    codes with their label table, and d and m or, in their place, the
-    cell codes :func:`_encode` wrote."""
+def _plan(schema: Mapping[str, object] | None) -> list[tuple[str, str, object]]:
+    """The roles of ``schema``, each (role, column, parser), in the one
+    column order of the codec: a row's cells are checked, a chunk's table
+    holds them and :func:`write_csv` writes them as y, d, m, the
+    covariates, block, weight. A column named for two roles, which would
+    be read as each of them, is refused."""
     eff = {**_DEFAULT_SCHEMA, **(schema or {})}
     for key in eff:
         if key not in _SCHEMA_KEYS:
             raise InvariantViolation(f"unknown schema key {key!r}; expected one of {sorted(_SCHEMA_KEYS)}")
     if isinstance(eff.get("covariates"), str):
         raise InvariantViolation("schema key 'covariates' must be a list of column names, not a str")
-    cov_cols = [str(c) for c in eff.get("covariates", [])]
-    block_col = None if eff.get("block") is None else str(eff["block"])
-    weight_col = None if eff.get("weight") is None else str(eff["weight"])
-    roles = [(str(eff["y"]), float), (str(eff["d"]), float), (str(eff["m"]), _m_value)]
-    roles += [(c, float) for c in cov_cols]
-    if block_col is not None:
-        roles.append((block_col, str))
-    if weight_col is not None:
-        roles.append((weight_col, float))
-    k = len(cov_cols)
-
-    def build(reals: list[np.ndarray], blocks: tuple[np.ndarray, tuple] | None, d=None, m=None, codes=None) -> Dataset:
-        return Dataset._adopt(
-            y=reals[0],
-            d=d,
-            m=m,
-            x=np.column_stack(reals[1 : 1 + k]) if k else None,
-            block=blocks,
-            weight=reals[-1] if weight_col is not None else None,
-            covariate_names=cov_cols if k else None,
-            codes=codes,
-        )
-
-    return roles, build
+    roles = [("y", str(eff["y"]), float), ("d", str(eff["d"]), float), ("m", str(eff["m"]), _m_value)]
+    roles += [("covariates", str(c), float) for c in eff.get("covariates", [])]
+    roles += [(key, str(eff[key]), parse) for key, parse in (("block", str), ("weight", float)) if eff.get(key) is not None]
+    names = [column for _, column, _ in roles]
+    for name in names:
+        if names.count(name) > 1:
+            raise InvariantViolation(f"the schema names column {name!r} for {names.count(name)} roles; a column fills one")
+    return roles
 
 
-def _header_cells(fh: TextIO, roles) -> list:
+def _header_cells(fh: TextIO, roles, number) -> list:
     """Read the header of ``fh`` by ``readline``, as every read of it, so
-    that ``fh.tell()`` works: (column, index, parser) for each role. A
-    column a role reads must appear in it exactly once."""
+    that ``fh.tell()`` works: (role, column, index, parser) for each role,
+    a block label's parser numbering it by ``number``. A column a role
+    reads must appear in it exactly once."""
     try:
         header = next(csv.reader(iter(fh.readline, "")), None)
     except csv.Error as exc:  # a field over the parser's size limit
@@ -531,12 +496,12 @@ def _header_cells(fh: TextIO, roles) -> list:
     if header is None:
         raise ParseError(0, "", "file is empty, a header row is required")
     pos = {name: i for i, name in enumerate(header)}
-    for name, _ in roles:
+    for _, name, _ in roles:
         if name not in pos:
             raise MissingColumn(f"column {name!r} not found in header {header}")
         if header.count(name) > 1:
             raise ParseError(0, name, f"the header names this column {header.count(name)} times")
-    return [(name, pos[name], parse) for name, parse in roles]
+    return [(role, name, pos[name], number.__getitem__ if parse is str else parse) for role, name, parse in roles]
 
 
 # Py_UNICODE_ISSPACE counts these as whitespace and np.loadtxt strips
@@ -565,19 +530,23 @@ def _scan(path) -> tuple[int, bool, bool]:
     return int(ends), bool(blank), separators
 
 
-def _read(fh: TextIO, roles, build, bound: int, blank: bool, separators: bool) -> Dataset:
+def _read(fh: TextIO, roles, bound: int, blank: bool, separators: bool) -> Dataset:
     """The dataset of the CSV file open as ``fh``, read a chunk at a time
-    into columns of ``bound`` rows; d and m are kept as read from the first
-    chunk that breaks their rules on, for :class:`Dataset` to name them."""
-    cells = _header_cells(fh, roles)
-    body = fh.tell()
-    floats = [i for _, i, parse in cells if parse is float]  # y, d, covariates, weight
-    block_at = [i for _, i, parse in cells if parse is str]  # its column, if any
-    columns = floats + block_at + [cells[2][1]]  # ..., the block code, m
+    into columns of ``bound`` rows. A chunk's table holds the cells of the
+    ``roles`` in their order, a block label as its code; y, the
+    covariates, the block and the weight are kept from it, and d and m as
+    their cell codes, or as read from the first chunk that breaks their
+    rules on, for :class:`Dataset` to name them."""
     # label -> code: a label not seen yet takes the next number, in C
     number: collections.defaultdict[str, int] = collections.defaultdict(itertools.count().__next__)
-    # each kept column and its column of a chunk's table: y, covariates, weight, block code
-    kept = [(np.empty(bound), j) for j in (0, *range(2, len(floats)))] + [(np.empty(bound, np.int32), -2) for _ in block_at]
+    cells = _header_cells(fh, roles, number)
+    body = fh.tell()
+    # each role but d and m, its column and the column of a chunk's table it is filled from
+    kept = [
+        (role, np.empty(bound, np.int32 if role == "block" else np.float64), j)
+        for j, (role, *_) in enumerate(cells)
+        if role not in ("d", "m")
+    ]
     codes = np.empty(bound, np.int8)
     dm = None  # d and m as read, once a chunk breaks their rules
     n = 0
@@ -587,7 +556,7 @@ def _read(fh: TextIO, roles, build, bound: int, blank: bool, separators: bool) -
         if not blank:
             return unit + 1
         fh.seek(body)
-        return _parse_rows(csv.reader(iter(fh.readline, "")), cells, number, unit + 1, lambda: 0)[1]
+        return _parse_rows(csv.reader(iter(fh.readline, "")), cells, unit + 1, lambda: 0)[1]
 
     while True:
         start = fh.tell()
@@ -600,72 +569,82 @@ def _read(fh: TextIO, roles, build, bound: int, blank: bool, separators: bool) -
         # allocates that many before it reads one, so it is asked for no more than
         # the bound leaves
         take = min(_CHUNK, bound - n)
-        part = None if separators else _loadtxt_table(fh, start, columns, number if block_at else None, take)
+        part = None if separators else _loadtxt_table(fh, start, cells, number, take)
         if part is None:
             fh.seek(start)
-            part = _parse_rows(csv.reader(iter(fh.readline, "")), cells, number, take, lambda: row_of(n - 1) if n else 0)[0]
+            part = _parse_rows(csv.reader(iter(fh.readline, "")), cells, take, lambda: row_of(n - 1) if n else 0)[0]
         rows = slice(n, n + part.shape[0])
         if dm is None:
             try:
-                _encode(part[:, 1], part[:, -1], codes[rows])
+                _encode(part[:, 1], part[:, 2], codes[rows])
             except InvariantViolation:  # the file is refused; d and m are kept for its error
                 dm = np.empty((bound, 2))
                 dm[:n, 0], dm[:n, 1] = codes[:n] >= 3, _M_OF_CELL[codes[:n]]
         if dm is not None:
-            dm[rows] = part[:, [1, -1]]
-        for column, j in kept:
+            dm[rows] = part[:, 1:3]
+        for _, column, j in kept:
             column[rows] = part[:, j]
         n = rows.stop
         del part  # not held while the dataset is built
 
-    for column in (codes, *(column for column, _ in kept)):  # blank lines and quoted line ends counted in the bound
+    codes.resize(n, refcheck=False)  # blank lines and quoted line ends counted in the bound
+    held = collections.defaultdict(list)  # each role's kept columns, in the roles' order
+    for role, column, _ in kept:
         column.resize(n, refcheck=False)
-    reals = [column for column, _ in kept[: len(floats) - 1]]
-    blocks = (kept[-1][0], tuple(label or None for label in number)) if block_at else None
+        held[role].append(column)
+    x = held["covariates"]
+    d, m = (None, None) if dm is None else dm[:n].T
     try:
-        return build(reals, blocks, codes=codes) if dm is None else build(reals, blocks, d=dm[:n, 0], m=dm[:n, 1])
+        return Dataset._adopt(
+            held["y"][0], d, m,
+            x=np.column_stack(x) if x else None,
+            block=(held["block"][0], tuple(label or None for label in number)) if "block" in held else None,
+            weight=held["weight"][0] if "weight" in held else None,
+            covariate_names=[column for role, column, *_ in cells if role == "covariates"],
+            codes=codes if dm is None else None,
+        )
     except InvariantViolation as exc:
         if exc.unit is not None:
             exc.row = row_of(exc.unit)
         raise
 
 
-def _loadtxt_table(fh: TextIO, start: int, columns: list[int], number, take: int) -> np.ndarray | None:
-    """``np.loadtxt``'s table of the ``columns`` of the ``take`` rows at
-    ``start`` in ``fh``, labels in ``columns[-2]`` numbered by ``number``
-    if given, read again with m through ``_m_value`` if refused. None if
+def _loadtxt_table(fh: TextIO, start: int, cells, number, take: int) -> np.ndarray | None:
+    """``np.loadtxt``'s table of the ``cells`` of the ``take`` rows at
+    ``start`` in ``fh``, in their order, a block label numbered by its
+    parser, read again with m through ``_m_value`` if refused. None if
     refused again or if csv.reader and float may read otherwise: it holds
     an infinity (loadtxt's value of an over-long number), a NaN in m not
-    from ``_m_value`` (a literal nan) or a new over-long label."""
-    known = len(number or ())
-    labels = {} if number is None else {columns[-2]: number.__getitem__}
-    for converters in (labels, {**labels, columns[-1]: _m_value}):
+    from ``_m_value`` (a literal nan) or a new over-long label, a key of
+    ``number``."""
+    known = len(number)
+    labels = {i: parse for role, _, i, parse in cells if role == "block"}
+    m_at = cells[2][2]
+    for converters in (labels, {**labels, m_at: _m_value}):
         fh.seek(start)
         try:
             part = np.loadtxt(
-                iter(fh.readline, ""), delimiter=",", quotechar='"', comments=None, usecols=columns,
+                iter(fh.readline, ""), delimiter=",", quotechar='"', comments=None, usecols=[i for _, _, i, _ in cells],
                 converters=converters or None, ndmin=2, encoding="utf-8", max_rows=take,
             )
         except ValueError:  # a UnicodeDecodeError too, raised again by csv.reader
             continue
         if (
             not np.isinf((np.fmin.reduce(part, axis=None), np.fmax.reduce(part, axis=None))).any()  # NaN passed over
-            and (columns[-1] in converters or not np.isnan(part[:, -1].sum()))
-            and all(len(label) <= csv.field_size_limit() for label in itertools.islice(number or (), known, None))
+            and (m_at in converters or not np.isnan(part[:, 2].sum()))
+            and all(len(label) <= csv.field_size_limit() for label in itertools.islice(number, known, None))
         ):
             return part
     return None
 
 
-def _parse_rows(records, cells, number, take: int, row0) -> tuple[np.ndarray, int]:
+def _parse_rows(records, cells, take: int, row0) -> tuple[np.ndarray, int]:
     """The table :func:`_loadtxt_table` makes, of up to ``take`` rows of
-    ``records``, a ``csv.reader``: reals by ``float``, m by ``_m_value``,
-    labels numbered by ``number``; and the rows read, blank ones too.
-    The first bad cell or over-long field is a :class:`ParseError` at
-    its file row, counted on from ``row0()``, called only then."""
-    # the cells of a table row in its column order (reals, the block code, m), each with its parser
-    parsers = [(i, float) for _, i, parse in cells if parse is float]
-    parsers += [(i, number.__getitem__) for _, i, parse in cells if parse is str] + [(cells[2][1], _m_value)]
+    ``records``, a ``csv.reader``: each of the ``cells`` by its parser
+    (``float``, ``_m_value`` or a label's numbering); and the rows read,
+    blank ones too. The first bad cell or over-long field is a
+    :class:`ParseError` at its file row, counted on from ``row0()``,
+    called only then."""
     flat = array("d")
     k = rows = 0
     try:
@@ -673,7 +652,7 @@ def _parse_rows(records, cells, number, take: int, row0) -> tuple[np.ndarray, in
             if not fields:
                 continue
             try:
-                flat.extend([parse(fields[i]) for i, parse in parsers])
+                flat.extend([parse(fields[i]) for _, _, i, parse in cells])
             except (ValueError, IndexError):
                 raise _cell_error(fields, row0() + k, cells) from None
             if (rows := rows + 1) == take:
@@ -769,22 +748,19 @@ def _quote(text: str) -> str:
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset so that ``load_csv`` recovers it exactly.
 
-    Columns: y, d, m, then covariates under their stored names, then
-    ``block`` when any unit has a label, then ``weight`` when any
-    weight differs from 1. Reals are written with 17 significant
+    The columns are the roles of :func:`schema_for` in the order
+    ``load_csv`` checks and holds them: y, d, m, the covariates under
+    their stored names, ``block`` when any unit has a label, ``weight``
+    when any weight differs from 1. Reals are written with 17 significant
     digits so the text round-trips to the same float64. Lines end in
     CRLF, and a header name or block label is quoted as ``csv.writer``
     quotes it; no other cell ever needs quoting. The write is atomic
     (temp file then rename). A header that would name a column twice,
-    which ``load_csv`` refuses, raises :class:`InvariantViolation` before
-    the target is opened.
+    which ``load_csv`` refuses as a column named for two roles, raises
+    :class:`InvariantViolation` before the target is opened.
     """
     schema = schema_for(ds)
-    header = ["y", "d", "m", *ds.covariate_names]
-    header += [name for name in ("block", "weight") if name in schema]
-    for name in header:
-        if header.count(name) > 1:
-            raise InvariantViolation(f"the header would name column {name!r} {header.count(name)} times")
+    header = [column for _, column, _ in _plan(schema)]
     if "block" in schema:
         codes, labels = ds._blocks
         labels = np.array(["" if b is None else _quote(b) for b in labels], dtype=object)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundKind, Interval, mt_bounds, no_assumption_bounds
-from .data import Analysis, Dataset, validate_for
+from .data import Dataset
 from .errors import (
     AllReplicatesFailed,
     DegenerateP,
@@ -320,7 +320,6 @@ def build_curve(
     """
     if spec.kind is not AssumptionKind.GRID:
         raise InvariantViolation("build_curve needs a GRID assumption")
-    validate_for(ds, Analysis.SENSITIVITY)
     if estimate_p_m1(ds) == 0.0:
         raise DegenerateP("no treated unit reacted; the curve is undefined")
     return analyze(ds, spec, te_method, boot or BootstrapConfig()).curve

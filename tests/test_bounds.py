@@ -338,8 +338,10 @@ def test_mt_nested_in_no_assumption():
 
 def test_mt_requires_control_m():
     ds = Dataset(y=[1.0, 2.0], d=[1, 0], m=[1, float("nan")])
-    with pytest.raises(RequirementUnmet):
-        mt_bounds(ds)
+    for bound, name in [(mt_bounds, "mt_bounds"), (dim_m1, "dim")]:
+        with pytest.raises(RequirementUnmet) as ei:
+            bound(ds)
+        assert str(ei.value) == f"{name} requires the reaction indicator to be observed in the control arm"
 
 
 # -- reaction-gated outcome bounds --------------------------------------------

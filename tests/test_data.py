@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 import tracebounds.data as data_module
 
 from tracebounds import (
-    Analysis,
     Dataset,
     load_csv,
     schema_for,
-    validate_for,
     write_csv,
 )
 from tracebounds.errors import (
@@ -24,7 +22,6 @@ from tracebounds.errors import (
     MissingBlockLabels,
     MissingColumn,
     ParseError,
-    RequirementUnmet,
 )
 from tracebounds.oracle import _M_TABLE, _STRATA, DGPConfig, OutcomeMeans, StrataProbs, simulate
 
@@ -592,15 +589,3 @@ def test_schema_remaps_columns(tmp_path):
     assert ds.y.tolist() == [1.0, 2.0]
     assert ds.weight.tolist() == [2.0, 1.0]
 
-
-def test_validate_for(toy):
-    # toy has m observed everywhere, so every analysis is available
-    for analysis in Analysis:
-        validate_for(toy, analysis)
-    no_ctrl_m = Dataset(y=[1.0, 2.0], d=[1, 0], m=[1, float("nan")])
-    validate_for(no_ctrl_m, Analysis.NO_ASSUMPTION_BOUNDS)
-    validate_for(no_ctrl_m, Analysis.SENSITIVITY)
-    with pytest.raises(RequirementUnmet):
-        validate_for(no_ctrl_m, Analysis.MT_BOUNDS)
-    with pytest.raises(RequirementUnmet):
-        validate_for(no_ctrl_m, Analysis.DIM)
