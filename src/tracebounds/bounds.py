@@ -12,6 +12,7 @@ part of the mixture.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -144,7 +145,24 @@ def _slice_means(ys: np.ndarray, ws: np.ndarray, fraction: float) -> tuple[float
     with the weight that fills the share. Rows of zero weight (a
     bootstrap row not drawn) take no part. The only trimmed-slice
     arithmetic of the package: the full-sample bounds and the replicate
-    engine both read their slices here."""
+    engine both read their slices here, by one of two routes that give
+    the same bits on unit weights.
+
+    Weights of stride 0 are a dataset's unit weights (:attr:`Dataset.weight`),
+    whose running sum would be 1, 2, ... n exactly: the marginal ranks come
+    from the count (:func:`_marginal_rank`), and only ``ys[:k + 1]`` and
+    ``ys[n - 1 - k:]`` need be in place. Any other weights take one
+    ``cumsum`` and a ``searchsorted`` from each end. A slice's weighted
+    sum is one dot product either way: ``np.dot`` copies a zero-stride
+    view into ones, so it adds as ``ys @ np.ones(k)`` does, which
+    ``ys @ view`` does not."""
+    if ws.strides == (0,):
+        n = ys.size
+        k = _marginal_rank(fraction, n)
+        target = fraction * n
+        low = (np.dot(ys[:k], ws[:k]) + (target - k) * ys[k]) / target
+        high = (np.dot(ys[n - k :], ws[n - k :]) + (target - k) * ys[n - 1 - k]) / target
+        return float(low), float(high)
     cum = np.cumsum(ws)
     total = cum[-1]
     target = fraction * total
@@ -160,20 +178,44 @@ def _slice_means(ys: np.ndarray, ws: np.ndarray, fraction: float) -> tuple[float
     return float(low), float(high)
 
 
+def _marginal_rank(fraction: float, n: int) -> int:
+    """The row of ``n`` unit-weight rows, sorted ascending, that fills the
+    lowest ``fraction`` share: ``k`` rows lie wholly below it, as many
+    above the row ``n - 1 - k`` that fills the highest share. The rank
+    ``searchsorted`` finds on the running sum 1, 2, ... n."""
+    return math.ceil(fraction * n) - 1
+
+
 def _control_slices(ds: Dataset, fraction: float, pool: bool = False) -> tuple[float, float]:
     """Means of the lowest and the highest ``fraction`` share of the
     control arm's weight, or with ``pool`` of its m = 0 units' weight,
-    each equal to :func:`trimmed_mean` of the same units: both are read
-    off the control rows of :meth:`Dataset.layout`, which filtered to
-    the m = 0 units are in the pool's own stable order. Raises
-    :class:`EmptyCell` for a ``pool`` with no unit."""
-    order, _, b = ds.layout()
-    rows = order[b:]
-    if pool:
-        rows = rows[ds.cell_codes()[rows] == 0]  # control, m = 0
-        if not rows.size:
-            raise EmptyCell("no control units with m=0 although the first stage implies some")
-    return _slice_means(ds.y[rows], ds.weight[rows], fraction)
+    each equal to :func:`trimmed_mean` of the same units, from
+    :func:`_slice_means`. Raises :class:`EmptyCell` for a ``pool`` with
+    no unit.
+
+    Given weights, the slices are read off the control rows of
+    :meth:`Dataset.layout`, which filtered to the m = 0 units are in the
+    pool's own stable order. Under unit weights no layout is made: the
+    units' y is copied once, partitioned at the two marginal ranks, and
+    each end below and above them sorted in place; a tie's order, which
+    a stable sort would keep, changes no sum of unit weights."""
+    if ds.has_weights:
+        order, _, b = ds.layout()
+        rows = order[b:]
+        if pool:
+            rows = rows[ds.cell_codes()[rows] == 0]  # control, m = 0
+        ys, ws = ds.y[rows], ds.weight[rows]
+    else:
+        ys = ds.y[ds.cell_codes() == 0] if pool else ds.y[ds.cell_codes() < 3]
+        ws = ds.weight[: ys.size]
+        if ys.size:
+            k = _marginal_rank(fraction, ys.size)
+            ys.partition((k, ys.size - 1 - k))
+            ys[:k].sort()
+            ys[ys.size - k :].sort()
+    if not ys.size:
+        raise EmptyCell("no control units with m=0 although the first stage implies some")
+    return _slice_means(ys, ws, fraction)
 
 
 def no_assumption_bounds(ds: Dataset) -> Interval:

@@ -534,19 +534,18 @@ def _read(fh: TextIO, roles, bound: int, blank: bool, separators: bool) -> Datas
     """The dataset of the CSV file open as ``fh``, read a chunk at a time
     into columns of ``bound`` rows. A chunk's table holds the cells of the
     ``roles`` in their order, a block label as its code; y, the
-    covariates, the block and the weight are kept from it, and d and m as
-    their cell codes, or as read from the first chunk that breaks their
-    rules on, for :class:`Dataset` to name them."""
+    covariates (as one matrix), the block and the weight are kept from
+    it, and d and m as their cell codes, or as read from the first chunk
+    that breaks their rules on, for :class:`Dataset` to name them."""
     # label -> code: a label not seen yet takes the next number, in C
     number: collections.defaultdict[str, int] = collections.defaultdict(itertools.count().__next__)
     cells = _header_cells(fh, roles, number)
     body = fh.tell()
-    # each role but d and m, its column and the column of a chunk's table it is filled from
-    kept = [
-        (role, np.empty(bound, np.int32 if role == "block" else np.float64), j)
-        for j, (role, *_) in enumerate(cells)
-        if role not in ("d", "m")
-    ]
+    # each role but d and m: the run of a chunk's table's columns it is filled
+    # from, and its column, one (bound, k) matrix for the k covariates
+    names = [role for role, *_ in cells]
+    runs = {role: slice(names.index(role), names.index(role) + names.count(role)) for role in names if role not in ("d", "m")}
+    kept = {role: np.empty((bound, run.stop - run.start), np.int32 if role == "block" else np.float64) for role, run in runs.items()}
     codes = np.empty(bound, np.int8)
     dm = None  # d and m as read, once a chunk breaks their rules
     n = 0
@@ -582,24 +581,21 @@ def _read(fh: TextIO, roles, bound: int, blank: bool, separators: bool) -> Datas
                 dm[:n, 0], dm[:n, 1] = codes[:n] >= 3, _M_OF_CELL[codes[:n]]
         if dm is not None:
             dm[rows] = part[:, 1:3]
-        for _, column, j in kept:
-            column[rows] = part[:, j]
+        for role, run in runs.items():
+            kept[role][rows] = part[:, run]
         n = rows.stop
         del part  # not held while the dataset is built
 
     codes.resize(n, refcheck=False)  # blank lines and quoted line ends counted in the bound
-    held = collections.defaultdict(list)  # each role's kept columns, in the roles' order
-    for role, column, _ in kept:
-        column.resize(n, refcheck=False)
-        held[role].append(column)
-    x = held["covariates"]
+    for role, column in kept.items():  # a C-ordered array keeps its first n rows
+        column.resize((n, column.shape[1]) if role == "covariates" else n, refcheck=False)
     d, m = (None, None) if dm is None else dm[:n].T
     try:
         return Dataset._adopt(
-            held["y"][0], d, m,
-            x=np.column_stack(x) if x else None,
-            block=(held["block"][0], tuple(label or None for label in number)) if "block" in held else None,
-            weight=held["weight"][0] if "weight" in held else None,
+            kept["y"], d, m,
+            x=kept.get("covariates"),
+            block=(kept["block"], tuple(label or None for label in number)) if "block" in kept else None,
+            weight=kept.get("weight"),
             covariate_names=[column for role, column, *_ in cells if role == "covariates"],
             codes=codes if dm is None else None,
         )
@@ -726,15 +722,17 @@ def atomic_open(path) -> Iterator[TextIO]:
 
 
 def _row_formats(k: int, block: bool, weight: bool) -> np.ndarray:
-    """The ``%`` template of one written row for each cell code: y, the
-    code's d and m text, ``k`` covariates, the quoted block label and the
-    weight, as chosen. A real takes 17 significant digits (an integer
-    below 1e16 prints in full without a fraction, and -0.0 keeps its sign
-    as ``-0``); a label is an argument, never template text, so a ``%``
-    in it stays literal."""
+    """The ``%`` template of one written row for each cell code and then,
+    at the code plus 6, for each code of a +0.0 outcome: y, the code's d
+    and m text, ``k`` covariates, the quoted block label and the weight,
+    as chosen. A real takes 17 significant digits (an integer below 1e16
+    prints in full without a fraction, and -0.0 keeps its sign as
+    ``-0``); a +0.0 outcome is the template text ``0``, which is what
+    ``%.17g`` prints for it, with no argument. A label is an argument,
+    never template text, so a ``%`` in it stays literal."""
     tail = ",%.17g" * k + (",%s" if block else "") + (",%.17g" if weight else "") + "\r\n"
     dm = ("0,0", "0,1", "0,", "1,0", "1,1", "1,")  # the d and m cells of each code, as one text
-    return np.array([f"%.17g,{text}{tail}" for text in dm], dtype=object)
+    return np.array([f"{y},{text}{tail}" for y in ("%.17g", "0") for text in dm], dtype=object)
 
 
 def _quote(text: str) -> str:
@@ -743,6 +741,30 @@ def _quote(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _write_rows(path, header: Sequence[str], formats: np.ndarray, chunks) -> None:
+    """Write the CSV file of :func:`write_csv`: the ``header`` names,
+    quoted as ``csv.writer`` quotes them, then each chunk of rows as
+    ``chunks`` yields it, as their int8 cell codes, their y and a list of
+    each further column's cells, each row by its template of
+    ``formats`` (:func:`_row_formats`). Lines end in CRLF. The write is
+    atomic (temp file then rename)."""
+    with atomic_open(path) as fh:
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        for codes, y, others in chunks:
+            plus_zero = (y == 0.0) & ~np.signbit(y)  # a +0.0 outcome is template text, not a cell
+            if others:
+                columns = [y.tolist(), *others]
+                cells = [None] * (len(columns) * y.size)
+                for j, column in enumerate(columns):  # row-major: the cells of each row in turn
+                    cells[j :: len(columns)] = column
+                keep = np.ones((y.size, len(columns)), bool)
+                keep[plus_zero, 0] = False
+                cells = itertools.compress(cells, keep.ravel().tolist())
+            else:
+                cells = y[~plus_zero].tolist()
+            fh.write("".join(formats[codes + 6 * plus_zero].tolist()) % tuple(cells))
 
 
 def write_csv(ds: Dataset, path) -> None:
@@ -755,7 +777,8 @@ def write_csv(ds: Dataset, path) -> None:
     digits so the text round-trips to the same float64. Lines end in
     CRLF, and a header name or block label is quoted as ``csv.writer``
     quotes it; no other cell ever needs quoting. The write is atomic
-    (temp file then rename). A header that would name a column twice,
+    (temp file then rename), ``_CHUNK`` rows at a time
+    (:func:`_write_rows`). A header that would name a column twice,
     which ``load_csv`` refuses as a column named for two roles, raises
     :class:`InvariantViolation` before the target is opened.
     """
@@ -764,22 +787,40 @@ def write_csv(ds: Dataset, path) -> None:
     if "block" in schema:
         codes, labels = ds._blocks
         labels = np.array(["" if b is None else _quote(b) for b in labels], dtype=object)
-    formats = _row_formats(ds.x.shape[1], "block" in schema, "weight" in schema)
 
-    with atomic_open(path) as fh:
-        fh.write(",".join(map(_quote, header)) + "\r\n")
+    def chunks():
         for start in range(0, ds.n, _CHUNK):
             rows = slice(start, start + _CHUNK)
-            columns = [ds.y[rows].tolist()] + [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
+            others = [ds.x[rows, j].tolist() for j in range(ds.x.shape[1])]
             if "block" in schema:
-                columns.append(labels[codes[rows]].tolist())
+                others.append(labels[codes[rows]].tolist())
             if "weight" in schema:
-                columns.append(ds.weight[rows].tolist())
-            size = len(columns[0])
-            cells = [None] * (len(columns) * size)
-            for j, column in enumerate(columns):  # row-major: the cells of each row in turn
-                cells[j :: len(columns)] = column
-            fh.write("".join(formats[ds.cell_codes()[rows]].tolist()) % tuple(cells))
+                others.append(ds.weight[rows].tolist())
+            yield ds.cell_codes()[rows], ds.y[rows], others
+
+    _write_rows(path, header, _row_formats(ds.x.shape[1], "block" in schema, "weight" in schema), chunks())
+
+
+def write_drawn(path, codes: np.ndarray, chunks) -> None:
+    """Write units of y, d and m as :func:`write_csv` writes a dataset of
+    them given no weights, a chunk of rows at a time as ``chunks`` yields
+    each chunk's rows (a slice) and y, after which the chunk's rows of
+    ``codes`` hold its int8 cell codes: no column of the units' length is
+    made. The caller has checked that the units hold both arms. A
+    non-finite y raises the :class:`InvariantViolation` that
+    :class:`Dataset` raises for it, naming the unit, and leaves the
+    target as it was."""
+
+    def checked():
+        for rows, y in chunks:
+            try:
+                _require(np.isfinite(y), y, "y must be finite")
+            except InvariantViolation as exc:
+                exc.unit += rows.start
+                raise
+            yield codes[rows], y, []
+
+    _write_rows(path, [column for _, column, _ in _plan(None)], _row_formats(0, False, False), checked())
 
 
 def schema_for(ds: Dataset) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -178,33 +179,48 @@ def _draw_cells(rng: np.random.Generator, probs, n: int) -> np.ndarray:
     return cell
 
 
-def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
-    """Draw a dataset from the configuration; fully deterministic per seed.
+def draw_chunks(cfg: DGPConfig) -> tuple[np.ndarray, int, Iterator[tuple[slice, np.ndarray]]]:
+    """The draw of :func:`simulate`, whose dataset it makes, for a caller
+    that writes the units as they are drawn: an int8 array of every
+    unit's (stratum, arm) index (:func:`_draw_cells`), drawn first as the
+    stream requires, the count of treated units, and a generator of each
+    ``_CHUNK`` rows, in order, and their y. As it yields a chunk, the
+    chunk's rows of the array hold their cell codes instead.
 
-    Draw order is fixed (stratum, then assignment, then noise) so a
-    seed always reproduces the same dataset byte for byte. Both arms
+    Draw order is fixed (stratum, then assignment, then noise), each
+    draw ``_CHUNK`` rows at a time giving the stream of one call, so a
+    seed always reproduces the same units byte for byte. Both arms
     observe m. Under ``type3`` the outcome is exactly zero whenever
-    m = 0, noise included.
-
-    Every draw is made ``_CHUNK`` rows at a time (:func:`_draw_cells`,
-    then the noise), each giving the stream of one call. The dataset
-    keeps y and one int8 array, the flat index of each unit's (stratum,
-    arm) and then, in place, its cell code.
-    """
-    truth = true_estimands(cfg)
+    m = 0, noise included."""
     rng = np.random.default_rng(cfg.seed)
     cell = _draw_cells(rng, cfg.strata.as_tuple(), cfg.n)
+    treated = sum(np.count_nonzero(cell[s : s + _CHUNK] & 1) for s in range(0, cfg.n, _CHUNK))
     means = cfg.means.table().ravel()
+
+    def chunks() -> Iterator[tuple[slice, np.ndarray]]:
+        for s in range(0, cfg.n, _CHUNK):
+            at = cell[s : s + _CHUNK]
+            y = means[at]
+            if cfg.noise_sd > 0:
+                y += rng.normal(0.0, cfg.noise_sd, size=y.size)
+            at[:] = _CODE_OF_CELL[at]
+            if cfg.type3:
+                y[at % 3 == 0] = 0.0  # m = 0
+            yield slice(s, s + at.size), y
+
+    return cell, int(treated), chunks()
+
+
+def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
+    """Draw a dataset from the configuration (:func:`draw_chunks`); fully
+    deterministic per seed. The dataset keeps y and the draw's int8
+    array, which holds its cell codes once every chunk is drawn."""
+    truth = true_estimands(cfg)
+    codes, _, chunks = draw_chunks(cfg)
     y = np.empty(cfg.n)
-    for s in range(0, cfg.n, _CHUNK):
-        part, at = y[s : s + _CHUNK], cell[s : s + _CHUNK]
-        part[:] = means[at]
-        if cfg.noise_sd > 0:
-            part += rng.normal(0.0, cfg.noise_sd, size=part.size)
-        at[:] = _CODE_OF_CELL[at]
-        if cfg.type3:
-            part[at % 3 == 0] = 0.0  # m = 0
-    return Dataset._adopt(y, None, None, codes=cell), truth
+    for rows, part in chunks:
+        y[rows] = part
+    return Dataset._adopt(y, None, None, codes=codes), truth
 
 
 # -- brute-force references ---------------------------------------------------

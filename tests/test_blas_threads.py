@@ -1,5 +1,6 @@
-"""The full-sample moments, and the outputs of a small block-draw
-adjusted regression ``analyze``, do not depend on the BLAS thread count.
+"""The full-sample moments, the outputs of a small block-draw adjusted
+regression ``analyze``, and the report of ``bounds --type3`` on unit-weight
+data do not depend on the BLAS thread count.
 
 Each statistic is printed as ``float.hex``, and each ``analyze`` writes
 its files, in a fresh interpreter, since OpenBLAS reads its thread count
@@ -46,7 +47,7 @@ def test_the_moments_are_the_same_at_one_and_two_blas_threads():
     assert _statistics(2) == one
 
 
-ANALYZE = """
+CLI = """
 import sys
 from tracebounds.cli import main
 sys.exit(main(sys.argv[1:]))
@@ -72,13 +73,17 @@ def _write_block_design(directory: pathlib.Path) -> None:
     )
 
 
+def _cli(directory: pathlib.Path, threads: int, *args: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    subprocess.run([sys.executable, "-c", CLI, *args], cwd=directory, env=env, capture_output=True, check=True)
+
+
 def _analyze(directory: pathlib.Path, threads: int) -> dict:
     directory.mkdir()
     _write_block_design(directory)
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     args = ["analyze", "--config", "analyze.ini", "--input", "input.csv", "--te-method", "ols", "--grid=-1:1:0.1"]
     args += ["--out-report", "report.json", "--out-table", "curve.csv", "--out-chart", "chart.svg"]
-    subprocess.run([sys.executable, "-c", ANALYZE, *args], cwd=directory, env=env, capture_output=True, check=True)
+    _cli(directory, threads, *args)
     return {name: (directory / name).read_bytes() for name in ("report.json", "curve.csv", "chart.svg")}
 
 
@@ -86,3 +91,36 @@ def test_block_draw_regression_writes_the_same_bytes_at_one_and_two_blas_threads
     one = _analyze(tmp_path / "one", 1)
     assert b'"te_method": "OLS_ADJUSTED"' in one["report.json"] and b'"resample_unit": "BLOCK"' in one["report.json"]
     assert _analyze(tmp_path / "two", 2) == one
+
+
+_INGEST_INI = """\
+[dgp]
+n = 300000
+noise_sd = 0.5
+type3 = true
+seed = 3
+
+[dgp.strata]
+at = 0.2
+c = 0.3
+nt = 0.5
+
+[dgp.means]
+at = 0.5, 1.5
+c = 0, 2.0
+nt = 0, 0
+"""
+
+
+def test_type3_bounds_of_unit_weights_write_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the ingest_bounds data, whose control slices under unit weights are
+    # summed by np.dot over about 75,000 units each, long enough for a
+    # threaded dot product to split
+    (tmp_path / "dgp.ini").write_text(_INGEST_INI)
+    _cli(tmp_path, 1, "simulate", "--config", "dgp.ini", "--out-table", "trial.csv", "--out-report", "truth.json")
+    reports = []
+    for threads in (1, 2):
+        _cli(tmp_path, threads, "bounds", "--input", "trial.csv", "--type3", "--out-report", f"bounds{threads}.json")
+        reports.append((tmp_path / f"bounds{threads}.json").read_bytes())
+    assert b'"type3_bounds"' in reports[0] and b'"kind": "MT"' in reports[0]
+    assert reports[1] == reports[0]

@@ -11,10 +11,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from tracebounds import cli
+from tracebounds import data as data_module
+from tracebounds import oracle as oracle_module
 from tracebounds.cli import main
-from tracebounds.errors import InvariantViolation
+from tracebounds.data import write_csv
+from tracebounds.errors import InvariantViolation, TraceBoundsError
 from tracebounds.estimators import TEMethod
 from tracebounds.inference import ResampleUnit
+from tracebounds.oracle import DGPConfig, OutcomeMeans, StrataProbs, simulate
 from tracebounds.sensitivity import AssumptionSpec
 
 
@@ -319,6 +323,58 @@ def test_simulate_deterministic_and_truthful(capsys, tmp_path):
     c_csv = tmp_path / "c.csv"
     assert run(capsys, "simulate", "--config", str(cfg), "--seed", "12", "--out-table", str(c_csv), "--out-report", str(tmp_path / "c.json"))[0] == 0
     assert c_csv.read_bytes() != a_csv.read_bytes()
+
+
+def _dgp(n: int = 2000, noise_sd: float = 0.5, type3: bool = True, strata=(0.2, 0.3, 0.5), seed: int = 11) -> DGPConfig:
+    """The config DGP_INI describes, with the given changes; without type3,
+    never-reactors have a treated mean of -0.5 (:func:`_dgp_ini` writes it)."""
+    means = OutcomeMeans(at=(0.5, 1.5), c=(0.0, 2.0), nt=(0.0, 0.0 if type3 else -0.5))
+    return DGPConfig(n=n, strata=StrataProbs(*strata), means=means, noise_sd=noise_sd, type3=type3, seed=seed)
+
+
+def _dgp_ini(path: pathlib.Path, dgp: DGPConfig) -> pathlib.Path:
+    at, c, nt = dgp.strata.at, dgp.strata.c, dgp.strata.nt
+    path.write_text(
+        f"[dgp]\nn = {dgp.n}\nnoise_sd = {dgp.noise_sd!r}\ntype3 = {str(dgp.type3).lower()}\nseed = {dgp.seed}\n\n"
+        f"[dgp.strata]\nat = {at!r}\nc = {c!r}\nnt = {nt!r}\n\n"
+        f"[dgp.means]\nat = 0.5, 1.5\nc = 0, 2.0\nnt = 0, {dgp.means.nt[1]!r}\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize("type3", [False, True])
+def test_simulate_writes_the_table_of_the_simulated_dataset(capsys, tmp_path, monkeypatch, type3):
+    # the command writes each chunk as it is drawn; the bytes are those of
+    # write_csv on the dataset of the same config, across chunks of 64 rows
+    monkeypatch.setattr(data_module, "_CHUNK", 64)
+    monkeypatch.setattr(oracle_module, "_CHUNK", 64)
+    dgp = _dgp(type3=type3)
+    cfg = _dgp_ini(tmp_path / "dgp.ini", dgp)
+    table = tmp_path / "a.csv"
+    assert run(capsys, "simulate", "--config", str(cfg), "--out-table", str(table), "--out-report", str(tmp_path / "a.json"))[0] == 0
+    write_csv(simulate(dgp)[0], tmp_path / "b.csv")
+    assert table.read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "dgp",
+    # at seed 73, three units of one arm, the second with an infinite y
+    [_dgp(n=1), _dgp(n=3, noise_sd=1e308, seed=73), _dgp(noise_sd=1e308), _dgp(strata=(0.0, 0.0, 1.0))],
+    ids=["one arm", "one arm and an infinite y", "an infinite y", "no reactive stratum"],
+)
+def test_simulate_refuses_what_the_library_refuses_and_leaves_the_table(capsys, tmp_path, dgp):
+    # the error of oracle.simulate on the same config, with the table as it
+    # was and no temporary file left beside it
+    with pytest.raises(TraceBoundsError) as refused:
+        simulate(dgp)
+    cfg = _dgp_ini(tmp_path / "dgp.ini", dgp)
+    table = tmp_path / "a.csv"
+    table.write_text("old\n")
+    code, out = run(capsys, "simulate", "--config", str(cfg), "--out-table", str(table), "--out-report", str(tmp_path / "a.json"))
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": type(refused.value).__name__, "message": str(refused.value)}
+    assert table.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "dgp.ini"]
 
 
 def test_simulate_then_analyze_recovers_truth(capsys, tmp_path):

@@ -876,3 +876,30 @@ def test_a_covariate_named_like_an_unwritten_column_round_trips(tmp_path):
 def test_a_schema_key_load_csv_cannot_use_is_refused(tmp_path, schema, key):
     with pytest.raises(InvariantViolation, match=repr(key)):
         _load_text(tmp_path, "y,d,m,wt\n1,1,1,2\n2,0,0,3\n", schema)
+
+
+@pytest.mark.parametrize("outcomes", ["every y +0.0", "no zero", "signed zeros"])
+@pytest.mark.parametrize("k", [0, 2], ids=["y, d and m", "covariates and weight"])
+def test_a_plus_zero_outcome_is_written_as_template_text(tmp_path, outcomes, k):
+    # a +0.0 outcome takes the row template whose y cell is the text 0 and
+    # takes no argument; -0.0 keeps %.17g, which prints -0; chunks of 7 rows
+    # mix the two kinds of row, or hold one kind alone
+    n = 30
+    rng = np.random.default_rng(k)
+    d = np.arange(n) % 2
+    m = np.where(d == 1, rng.integers(0, 2, n), rng.choice([0.0, 1.0, nan], n))
+    y = {
+        "every y +0.0": np.zeros(n),
+        "no zero": rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n),
+        "signed zeros": rng.choice([0.0, -0.0, 1.5, -2.25], n),
+    }[outcomes]
+    ds = Dataset(y=y, d=d, m=m, x=rng.normal(size=(n, k)) if k else None, weight=rng.uniform(0.5, 2.0, n) if k else None)
+    out = tmp_path / "ds.csv"
+    with mock.patch.object(data_module, "_CHUNK", 7):
+        write_csv(ds, out)
+    assert out.read_bytes() == _reference_csv(ds)
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [_fmt_reference(v) for v in y]
+    formats = data_module._row_formats(k, False, bool(k))
+    assert len(formats) == 12
+    for code in range(6):
+        assert formats[6 + code] == "0" + formats[code].removeprefix("%.17g")

@@ -231,14 +231,16 @@ def test_the_layout_sorts_the_control_arm_alone():
 
 
 def test_full_sample_bounds_of_unit_weights_gathers_no_weight_column():
-    # the 9 held bytes, the layout, and the control arm's y and its unit
-    # weights, made for the arm alone (25.0)
+    # the 9 held bytes, and the control arm's y, copied once and partitioned
+    # in place, with no layout, no column of its unit weights and no running
+    # sum of them; the ones np.dot copies for a slice, p of the arm (15.0;
+    # through the layout, 25.0)
     def make():
         ds = simulate(_DGP)[0]
         ds.cells()  # as the bounds command has it
         return ds
 
-    assert _peak_with_dataset(make, full_sample_bounds) < 27.5
+    assert _peak_with_dataset(make, full_sample_bounds) < 16.5
 
 
 def _fresh_datasets() -> list[Dataset]:
@@ -248,12 +250,15 @@ def _fresh_datasets() -> list[Dataset]:
 
 
 def test_full_sample_bounds_gathers_the_control_arm_once():
-    # the layout and what making it takes, then the control arm's y and
-    # weights through it, beside the layout (16.0)
+    # the control arm's y, copied once, and the ones np.dot copies for a
+    # slice, with no layout made (6.0; the layout and what making it takes,
+    # then the control arm's y and weights through it, 16.0)
     fresh = _fresh_datasets()
+    made = list(fresh)
     for ds in fresh:  # the cell table made, as the bounds command has it
         ds.cells()
-    assert _peak_per_unit(lambda: full_sample_bounds(fresh.pop())) < 17.6
+    assert _peak_per_unit(lambda: full_sample_bounds(fresh.pop())) < 6.6
+    assert all(ds._layout is None for ds in made)
 
 
 def test_analyze_keeps_one_copy_of_the_layout():
@@ -265,10 +270,22 @@ def test_analyze_keeps_one_copy_of_the_layout():
     assert _peak_per_unit(lambda: analyze(simulate(_DGP)[0], AssumptionSpec.zero(), TEMethod.DIFF_IN_MEANS, boot)) < 77
 
 
-def test_bounds_command_makes_the_layout_after_the_naive_statistics(tmp_path, monkeypatch):
-    # the naive statistics read the cell table and gather no column, so the
-    # command peaks alike whether the layout, which the dataset keeps, is made
-    # after them, as the command makes it, or before them (16.0 either way)
+def test_bounds_command_of_unit_weights_makes_no_layout(tmp_path, monkeypatch):
+    # the cell table, the naive statistics, which gather no column, and the
+    # full-sample bounds, which copy the control arm's y once and make no
+    # layout (6.0; through the layout, 16.0)
+    fresh = _fresh_datasets()
+    made = list(fresh)
+    monkeypatch.setattr(cli, "load_csv", lambda path, schema: fresh.pop())
+    assert _peak_per_unit(lambda: cli.cmd_bounds("trial.csv", {}, True, None, str(tmp_path / "report.json"))) < 6.6
+    assert all(ds._layout is None for ds in made)
+
+
+def test_bounds_command_peaks_in_budget_with_a_layout_made_first_or_none(tmp_path, monkeypatch):
+    # the naive statistics read the cell table and gather no column; the
+    # command makes no layout of unit weights (6.0), and with one made before
+    # the naive statistics, which the dataset keeps, it peaks while the layout
+    # is made (12.1)
     naive = cli.naive_estimates
     report = tmp_path / "report.json"
     for layout_first in (False, True):
@@ -277,3 +294,31 @@ def test_bounds_command_makes_the_layout_after_the_naive_statistics(tmp_path, mo
         if layout_first:
             monkeypatch.setattr(cli, "naive_estimates", lambda ds: (ds.layout(), naive(ds))[1])
         assert _peak_per_unit(lambda: cli.cmd_bounds("trial.csv", {}, True, None, str(report))) < 17.6
+
+
+def test_load_csv_fills_one_covariate_matrix(tmp_path, dataset):
+    # y, the cell codes, two covariates in one (n, 2) matrix, the int32 block
+    # codes and the weight, each allocated once from a count of the line ends
+    # and filled a chunk of loadtxt's rows at a time, beside the flags of the
+    # dataset's checks; no column of a covariate alone (40.2; the
+    # covariates as columns, then stacked into the matrix, 56.2)
+    path = tmp_path / "covariates.csv"
+    rng = np.random.default_rng(0)
+    blocks = [f"b{b:03d}" for b in rng.permutation(np.arange(N) % 100)]
+    write_csv(Dataset(dataset.y, dataset.d, dataset.m, x=rng.normal(size=(N, 2)), block=blocks, weight=rng.uniform(0.5, 2.0, N)), path)
+    schema = {"covariates": ["x1", "x2"], "block": "block", "weight": "weight"}
+    ds = load_csv(path, schema)
+    assert ds.x.shape == (N, 2) and ds.has_blocks and ds.has_weights
+    assert _peak_per_unit(lambda: load_csv(path, schema)) < 44
+
+
+def test_simulate_command_writes_each_chunk_as_it_is_drawn(tmp_path):
+    # the int8 array of every unit's (stratum, arm) and then its cell code,
+    # 1 byte per unit, and one chunk's y, its text and the cells of its rows,
+    # with no y of the units' length (1.64: 64 bytes per chunk row; the
+    # dataset, then its write, 10.0)
+    table, report = tmp_path / "trial.csv", tmp_path / "truth.json"
+    peak = _peak_per_unit(lambda: cli.cmd_simulate(_DGP, str(table), str(report)))
+    assert peak < 1 + 80 * CHUNK_ROWS / N
+    write_csv(simulate(_DGP)[0], tmp_path / "dataset.csv")
+    assert table.read_bytes() == (tmp_path / "dataset.csv").read_bytes()

@@ -7,15 +7,14 @@ import pytest
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "peaks.py"
 STAGES = [
     "simulate",
-    "write_csv",
     "load_csv (blocks)",
     "ReplicateEngine.run (blocks, ols)",
     "load_csv (a blank m in the last chunk)",
     "load_csv",
     "cell table",
     "naive_estimates",
-    "layout",
     "full_sample_bounds",
+    "layout",
     "ReplicateEngine.run",
 ]
 
@@ -39,10 +38,12 @@ def test_refuses_a_size_below_one():
 
 
 def test_prints_the_peak_resident_set_of_each_ingest_step():
-    out = subprocess.run([sys.executable, str(SCRIPT), "--rss", "3000"], capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, str(SCRIPT), "--rss", "3000", "5000"], capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert lines[:2] == ["| process at n=3000 | peak RSS MiB |", "|---|---|"]
-    rows = [line.strip("| ").split(" | ") for line in lines[2:]]
-    assert [name for name, _ in rows] == ["simulate", "bounds --type3"]
-    for _, mib in rows:
-        assert float(mib) > 0
+    assert len(lines) == 8
+    for table, n in zip((lines[:4], lines[4:]), (3000, 5000)):
+        assert table[:2] == [f"| process at n={n} | peak RSS MiB |", "|---|---|"]
+        rows = [line.strip("| ").split(" | ") for line in table[2:]]
+        assert [name for name, _ in rows] == ["simulate", "bounds --type3"]
+        for _, mib in rows:
+            assert float(mib) > 0

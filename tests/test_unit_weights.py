@@ -116,7 +116,8 @@ class _Gathers:
 
 def test_the_engine_and_the_bounds_make_no_column_of_unit_weights(monkeypatch):
     # a dataset without weights: the cell table reads its weight a chunk at a
-    # time, and the bounds gather the control arm's; the engine gathers none
+    # time, the bounds slice a view of it for the control arm, and the engine
+    # reads none, so nothing gathers the weights
     rng = np.random.default_rng(3)
     ds = Dataset(y=rng.normal(size=200), d=np.arange(200) % 2, m=rng.integers(0, 2, 200))
     weight, lengths = Dataset.weight, []
@@ -124,4 +125,55 @@ def test_the_engine_and_the_bounds_make_no_column_of_unit_weights(monkeypatch):
     trim, mt = full_sample_bounds(ds)
     assert isinstance(trim, Interval) and isinstance(mt, Interval)
     ReplicateEngine(ds, TEMethod.DIFF_IN_MEANS, BootstrapConfig(replicates=5, seed=1), True).run()
-    assert lengths and max(lengths) <= ds.n_control < ds.n
+    assert lengths == []
+
+
+@st.composite
+def _control_arms(draw):
+    """Units whose control arm has 1 to 3000 units (up to 3007 for an
+    integer target), its y continuous, rounded to a few values, mostly
+    exact zeros, or zeros of both signs among a few values; a treated arm
+    whose reactive share is random, one that makes the trimmed count an
+    exact integer, or 1; and a control m = 0 pool that is random, of one
+    unit, or empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_c = draw(st.integers(1, 3000))
+    share = draw(st.sampled_from(["random", "integer target", "one"]))
+    if share == "integer target":  # a share of r / t with t dividing the control count, so p * n_c is an integer
+        treated = draw(st.sampled_from([2, 4, 8]))
+        n_c += -n_c % treated
+        reactors = draw(st.integers(1, treated - 1))
+    else:
+        treated = draw(st.integers(1, 200))
+        reactors = treated if share == "one" else draw(st.integers(1, treated))
+    outcome = draw(st.sampled_from(["continuous", "rounded", "zeros", "signed zeros"]))
+    if outcome == "continuous":
+        y_c = rng.normal(0.0, 3.0, n_c)
+    elif outcome == "rounded":
+        y_c = np.round(rng.normal(0.0, 1.5, n_c)) / 4
+    elif outcome == "zeros":
+        y_c = np.where(rng.random(n_c) < 0.8, 0.0, rng.normal(0.5, 0.5, n_c))
+    else:
+        y_c = rng.choice([-0.0, 0.0, 0.0, -1.0, 1.5], n_c)
+    m_t = rng.permutation(np.r_[np.ones(reactors), np.zeros(treated - reactors)])
+    pool = draw(st.sampled_from(["random", "one", "empty"]))
+    m_c = rng.integers(0, 2, n_c).astype(float) if pool == "random" else np.ones(n_c)
+    if pool == "one":
+        m_c[rng.integers(n_c)] = 0.0
+    y = np.r_[y_c, rng.normal(1.0, 2.0, treated)]
+    d = np.r_[np.zeros(n_c, int), np.ones(treated, int)]
+    order = rng.permutation(y.size)
+    return y[order], d[order], np.r_[m_c, m_t][order]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(units=_control_arms())
+def test_unit_weight_bounds_make_no_layout_and_match_a_column_of_ones(units):
+    # the unit-weight route partitions the arm's y; a column of ones takes the
+    # layout and its running sum, and every endpoint must agree bit for bit
+    y, d, m = units
+    plain = Dataset(y, d, m)
+    ones = Dataset(y, d, m, weight=np.ones(y.size))
+    # each endpoint as its repr, which tells every float64 and the sign of a zero apart
+    assert _outcome(full_sample_bounds, plain) == _outcome(full_sample_bounds, ones)
+    assert plain._layout is None and ones._layout is not None
