@@ -23,8 +23,9 @@ calls import or cache, which matters only at small N.
 
 With ``--rss`` it runs instead the two steps of the ingest_bounds
 workload on N rows (``simulate``, then ``bounds --type3`` on the table
-it wrote), each in a fresh interpreter through perfbench/child.py with
-one BLAS thread, as the benchmark runs them, and prints each process's
+it wrote), then ``analyze --preset zero --replicates 50`` on the same
+table, each in a fresh interpreter through perfbench/child.py with one
+BLAS thread, as the benchmark runs its steps, and prints each process's
 peak resident set (VmHWM, the interpreter and imports included), which
 is what the benchmark's ``peak_rss_mb`` reads.
 
@@ -46,6 +47,7 @@ import tracemalloc
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1
 REPLICATES = 2
+RSS_REPLICATES = 50
 BLOCKS = 100
 MIB = 1 << 20
 
@@ -59,7 +61,7 @@ def _positive(text: str) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rss", action="store_true", help="print the peak resident set of each ingest_bounds step")
+    ap.add_argument("--rss", action="store_true", help="print the peak resident set of each ingest_bounds step and of analyze")
     ap.add_argument("sizes", type=_positive, nargs="+", metavar="N", help="rows to simulate")
     args = ap.parse_args(argv)
 
@@ -127,7 +129,7 @@ def _traced(n: int) -> None:
 
 
 def _rss(n: int) -> None:
-    """Run the ingest_bounds steps on ``n`` rows and print each one's VmHWM."""
+    """Run the ingest_bounds steps and analyze on ``n`` rows and print each one's VmHWM."""
     from workloads import Size, _ingest_bounds
 
     env = dict(os.environ)
@@ -136,11 +138,15 @@ def _rss(n: int) -> None:
     print(f"| process at n={n} | peak RSS MiB |")
     print("|---|---|")
     with tempfile.TemporaryDirectory() as work:
-        rss = pathlib.Path(work) / "rss.txt"
-        for step in _ingest_bounds(SEED, Size(n=n), pathlib.Path(work)).steps:
+        work = pathlib.Path(work)
+        rss = work / "rss.txt"
+        job = _ingest_bounds(SEED, Size(n=n), work)
+        analyze = ("analyze", "--preset", "zero", "--replicates", str(RSS_REPLICATES))
+        out = ("--input", str(job.outputs["data"]), "--out-table", str(work / "curve.csv"), "--out-report", str(work / "report.json"))
+        steps = [("simulate", job.steps[0]), ("bounds --type3", job.steps[1]), (" ".join(analyze), analyze + out)]
+        for name, step in steps:
             cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--rss", str(rss), "--", *step]
             subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
-            name = " ".join(a for a in step if a in ("simulate", "bounds", "--type3"))
             print(f"| {name} | {int(rss.read_text()) / 1024:.1f} |")
 
 

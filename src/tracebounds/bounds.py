@@ -139,51 +139,44 @@ def trimmed_mean(values, weights, spec: TrimSpec) -> float:
     return low if spec.side is Side.LOWEST else high
 
 
-def _slice_means(ys: np.ndarray, ws: np.ndarray, fraction: float) -> tuple[float, float]:
+def _slice_means(ys: np.ndarray, ws: np.ndarray | None, fraction: float) -> tuple[float, float]:
     """Weighted means of the lowest and the highest ``fraction`` share of
     the total weight, for ``ys`` sorted ascending; the marginal row enters
     with the weight that fills the share. Rows of zero weight (a
-    bootstrap row not drawn) take no part. The only trimmed-slice
-    arithmetic of the package: the full-sample bounds and the replicate
-    engine both read their slices here, by one of two routes that give
-    the same bits on unit weights.
+    bootstrap row not drawn) take no part, and ``ws`` None weighs every
+    row 1. The only trimmed-slice arithmetic of the package: the
+    full-sample bounds and the replicate engine both read their slices
+    here.
 
-    Weights of stride 0 are a dataset's unit weights (:attr:`Dataset.weight`),
-    whose running sum would be 1, 2, ... n exactly: the marginal ranks come
-    from the count (:func:`_marginal_rank`), and only ``ys[:k + 1]`` and
-    ``ys[n - 1 - k:]`` need be in place. Any other weights take one
-    ``cumsum`` and a ``searchsorted`` from each end. A slice's weighted
-    sum is one dot product either way: ``np.dot`` copies a zero-stride
-    view into ones, so it adds as ``ys @ np.ones(k)`` does, which
-    ``ys @ view`` does not."""
-    if ws.strides == (0,):
+    Each route finds the marginal row from the bottom, ``k``, with the
+    weight ``below`` it, and the one from the top, ``j``, with the weight
+    ``above`` it: given weights, by one ``cumsum`` and a ``searchsorted``
+    from each end; unit weights, whose running sum would be 1, 2, ... n
+    exactly, from the count. A slice's weighted sum is one ``np.dot``,
+    which copies the zero-stride ones of unit weights first and so adds
+    as ``ys @ np.ones(k)`` does."""
+    if ws is None:
         n = ys.size
-        k = _marginal_rank(fraction, n)
         target = fraction * n
-        low = (np.dot(ys[:k], ws[:k]) + (target - k) * ys[k]) / target
-        high = (np.dot(ys[n - k :], ws[n - k :]) + (target - k) * ys[n - 1 - k]) / target
-        return float(low), float(high)
-    cum = np.cumsum(ws)
-    total = cum[-1]
-    target = fraction * total
-    k = int(np.searchsorted(cum, target, side="left"))  # marginal row from the bottom
-    below = cum[k - 1] if k else 0.0
-    low = (ys[:k] @ ws[:k] + (target - below) * ys[k]) / target
-    # minus the weight above each row, ascending, in place of the running sum:
-    # ``total - target`` would round back to ``total`` for a share below one
-    # ulp of it, and ``cum - total`` is exactly ``-(total - cum)``
-    np.subtract(cum, total, out=cum)
-    j = int(np.searchsorted(cum, -target, side="right"))  # marginal row from the top
-    high = (ys[j + 1 :] @ ws[j + 1 :] + (target + cum[j]) * ys[j]) / target
+        k = math.ceil(target) - 1
+        j = n - 1 - k
+        below = above = k
+        ws = np.broadcast_to(1.0, ys.shape)
+    else:
+        cum = np.cumsum(ws)
+        total = cum[-1]
+        target = fraction * total
+        k = int(np.searchsorted(cum, target, side="left"))
+        below = cum[k - 1] if k else 0.0
+        # minus the weight above each row, ascending, in place of the running sum:
+        # ``total - target`` would round back to ``total`` for a share below one
+        # ulp of it, and ``cum - total`` is exactly ``-(total - cum)``
+        np.subtract(cum, total, out=cum)
+        j = int(np.searchsorted(cum, -target, side="right"))
+        above = -cum[j]
+    low = (np.dot(ys[:k], ws[:k]) + (target - below) * ys[k]) / target
+    high = (np.dot(ys[j + 1 :], ws[j + 1 :]) + (target - above) * ys[j]) / target
     return float(low), float(high)
-
-
-def _marginal_rank(fraction: float, n: int) -> int:
-    """The row of ``n`` unit-weight rows, sorted ascending, that fills the
-    lowest ``fraction`` share: ``k`` rows lie wholly below it, as many
-    above the row ``n - 1 - k`` that fills the highest share. The rank
-    ``searchsorted`` finds on the running sum 1, 2, ... n."""
-    return math.ceil(fraction * n) - 1
 
 
 def _control_slices(ds: Dataset, fraction: float, pool: bool = False) -> tuple[float, float]:
@@ -193,12 +186,12 @@ def _control_slices(ds: Dataset, fraction: float, pool: bool = False) -> tuple[f
     :func:`_slice_means`. Raises :class:`EmptyCell` for a ``pool`` with
     no unit.
 
-    Given weights, the slices are read off the control rows of
+    Both routes read the units in the stable ascending order of y. Given
+    weights, the slices are read off the control rows of
     :meth:`Dataset.layout`, which filtered to the m = 0 units are in the
     pool's own stable order. Under unit weights no layout is made: the
-    units' y is copied once, partitioned at the two marginal ranks, and
-    each end below and above them sorted in place; a tie's order, which
-    a stable sort would keep, changes no sum of unit weights."""
+    units' y is copied once and sorted stably in place, which puts the
+    same values in the same order."""
     if ds.has_weights:
         order, _, b = ds.layout()
         rows = order[b:]
@@ -206,13 +199,8 @@ def _control_slices(ds: Dataset, fraction: float, pool: bool = False) -> tuple[f
             rows = rows[ds.cell_codes()[rows] == 0]  # control, m = 0
         ys, ws = ds.y[rows], ds.weight[rows]
     else:
-        ys = ds.y[ds.cell_codes() == 0] if pool else ds.y[ds.cell_codes() < 3]
-        ws = ds.weight[: ys.size]
-        if ys.size:
-            k = _marginal_rank(fraction, ys.size)
-            ys.partition((k, ys.size - 1 - k))
-            ys[:k].sort()
-            ys[ys.size - k :].sort()
+        ys, ws = ds.y[ds.cell_codes() == 0] if pool else ds.y[ds.cell_codes() < 3], None
+        ys.sort(kind="stable")
     if not ys.size:
         raise EmptyCell("no control units with m=0 although the first stage implies some")
     return _slice_means(ys, ws, fraction)

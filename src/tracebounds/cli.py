@@ -27,7 +27,7 @@ from .data import Dataset, atomic_open, load_csv, write_drawn
 from .errors import InvariantViolation, TraceBoundsError
 from .estimators import TEMethod, conditional_mean, estimate_p_m1, strata_shares_monotone, te_point
 from .inference import BootstrapConfig, ResampleUnit
-from .oracle import DGPConfig, OutcomeMeans, StrataProbs, draw_chunks, simulate, true_estimands
+from .oracle import DGPConfig, OutcomeMeans, StrataProbs, draw_chunks, true_estimands
 from .sensitivity import (
     AssumptionKind,
     AssumptionSpec,
@@ -514,14 +514,13 @@ def cmd_bounds(
 def cmd_simulate(dgp: DGPConfig, out_table: str, out_report: str) -> dict:
     """Draw one dataset and write it with its exact estimands, each chunk
     of rows as it is drawn (:func:`~tracebounds.oracle.draw_chunks`), so
-    that y is never held. What :func:`simulate` refuses is refused with
-    its error: a config or a draw of one arm before the table is opened,
-    a non-finite y as it is written, which leaves the table as it was."""
+    that y is never held. What :func:`~tracebounds.oracle.simulate`
+    refuses is refused with its error: a config before the table is
+    opened, a non-finite y and then a draw of one arm as the table is
+    written (:func:`~tracebounds.data.write_drawn`), which leaves it as
+    it was."""
     truth = true_estimands(dgp)
-    codes, treated, chunks = draw_chunks(dgp)
-    if not 0 < treated < dgp.n:
-        simulate(dgp)  # no dataset holds one arm: raises as its checks do, a non-finite y first
-    write_drawn(out_table, codes, chunks)
+    write_drawn(out_table, *draw_chunks(dgp))
     report = {
         "trace": truth.trace,
         "trace0": truth.trace0,

@@ -66,12 +66,11 @@ def _encode(d: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def _require_both_arms(codes: np.ndarray, what: str) -> None:
-    """Raise unless the cell ``codes`` hold a treated and a control unit."""
-    treated = np.count_nonzero(codes >= 3)
+def _require_both_arms(treated: int, n: int, what: str) -> None:
+    """Raise unless ``treated`` of ``n`` units leaves a treated and a control unit."""
     if not treated:
         raise InvariantViolation(f"{what} has no treated unit")
-    if treated == codes.size:
+    if treated == n:
         raise InvariantViolation(f"{what} has no control unit")
 
 
@@ -204,7 +203,7 @@ class Dataset:
             _require(np.isfinite(wv) & (wv > 0), wv, "weight must be positive and finite")
         _require(np.isfinite(xv), xv, "covariates must be finite")
 
-        _require_both_arms(codes, "dataset")
+        _require_both_arms(np.count_nonzero(codes >= 3), n, "dataset")
         # 5: d = 1, m missing; the m is NaN, named without an n-length array
         _require(codes != 5, np.broadcast_to(np.nan, (n,)), "treated units must have m observed")
 
@@ -244,7 +243,7 @@ class Dataset:
         if idx.size and idx.astype(np.intp, copy=False).view(np.uintp).max() >= self.n:
             raise InvariantViolation(f"row index {idx[(idx < 0) | (idx >= self.n)][0]} is outside [0, {self.n})")
         codes = self._codes[idx]
-        _require_both_arms(codes, "selection")
+        _require_both_arms(np.count_nonzero(codes >= 3), codes.size, "selection")
         new = object.__new__(Dataset)
         blocks = None if self._blocks is None else _renumbered(*self._blocks, idx)
         new._keep(self._y[idx], codes, self._x[idx], blocks, None if self._w is None else self._w[idx], self._names)
@@ -806,19 +805,22 @@ def write_drawn(path, codes: np.ndarray, chunks) -> None:
     them given no weights, a chunk of rows at a time as ``chunks`` yields
     each chunk's rows (a slice) and y, after which the chunk's rows of
     ``codes`` hold its int8 cell codes: no column of the units' length is
-    made. The caller has checked that the units hold both arms. A
-    non-finite y raises the :class:`InvariantViolation` that
-    :class:`Dataset` raises for it, naming the unit, and leaves the
+    made. A non-finite y, as it is written, and then units of one arm,
+    once the last y is, raise the :class:`InvariantViolation` that
+    :class:`Dataset` raises for them, a unit's naming it, and leave the
     target as it was."""
 
     def checked():
+        treated = 0
         for rows, y in chunks:
             try:
                 _require(np.isfinite(y), y, "y must be finite")
             except InvariantViolation as exc:
                 exc.unit += rows.start
                 raise
+            treated += np.count_nonzero(codes[rows] >= 3)
             yield codes[rows], y, []
+        _require_both_arms(treated, codes.size, "dataset")
 
     _write_rows(path, [column for _, column, _ in _plan(None)], _row_formats(0, False, False), checked())
 

@@ -179,13 +179,13 @@ def _draw_cells(rng: np.random.Generator, probs, n: int) -> np.ndarray:
     return cell
 
 
-def draw_chunks(cfg: DGPConfig) -> tuple[np.ndarray, int, Iterator[tuple[slice, np.ndarray]]]:
+def draw_chunks(cfg: DGPConfig) -> tuple[np.ndarray, Iterator[tuple[slice, np.ndarray]]]:
     """The draw of :func:`simulate`, whose dataset it makes, for a caller
     that writes the units as they are drawn: an int8 array of every
     unit's (stratum, arm) index (:func:`_draw_cells`), drawn first as the
-    stream requires, the count of treated units, and a generator of each
-    ``_CHUNK`` rows, in order, and their y. As it yields a chunk, the
-    chunk's rows of the array hold their cell codes instead.
+    stream requires, and a generator of each ``_CHUNK`` rows, in order,
+    and their y. As it yields a chunk, the chunk's rows of the array hold
+    their cell codes instead.
 
     Draw order is fixed (stratum, then assignment, then noise), each
     draw ``_CHUNK`` rows at a time giving the stream of one call, so a
@@ -194,7 +194,6 @@ def draw_chunks(cfg: DGPConfig) -> tuple[np.ndarray, int, Iterator[tuple[slice, 
     m = 0, noise included."""
     rng = np.random.default_rng(cfg.seed)
     cell = _draw_cells(rng, cfg.strata.as_tuple(), cfg.n)
-    treated = sum(np.count_nonzero(cell[s : s + _CHUNK] & 1) for s in range(0, cfg.n, _CHUNK))
     means = cfg.means.table().ravel()
 
     def chunks() -> Iterator[tuple[slice, np.ndarray]]:
@@ -208,7 +207,7 @@ def draw_chunks(cfg: DGPConfig) -> tuple[np.ndarray, int, Iterator[tuple[slice, 
                 y[at % 3 == 0] = 0.0  # m = 0
             yield slice(s, s + at.size), y
 
-    return cell, int(treated), chunks()
+    return cell, chunks()
 
 
 def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
@@ -216,7 +215,7 @@ def simulate(cfg: DGPConfig) -> tuple[Dataset, TruthRecord]:
     deterministic per seed. The dataset keeps y and the draw's int8
     array, which holds its cell codes once every chunk is drawn."""
     truth = true_estimands(cfg)
-    codes, _, chunks = draw_chunks(cfg)
+    codes, chunks = draw_chunks(cfg)
     y = np.empty(cfg.n)
     for rows, part in chunks:
         y[rows] = part

@@ -377,6 +377,26 @@ def test_simulate_refuses_what_the_library_refuses_and_leaves_the_table(capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "dgp.ini"]
 
 
+@pytest.mark.parametrize("dgp", [_dgp(n=1), _dgp(n=3, noise_sd=1e308, seed=73)], ids=["one arm", "one arm and an infinite y"])
+def test_simulate_refuses_a_draw_of_one_arm_as_it_writes(capsys, tmp_path, monkeypatch, dgp):
+    # the dataset's error comes from the write itself, with no second draw of
+    # the units through oracle.simulate
+    with pytest.raises(TraceBoundsError) as refused:
+        simulate(dgp)
+
+    def draw_again(cfg):
+        raise AssertionError("simulate drew the units a second time")
+
+    monkeypatch.setattr(oracle_module, "simulate", draw_again)
+    monkeypatch.setattr(cli, "simulate", draw_again, raising=False)
+    cfg = _dgp_ini(tmp_path / "dgp.ini", dgp)
+    table = tmp_path / "a.csv"
+    code, out = run(capsys, "simulate", "--config", str(cfg), "--out-table", str(table), "--out-report", str(tmp_path / "a.json"))
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": type(refused.value).__name__, "message": str(refused.value)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dgp.ini"]
+
+
 def test_simulate_then_analyze_recovers_truth(capsys, tmp_path):
     cfg = tmp_path / "dgp.ini"
     cfg.write_text(DGP_INI)

@@ -231,10 +231,10 @@ def test_the_layout_sorts_the_control_arm_alone():
 
 
 def test_full_sample_bounds_of_unit_weights_gathers_no_weight_column():
-    # the 9 held bytes, and the control arm's y, copied once and partitioned
-    # in place, with no layout, no column of its unit weights and no running
-    # sum of them; the ones np.dot copies for a slice, p of the arm (15.0;
-    # through the layout, 25.0)
+    # the 9 held bytes, and the control arm's y, copied once and sorted
+    # stably in place, with no layout, no column of its unit weights and no
+    # running sum of them; the sort's buffer or the ones np.dot makes for a
+    # slice, p of the arm (15.0; through the layout, 25.0)
     def make():
         ds = simulate(_DGP)[0]
         ds.cells()  # as the bounds command has it
@@ -250,9 +250,10 @@ def _fresh_datasets() -> list[Dataset]:
 
 
 def test_full_sample_bounds_gathers_the_control_arm_once():
-    # the control arm's y, copied once, and the ones np.dot copies for a
-    # slice, with no layout made (6.0; the layout and what making it takes,
-    # then the control arm's y and weights through it, 16.0)
+    # the control arm's y, copied once, and the stable sort's buffer or the
+    # ones np.dot makes for a slice, with no layout made (6.0; the layout and
+    # what making it takes, then the control arm's y and weights through it,
+    # 16.0)
     fresh = _fresh_datasets()
     made = list(fresh)
     for ds in fresh:  # the cell table made, as the bounds command has it

@@ -40,10 +40,10 @@ def test_refuses_a_size_below_one():
 def test_prints_the_peak_resident_set_of_each_ingest_step():
     out = subprocess.run([sys.executable, str(SCRIPT), "--rss", "3000", "5000"], capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    assert len(lines) == 8
-    for table, n in zip((lines[:4], lines[4:]), (3000, 5000)):
+    assert len(lines) == 10
+    for table, n in zip((lines[:5], lines[5:]), (3000, 5000)):
         assert table[:2] == [f"| process at n={n} | peak RSS MiB |", "|---|---|"]
         rows = [line.strip("| ").split(" | ") for line in table[2:]]
-        assert [name for name, _ in rows] == ["simulate", "bounds --type3"]
+        assert [name for name, _ in rows] == ["simulate", "bounds --type3", "analyze --preset zero --replicates 50"]
         for _, mib in rows:
             assert float(mib) > 0

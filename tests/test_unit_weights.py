@@ -26,6 +26,7 @@ from tracebounds import (
     te_point,
     write_csv,
 )
+from tracebounds.bounds import _slice_means
 from tracebounds.errors import TraceBoundsError
 from tracebounds.estimators import te_estimate
 from tracebounds.resample import ReplicateEngine
@@ -116,8 +117,8 @@ class _Gathers:
 
 def test_the_engine_and_the_bounds_make_no_column_of_unit_weights(monkeypatch):
     # a dataset without weights: the cell table reads its weight a chunk at a
-    # time, the bounds slice a view of it for the control arm, and the engine
-    # reads none, so nothing gathers the weights
+    # time, and the bounds and the engine read none, so nothing gathers the
+    # weights
     rng = np.random.default_rng(3)
     ds = Dataset(y=rng.normal(size=200), d=np.arange(200) % 2, m=rng.integers(0, 2, 200))
     weight, lengths = Dataset.weight, []
@@ -132,10 +133,10 @@ def test_the_engine_and_the_bounds_make_no_column_of_unit_weights(monkeypatch):
 def _control_arms(draw):
     """Units whose control arm has 1 to 3000 units (up to 3007 for an
     integer target), its y continuous, rounded to a few values, mostly
-    exact zeros, or zeros of both signs among a few values; a treated arm
-    whose reactive share is random, one that makes the trimmed count an
-    exact integer, or 1; and a control m = 0 pool that is random, of one
-    unit, or empty."""
+    exact zeros, or zeros of both signs and 1e-300 among a few values; a
+    treated arm whose reactive share is random, one that makes the
+    trimmed count an exact integer, or 1; and a control m = 0 pool that
+    is random, of one unit, or empty."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_c = draw(st.integers(1, 3000))
     share = draw(st.sampled_from(["random", "integer target", "one"]))
@@ -154,7 +155,7 @@ def _control_arms(draw):
     elif outcome == "zeros":
         y_c = np.where(rng.random(n_c) < 0.8, 0.0, rng.normal(0.5, 0.5, n_c))
     else:
-        y_c = rng.choice([-0.0, 0.0, 0.0, -1.0, 1.5], n_c)
+        y_c = rng.choice([-0.0, 0.0, 0.0, 1e-300, -1.0, 1.5], n_c)
     m_t = rng.permutation(np.r_[np.ones(reactors), np.zeros(treated - reactors)])
     pool = draw(st.sampled_from(["random", "one", "empty"]))
     m_c = rng.integers(0, 2, n_c).astype(float) if pool == "random" else np.ones(n_c)
@@ -169,11 +170,16 @@ def _control_arms(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(units=_control_arms())
 def test_unit_weight_bounds_make_no_layout_and_match_a_column_of_ones(units):
-    # the unit-weight route partitions the arm's y; a column of ones takes the
-    # layout and its running sum, and every endpoint must agree bit for bit
+    # the unit-weight route sorts a copy of the arm's y; a column of ones takes
+    # the layout and its running sum, and every endpoint must agree bit for bit
     y, d, m = units
     plain = Dataset(y, d, m)
     ones = Dataset(y, d, m, weight=np.ones(y.size))
     # each endpoint as its repr, which tells every float64 and the sign of a zero apart
     assert _outcome(full_sample_bounds, plain) == _outcome(full_sample_bounds, ones)
     assert plain._layout is None and ones._layout is not None
+    # the kernel itself: None weighs every row 1, as a column of ones does, and
+    # weights of stride 0 are read as the column they stand for
+    ys, p = np.sort(y[d == 0], kind="stable"), estimate_p_m1(plain)
+    assert _outcome(_slice_means, ys, None, p) == _outcome(_slice_means, ys, np.ones(ys.size), p)
+    assert _outcome(_slice_means, ys, np.broadcast_to(2.0, ys.shape), p) == _outcome(_slice_means, ys, np.full(ys.size, 2.0), p)
